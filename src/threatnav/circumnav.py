@@ -13,8 +13,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InfeasibleError
 from .geometry import Point2, distance, wrap_angle
 from .trajectory import Trajectory
@@ -108,7 +106,7 @@ def circumnavigate(
             f"endpoint inside the {spec.label} circle (d0={d0:.6g}, df={df:.6g}, radius={Rh:.6g})"
         )
     if not _chord_blocked(a0, af, threat_pos, Rh):
-        path = _polyline_trajectory([_pt(a0), _pt(af)], mu)
+        path = Trajectory.from_polyline([_pt(a0), _pt(af)], mu)
         ang = math.atan2(
             0.5 * (a0.y + af.y) - threat_pos.y, 0.5 * (a0.x + af.x) - threat_pos.x
         )
@@ -149,7 +147,7 @@ def circumnavigate(
         theta2=wrap_angle(theta2),
         tangent_in=tan_in,
         tangent_out=tan_out,
-        path=_polyline_trajectory(pts, mu),
+        path=Trajectory.from_polyline(pts, mu),
         degenerate=False,
     )
 
@@ -168,16 +166,3 @@ def _chord_blocked(a0: Point2, af: Point2, c: Point2, Rh: float) -> bool:
     t = min(max(t, 0.0), 1.0)
     qx, qy = ax + t * bx, ay + t * by
     return math.hypot(qx, qy) < Rh
-
-
-def _polyline_trajectory(pts: list[tuple[float, float]], speed: float) -> Trajectory:
-    arr = np.asarray(pts, dtype=float)
-    deltas = np.diff(arr, axis=0)
-    seg = np.hypot(deltas[:, 0], deltas[:, 1])
-    keep = seg > 0.0
-    arr = np.vstack([arr[:1], arr[1:][keep]])
-    deltas = np.diff(arr, axis=0)
-    seg = np.hypot(deltas[:, 0], deltas[:, 1])
-    times = np.concatenate([[0.0], np.cumsum(seg) / speed])
-    headings = np.arctan2(deltas[:, 1], deltas[:, 0])
-    return Trajectory(times=times, points=arr, headings=headings, speed=speed)

@@ -6,8 +6,10 @@ are chained forward from the start, so the decision vector is exactly
 n_nodes long (n_nodes - 1 headings plus the terminal time). The zone
 constraint is imposed at every node for every threat: pursuer zones via
 the aspect-angle clearance with the node's segment heading, turret zones
-via the chord-threshold ray test. SLSQP solves the program with an
-analytic constraint Jacobian for pursuer rows.
+via the chord-threshold ray test. Each threat computes its own clearance
+for a batch of poses; SLSQP solves the program with an analytic
+constraint Jacobian for threats that supply a clearance gradient
+(pursuers) and central differences for the rest (turrets).
 
 A straight warm start on a blocked chord sits at a degenerate saddle, so
 the solver also tries deterministic bowed detours on both sides and
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -27,11 +29,26 @@ from . import circumnav as _circ
 from .errors import DomainError, InfeasibleError
 from .geometry import Point2, distance
 from .oracle import OracleConfig, pursuit_capture_possible, turret_neutralization_possible
-from .pursuit import PursuerThreat, rho, rho_derivative
+from .pursuit import PursuerThreat, rho, rho_derivative  # noqa: F401
 from .trajectory import Trajectory
-from .turret import TurretThreat, turret_clearance
+from .turret import TurretThreat, turret_clearance  # noqa: F401
 
-Threat = Union[PursuerThreat, TurretThreat]
+# rho, rho_derivative and turret_clearance are not called here any more;
+# they stay bound because benchmarks/tracing.py wraps them by name.
+
+
+class Threat(Protocol):
+    """An engagement zone as the planner sees it.
+
+    ``clearance`` maps n poses (an n x 2 array of points and n headings)
+    to n signed clearances, positive outside the zone. A threat may also
+    offer ``clearance_gradient(points, headings)``, returning the
+    per-pose partials in x, y and heading; the planner then assembles
+    its Jacobian rows analytically instead of by finite differences.
+    """
+
+    def clearance(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray: ...
+
 
 _FD_STEP = 1e-7
 
@@ -110,6 +127,15 @@ class TranscribedProblem:
         self.a0 = np.array(scenario.agent.start.as_tuple())
         self.af = np.array(scenario.agent.goal.as_tuple())
         self.threats = scenario.threats
+        # A node belongs to two segments and the continuous path visits it
+        # with both headings (the corner is instantaneous), so interior
+        # nodes are constrained twice: once with the outgoing heading and
+        # once with the incoming one. The 2n-2 poses are every node with
+        # its outgoing heading (the goal node reuses the last segment),
+        # then interior nodes 1..n-2 with the incoming heading.
+        n = self.n
+        self._node_idx = np.concatenate([np.arange(n), np.arange(1, n - 1)])
+        self._head_idx = np.concatenate([np.minimum(np.arange(n), n - 2), np.arange(0, n - 2)])
 
     # -- kinematics -------------------------------------------------------
 
@@ -118,10 +144,6 @@ class TranscribedProblem:
         dt = t_f / (self.n - 1)
         steps = self.speed * dt * np.stack([np.cos(psi), np.sin(psi)], axis=1)
         return np.vstack([self.a0, self.a0 + np.cumsum(steps, axis=0)])
-
-    def node_headings(self, z: np.ndarray) -> np.ndarray:
-        psi = z[:-1]
-        return np.append(psi, psi[-1])
 
     # -- endpoint equality -------------------------------------------------
 
@@ -139,92 +161,52 @@ class TranscribedProblem:
         return jac
 
     # -- zone clearances ----------------------------------------------------
-    #
-    # A node belongs to two segments and the continuous path visits it
-    # with both headings (the corner is instantaneous), so interior nodes
-    # are constrained twice: once with the outgoing heading and once with
-    # the incoming one. The pose list below has 2*n - 2 entries: every
-    # node with its outgoing heading (the goal node reuses the last
-    # segment), then interior nodes 1..n-2 with the incoming heading.
 
-    def _pose_index(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n
-        node_idx = np.concatenate([np.arange(n), np.arange(1, n - 1)])
-        head_idx = np.concatenate(
-            [np.minimum(np.arange(n), n - 2), np.arange(0, n - 2)]
-        )
-        return node_idx, head_idx
+    def _poses(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The 2n-2 constrained poses: points (2n-2 x 2) and their headings."""
+        return self.positions(z)[self._node_idx], z[:-1][self._head_idx]
 
     def clearances(self, z: np.ndarray) -> np.ndarray:
         """Stacked per-pose clearance, one block of 2n-2 values per threat."""
-        pts = self.positions(z)
-        blocks = [self._threat_clearance(t, z, pts) for t in self.threats]
+        points, headings = self._poses(z)
+        blocks = [t.clearance(points, headings) for t in self.threats]
         return np.concatenate(blocks) if blocks else np.zeros(0)
 
-    def _threat_clearance(self, threat, z, pts) -> np.ndarray:
-        node_idx, head_idx = self._pose_index()
-        psi = z[:-1][head_idx]
-        p = pts[node_idx]
-        if isinstance(threat, PursuerThreat):
-            dxv = threat.position.x - p[:, 0]
-            dyv = threat.position.y - p[:, 1]
-            d = np.hypot(dxv, dyv)
-            xi = np.remainder(psi - np.arctan2(dyv, dxv) + math.pi, 2.0 * math.pi) - math.pi
-            rhos = np.array([rho(x, threat) for x in xi])
-            return d - rhos
-        return np.array(
-            [
-                turret_clearance(Point2(float(px), float(py)), float(ps), threat)
-                for (px, py), ps in zip(p, psi)
-            ]
-        )
-
     def clearance_jacobian(self, z: np.ndarray) -> np.ndarray:
-        pts = self.positions(z)
+        points, headings = self._poses(z)
         blocks = []
         for threat in self.threats:
-            if isinstance(threat, PursuerThreat):
-                blocks.append(self._pursuit_jacobian(threat, z, pts))
-            else:
+            gradient = getattr(threat, "clearance_gradient", None)
+            if gradient is None:
                 blocks.append(self._fd_jacobian(threat, z))
+            else:
+                blocks.append(self._chain(z, points, *gradient(points, headings)))
         return np.vstack(blocks) if blocks else np.zeros((0, len(z)))
 
-    def _pursuit_jacobian(self, threat, z, pts) -> np.ndarray:
+    def _chain(self, z, points, gx, gy, gpsi) -> np.ndarray:
+        """Jacobian rows of the pose clearances from their pose gradients."""
         n = self.n
         psi, t_f = z[:-1], z[-1]
         dt = t_f / (n - 1)
-        node_idx, head_idx = self._pose_index()
-        p = pts[node_idx]
-        psi_pose = psi[head_idx]
-        dxv = threat.position.x - p[:, 0]
-        dyv = threat.position.y - p[:, 1]
-        d = np.hypot(dxv, dyv)
-        d2 = d * d
-        xi = np.remainder(psi_pose - np.arctan2(dyv, dxv) + math.pi, 2.0 * math.pi) - math.pi
-        drho = np.array([rho_derivative(x, threat) for x in xi])
-        # gradient of clearance w.r.t. the pose position
-        gx = -dxv / d + drho * dyv / d2
-        gy = -dyv / d - drho * dxv / d2
-        m = len(node_idx)
+        m = len(self._node_idx)
         jac = np.zeros((m, n))
         # position chain: node k depends on headings 0..k-1
         sens = self.speed * dt * np.stack([-np.sin(psi), np.cos(psi)], axis=1)
         full = gx[:, None] * sens[None, :, 0] + gy[:, None] * sens[None, :, 1]
-        mask = np.arange(n - 1)[None, :] < node_idx[:, None]
+        mask = np.arange(n - 1)[None, :] < self._node_idx[:, None]
         jac[:, : n - 1] = np.where(mask, full, 0.0)
-        # direct heading dependence through the aspect angle
-        jac[np.arange(m), head_idx] += -drho
+        # direct dependence on the pose's own heading
+        jac[np.arange(m), self._head_idx] += gpsi
         # terminal-time column through the node positions
-        rel = p - self.a0
+        rel = points - self.a0
         jac[:, -1] = (gx * rel[:, 0] + gy * rel[:, 1]) / t_f
         return jac
 
     def _fd_jacobian(self, threat, z) -> np.ndarray:
         def block(zz: np.ndarray) -> np.ndarray:
-            return self._threat_clearance(threat, zz, self.positions(zz))
+            return threat.clearance(*self._poses(zz))
 
-        m = 2 * self.n - 2
-        jac = np.zeros((m, len(z)))
+        jac = np.zeros((len(self._node_idx), len(z)))
         for j in range(len(z)):
             h = _FD_STEP * max(1.0, abs(z[j]))
             zp, zm = z.copy(), z.copy()
@@ -284,9 +266,7 @@ def initialize(scenario: Scenario, mode: str, custom: Optional[Trajectory] = Non
         threat = pursuers[0]
         spec = _circ.CircumnavSpec("Reach", threat.engagement_range + threat.capture_radius)
         result = _circ.circumnavigate(agent.start, agent.goal, threat.position, spec, agent.speed)
-        return _polyline_to_trajectory(
-            _resample_equal_arc(result.path.points, n), agent.speed
-        )
+        return Trajectory.from_polyline(_resample_equal_arc(result.path.points, n), agent.speed)
     if mode == "custom":
         chosen = custom if custom is not None else scenario.options.custom_trajectory
         if chosen is None:
@@ -365,14 +345,7 @@ def clearances_along(trajectory: Trajectory, threats: Sequence[Threat]) -> np.nd
     )
     out = np.zeros((n, len(threats)))
     for j, threat in enumerate(threats):
-        for i, ((px, py), ps) in enumerate(zip(trajectory.points, psi_node)):
-            p = Point2(float(px), float(py))
-            if isinstance(threat, PursuerThreat):
-                from .pursuit import signed_clearance
-
-                out[i, j] = signed_clearance(p, float(ps), threat)
-            else:
-                out[i, j] = turret_clearance(p, float(ps), threat)
+        out[:, j] = threat.clearance(trajectory.points, psi_node)
     return out
 
 
@@ -393,43 +366,33 @@ def resample_and_verify(
         raise ValueError(f"factor must be at least 2, got {factor}")
     traj = result.trajectory
     tol = scenario.options.constraint_tolerance
-    worst = math.inf
-    worst_time = 0.0
-    disagreements = 0
-    checked = 0
-    pts = traj.points
-    for k in range(len(pts) - 1):
-        heading = float(traj.headings[k])
-        for j in range(factor if k < len(pts) - 2 else factor + 1):
-            s = j / factor
-            q = Point2(
-                float(pts[k, 0] + s * (pts[k + 1, 0] - pts[k, 0])),
-                float(pts[k, 1] + s * (pts[k + 1, 1] - pts[k, 1])),
-            )
-            t = float(traj.times[k] + s * (traj.times[k + 1] - traj.times[k]))
-            checked += 1
-            for threat in scenario.threats:
-                if isinstance(threat, PursuerThreat):
-                    from .pursuit import signed_clearance
+    oracles = {PursuerThreat: pursuit_capture_possible, TurretThreat: turret_neutralization_possible}
+    # factor points per segment at s = j / factor, then the goal node
+    n_seg = len(traj.points) - 1
+    seg = np.repeat(np.arange(n_seg), factor)
+    s = np.tile(np.arange(factor) / factor, n_seg)
+    if n_seg:
+        seg, s = np.append(seg, n_seg - 1), np.append(s, 1.0)
+    pts, times = traj.points, traj.times
+    q = pts[seg] + s[:, None] * (pts[seg + 1] - pts[seg])
+    t = times[seg] + s * (times[seg + 1] - times[seg])
+    psi = traj.headings[seg]
 
-                    c = signed_clearance(q, heading, threat)
-                    alarm = c > tol and pursuit_capture_possible(q, heading, threat, oracle_config)
-                else:
-                    c = turret_clearance(q, heading, threat)
-                    alarm = c > tol and turret_neutralization_possible(
-                        q, heading, threat, oracle_config
-                    )
-                if c < worst:
-                    worst, worst_time = c, t
-                if alarm:
+    worst, worst_time, disagreements = math.inf, 0.0, 0
+    if scenario.threats:
+        clear = np.stack([threat.clearance(q, psi) for threat in scenario.threats], axis=1)
+        row, _ = np.unravel_index(np.argmin(clear), clear.shape)
+        worst, worst_time = float(clear[row].min()), float(t[row])
+        for threat, c in zip(scenario.threats, clear.T):
+            oracle = oracles[type(threat)]
+            for i in np.flatnonzero(c > tol):
+                if oracle(Point2(float(q[i, 0]), float(q[i, 1])), float(psi[i]), threat, oracle_config):
                     disagreements += 1
-    if not scenario.threats:
-        worst = math.inf
     return VerificationReport(
         worst_clearance=worst,
         worst_time=worst_time,
         oracle_disagreements=disagreements,
-        points_checked=checked,
+        points_checked=len(q),
     )
 
 
@@ -477,7 +440,7 @@ def _detour_seeds(scenario: Scenario) -> list[Trajectory]:
     s = np.linspace(0.0, 1.0, 256)[:, None]
     for sign in (1.0, -1.0):
         pts = a0 + s * chord + sign * amp * np.sin(math.pi * s) * normal
-        seeds.append(_polyline_to_trajectory(pts, agent.speed))
+        seeds.append(Trajectory.from_polyline(pts, agent.speed))
     return seeds
 
 
@@ -489,11 +452,3 @@ def _resample_equal_arc(points: np.ndarray, n: int) -> np.ndarray:
     return np.stack(
         [np.interp(targets, s, points[:, 0]), np.interp(targets, s, points[:, 1])], axis=1
     )
-
-
-def _polyline_to_trajectory(points: np.ndarray, speed: float) -> Trajectory:
-    deltas = np.diff(points, axis=0)
-    seg = np.hypot(deltas[:, 0], deltas[:, 1])
-    times = np.concatenate([[0.0], np.cumsum(seg) / speed])
-    headings = np.arctan2(deltas[:, 1], deltas[:, 0])
-    return Trajectory(times=times, points=points, headings=headings, speed=speed)

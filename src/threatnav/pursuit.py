@@ -49,6 +49,27 @@ class PursuerThreat:
         if not (self.capture_radius >= 0.0 and math.isfinite(self.capture_radius)):
             raise DomainError(f"capture_radius must be nonnegative, got {self.capture_radius}")
 
+    def clearance(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray:
+        """``signed_clearance`` of every pose: rows of ``points`` with ``headings``."""
+        d, _, _, xi = self._polar(points, headings)
+        return d - np.array([rho(x, self) for x in xi])
+
+    def clearance_gradient(
+        self, points: np.ndarray, headings: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-pose partial derivatives of ``clearance`` in x, y and heading."""
+        d, dxv, dyv, xi = self._polar(points, headings)
+        drho = np.array([rho_derivative(x, self) for x in xi])
+        d2 = d * d
+        return -dxv / d + drho * dyv / d2, -dyv / d - drho * dxv / d2, -drho
+
+    def _polar(self, points: np.ndarray, headings: np.ndarray):
+        """Distance, offsets to the pursuer, and aspect angles in [-pi, pi)."""
+        dxv = self.position.x - points[:, 0]
+        dyv = self.position.y - points[:, 1]
+        xi = np.remainder(headings - np.arctan2(dyv, dxv) + math.pi, 2.0 * math.pi) - math.pi
+        return np.hypot(dxv, dyv), dxv, dyv, xi
+
 
 @dataclass(frozen=True)
 class EzBoundarySample:

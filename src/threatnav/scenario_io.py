@@ -80,8 +80,11 @@ def scenario_from_dict(data: Any) -> ScenarioDocument:
         speed=_number(_require(agent_raw, "speed", "$.agent"), "$.agent.speed"),
     )
 
+    threats_raw = data.get("threats", [])
+    if not isinstance(threats_raw, list):
+        raise ScenarioError("$.threats", "must be an array")
     threats = []
-    for i, raw in enumerate(data.get("threats", [])):
+    for i, raw in enumerate(threats_raw):
         loc = f"$.threats[{i}]"
         if not isinstance(raw, dict):
             raise ScenarioError(loc, "threat must be an object")
@@ -109,12 +112,7 @@ def scenario_from_dict(data: Any) -> ScenarioDocument:
         else:
             raise ScenarioError(f"{loc}.kind", f"unknown threat kind {kind!r}")
 
-    planner_raw = data.get("planner", {})
-    _reject_unknown(planner_raw, _PLANNER_KEYS, "$.planner")
-    try:
-        options = PlannerOptions(**planner_raw)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError("$.planner", str(exc)) from exc
+    options = _planner_options(data.get("planner", {}), threats)
 
     output_raw = data.get("output", {})
     _reject_unknown(output_raw, _OUTPUT_KEYS, "$.output")
@@ -176,6 +174,29 @@ def scenario_to_dict(doc: ScenarioDocument) -> dict:
     }
 
 
+def _planner_options(raw: Any, threats: list) -> PlannerOptions:
+    _reject_unknown(raw, _PLANNER_KEYS, "$.planner")
+    fields = {}
+    for key, value in raw.items():
+        loc = f"$.planner.{key}"
+        if key in ("n_nodes", "max_iterations"):
+            fields[key] = _integer(value, loc)
+        elif key == "initialization":
+            if value == "custom":
+                raise ScenarioError(loc, "custom initialization needs a trajectory; use the library")
+            if value == "circumnav_reach" and not any(isinstance(t, PursuerThreat) for t in threats):
+                raise ScenarioError(loc, "circumnav_reach initialization needs a pursuer threat")
+            if value not in ("straight_line", "circumnav_reach"):
+                raise ScenarioError(loc, f"unknown initialization {value!r}")
+            fields[key] = value
+        else:
+            fields[key] = _number(value, loc)
+    try:
+        return PlannerOptions(**fields)
+    except ValueError as exc:
+        raise ScenarioError("$.planner", str(exc)) from exc
+
+
 def _reject_unknown(raw: Any, allowed: set, location: str) -> None:
     if not isinstance(raw, dict):
         raise ScenarioError(location, "must be an object")
@@ -194,6 +215,12 @@ def _number(value: Any, location: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(location, f"expected a number, got {value!r}")
     return float(value)
+
+
+def _integer(value: Any, location: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(location, f"expected an integer, got {value!r}")
+    return value
 
 
 def _point(value: Any, location: str) -> Point2:

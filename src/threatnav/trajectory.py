@@ -39,6 +39,18 @@ class Trajectory:
         if not self.speed > 0.0:
             raise ValueError(f"speed must be positive, got {self.speed}")
 
+    @classmethod
+    def from_polyline(cls, points, speed: float) -> "Trajectory":
+        """Constant-speed trajectory through ``points``; zero-length segments are dropped."""
+        pts = np.asarray(points, dtype=float)
+        deltas = np.diff(pts, axis=0)
+        seg = np.hypot(deltas[:, 0], deltas[:, 1])
+        keep = seg > 0.0
+        pts, deltas, seg = np.vstack([pts[:1], pts[1:][keep]]), deltas[keep], seg[keep]
+        times = np.concatenate([[0.0], np.cumsum(seg) / speed])
+        headings = np.arctan2(deltas[:, 1], deltas[:, 0])
+        return cls(times=times, points=pts, headings=headings, speed=speed)
+
     @property
     def t_f(self) -> float:
         return float(self.times[-1])

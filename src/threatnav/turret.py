@@ -55,6 +55,15 @@ class TurretThreat:
         if not math.isfinite(self.look_angle):
             raise DomainError(f"look_angle must be finite, got {self.look_angle}")
 
+    def clearance(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray:
+        """``turret_clearance`` of every pose: rows of ``points`` with ``headings``."""
+        return np.array(
+            [
+                turret_clearance(Point2(float(px), float(py)), float(ps), self)
+                for (px, py), ps in zip(points, headings)
+            ]
+        )
+
 
 @dataclass(frozen=True)
 class TurretBoundaryPoint:

@@ -8,6 +8,7 @@ from threatnav.circumnav import CircumnavSpec, circumnavigate, percent_differenc
 from threatnav.errors import InfeasibleError
 from threatnav.geometry import Point2
 from threatnav.pursuit import PursuerThreat
+from threatnav.trajectory import Trajectory
 
 ORIGIN = Point2(0, 0)
 
@@ -149,3 +150,10 @@ class TestPercentDifference:
     def test_rejects_nonpositive_baseline(self):
         with pytest.raises(ValueError):
             percent_difference(1.0, 0.0)
+
+
+def test_from_polyline_drops_zero_length_segments():
+    traj = Trajectory.from_polyline([(0.0, 0.0), (0.0, 0.0), (3.0, 4.0), (3.0, 4.0), (3.0, 6.0)], 2.0)
+    assert traj.points.tolist() == [[0.0, 0.0], [3.0, 4.0], [3.0, 6.0]]
+    assert traj.times.tolist() == [0.0, 2.5, 3.5]
+    assert traj.headings[1] == math.pi / 2

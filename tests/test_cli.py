@@ -111,6 +111,30 @@ class TestPlan:
             tmp_path / "b/trajectory.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "edit, location",
+        [
+            (lambda d: d["planner"].update(initialization="custom"), "$.planner.initialization"),
+            (
+                lambda d: d.update(threats=[], planner={"initialization": "circumnav_reach"}),
+                "$.planner.initialization",
+            ),
+            (lambda d: d["planner"].update(constraint_tolerance=True), "$.planner.constraint_tolerance"),
+            (lambda d: d["planner"].update(n_nodes=50.5), "$.planner.n_nodes"),
+            (lambda d: d.update(threats={"a": 1}), "$.threats"),
+        ],
+        ids=["custom", "circumnav_reach_no_pursuer", "bool_tolerance", "float_n_nodes", "threats_object"],
+    )
+    def test_bad_scenario_values_exit_code(self, tmp_path, capsys, edit, location):
+        data = json.loads(GOLDEN.read_text())
+        data.setdefault("planner", {})
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["plan", str(bad), "--output-dir", str(tmp_path)]) == 2
+        assert f"{location}: " in capsys.readouterr().err
+        assert not (tmp_path / "result.json").exists()
+
     def test_turret_scenario_planning(self, tmp_path):
         data = {
             "schema_version": 1,

@@ -208,6 +208,33 @@ class TestTranscription:
         scale = np.maximum(1.0, np.maximum(np.abs(jac), np.abs(fd)))
         assert float(np.max(np.abs(jac - fd) / scale)) <= 1e-5
 
+    def test_mixed_jacobian_blocks_match_finite_differences(self):
+        pursuer = PursuerThreat(Point2(-1.0, 0), mu=0.8, engagement_range=0.5, capture_radius=0.1)
+        turret = TurretThreat(Point2(1.2, 0.2), look_angle=2.0, mu=0.4, engagement_range=0.6)
+        scen = Scenario(
+            AgentConfig(Point2(-3, -1), Point2(3, -1), speed=0.8),
+            (pursuer, turret),
+            PlannerOptions(n_nodes=50, constraint_tolerance=1e-4),
+        )
+        prob = transcribe(scen)
+        rng = np.random.default_rng(31)
+        z = prob.pack(initialize(scen, "straight_line"))
+        z = z + rng.normal(0, 0.03, len(z))
+        jac = prob.clearance_jacobian(z)
+        fd = np.zeros_like(jac)
+        for j in range(len(z)):
+            h = 1e-6 * max(1.0, abs(z[j]))
+            zp, zm = z.copy(), z.copy()
+            zp[j] += h
+            zm[j] -= h
+            fd[:, j] = (prob.clearances(zp) - prob.clearances(zm)) / (2 * h)
+        m = 2 * 50 - 2
+        assert jac.shape == (2 * m, 50)
+        scale = np.maximum(1.0, np.maximum(np.abs(jac), np.abs(fd)))
+        err = np.abs(jac - fd) / scale
+        assert float(np.max(err[:m])) <= 1e-5  # pursuer rows, analytic
+        assert float(np.max(err[m:])) <= 1e-5  # turret rows, finite differences
+
     def test_decision_vector_size_is_node_count(self):
         prob = transcribe(golden_scenario(n_nodes=37))
         z = prob.pack(initialize(golden_scenario(n_nodes=37), "straight_line"))

@@ -107,3 +107,57 @@ def test_golden_scenario_file_parses():
     assert isinstance(threat, PursuerThreat)
     assert threat.mu == 0.9
     assert doc.scenario.agent.speed == 0.9
+
+
+def test_threats_must_be_an_array():
+    data = scenario_to_dict(sample_doc())
+    data["threats"] = {"a": 1}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert str(err.value) == "$.threats: must be an array"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("constraint_tolerance", True),
+        ("opt_tolerance", "tight"),
+        ("n_nodes", 50.5),
+        ("n_nodes", True),
+        ("max_iterations", 100.0),
+        ("initialization", 3),
+        ("initialization", "zigzag"),
+    ],
+)
+def test_planner_field_types_located(key, value):
+    data = scenario_to_dict(sample_doc())
+    data["planner"][key] = value
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.location == f"$.planner.{key}"
+
+
+def test_custom_initialization_rejected_in_files():
+    data = scenario_to_dict(sample_doc())
+    data["planner"]["initialization"] = "custom"
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.location == "$.planner.initialization"
+
+
+def test_circumnav_reach_needs_a_pursuer():
+    data = scenario_to_dict(sample_doc())
+    data["planner"]["initialization"] = "circumnav_reach"
+    assert scenario_from_dict(data).scenario.options.initialization == "circumnav_reach"
+    data["threats"] = [t for t in data["threats"] if t["kind"] != "pursuer"]
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.location == "$.planner.initialization"
+
+
+def test_planner_domain_error_located():
+    data = scenario_to_dict(sample_doc())
+    data["planner"]["n_nodes"] = 2
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.location == "$.planner"
