@@ -1,8 +1,8 @@
 """Command-line interface: boundary export, planning, comparison, verification.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 infeasible scenario, 4 planner did not converge (partial output is
-still written). All numeric output uses 9 significant digits.
+Exit codes: 0 success, 1 verification failure, 2 usage, parse or domain
+error, 3 infeasible scenario, 4 planner did not converge (partial output
+is still written). All numeric output uses 9 significant digits.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .circumnav import circumnavigate, percent_difference, standard_specs
-from .errors import InfeasibleError
+from .errors import DomainError, InfeasibleError
 from .geometry import Point2, wrap_angle
 from .planner import clearances_along, plan
 from .pursuit import PursuerThreat, sample_boundary
-from .scenario_io import ScenarioError, load_scenario
+from .scenario_io import OutputConfig, ScenarioError, load_scenario
 from .turret import TurretThreat, sample_turret_boundary
 from .verification import pursuit_equivalence_sweep, turret_equivalence_sweep
 
@@ -70,8 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output-dir", type=Path, default=Path("."))
+    p.add_argument("--output-dir", type=Path, default=None)
     p.add_argument("--format", choices=["csv", "json"], default=None, help="restrict outputs")
+    p.set_defaults(output=OutputConfig())
 
 
 def main(argv=None) -> int:
@@ -93,8 +94,16 @@ def entrypoint() -> None:
     sys.exit(main())
 
 
-def _want(args, fmt: str) -> bool:
-    return args.format is None or args.format == fmt
+def _write(args, name: str, lines) -> None:
+    """Write one output file; ``--output-dir``/``--format`` win over the scenario's output block."""
+    formats = (args.format,) if args.format else args.output.formats
+    if Path(name).suffix[1:] not in formats:
+        return
+    directory = args.output_dir or Path(args.output.directory or ".")
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / name
+    path.write_text("".join(f"{line}\n" for line in lines))
+    print(f"wrote {path}")
 
 
 def _cmd_ez_boundary(args) -> int:
@@ -106,18 +115,9 @@ def _cmd_ez_boundary(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    if _want(args, "csv"):
-        path = args.output_dir / "ez_boundary.csv"
-        with path.open("w") as fh:
-            fh.write("xi_or_gamma,rho_or_x,y,world_x,world_y\n")
-            for row in rows:
-                fh.write(",".join(_g(v) for v in row) + "\n")
-        print(f"wrote {path}")
-    if _want(args, "json"):
-        path = args.output_dir / "ez_boundary.json"
-        path.write_text(json.dumps(summary, indent=2) + "\n")
-        print(f"wrote {path}")
+    header = "xi_or_gamma,rho_or_x,y,world_x,world_y"
+    _write(args, "ez_boundary.csv", [header] + [",".join(_g(v) for v in row) for row in rows])
+    _write(args, "ez_boundary.json", [json.dumps(summary, indent=2)])
     return 0
 
 
@@ -176,7 +176,7 @@ def _boundary_rows(args):
 
 def _load(args):
     try:
-        return load_scenario(args.scenario), 0
+        doc = load_scenario(args.scenario)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 2
@@ -189,52 +189,52 @@ def _load(args):
     except ScenarioError as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return None, 2
+    args.output = doc.output
+    return doc, 0
+
+
+def _plan(scenario):
+    """The plan of ``scenario``, or the exit code after printing why there is none."""
+    try:
+        return plan(scenario)
+    except InfeasibleError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return 3
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _cmd_plan(args) -> int:
     doc, code = _load(args)
     if doc is None:
         return code
-    try:
-        result = plan(doc.scenario)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
-    _write_plan_outputs(args, doc, result)
+    result = _plan(doc.scenario)
+    if isinstance(result, int):
+        return result
+    _write(args, "trajectory.csv", _trajectory_lines(result.trajectory, doc.scenario.threats))
+    payload = {
+        "t_f": result.t_f,
+        "converged": result.converged,
+        "min_clearance": None if math.isinf(result.min_clearance) else result.min_clearance,
+        "iterations": result.iterations,
+    }
+    _write(args, "result.json", [json.dumps(payload, indent=2)])
     if not result.converged:
         print("planner did not converge; partial output written", file=sys.stderr)
         return 4
     return 0
 
 
-def _write_plan_outputs(args, doc, result) -> None:
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    traj = result.trajectory
-    threats = doc.scenario.threats
-    if _want(args, "csv"):
-        clear = clearances_along(traj, threats)
-        psi_node = (
-            np.append(traj.headings, traj.headings[-1]) if len(traj.headings) else [0.0]
-        )
-        path = args.output_dir / "trajectory.csv"
-        with path.open("w") as fh:
-            cols = ["t", "x", "y", "psi"] + [f"clearance_{j}" for j in range(len(threats))]
-            fh.write(",".join(cols) + "\n")
-            for i in range(len(traj.points)):
-                vals = [traj.times[i], traj.points[i, 0], traj.points[i, 1], psi_node[i]]
-                vals.extend(clear[i])
-                fh.write(",".join(_g(float(v)) for v in vals) + "\n")
-        print(f"wrote {path}")
-    if _want(args, "json"):
-        path = args.output_dir / "result.json"
-        payload = {
-            "t_f": result.t_f,
-            "converged": result.converged,
-            "min_clearance": None if math.isinf(result.min_clearance) else result.min_clearance,
-            "iterations": result.iterations,
-        }
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {path}")
+def _trajectory_lines(traj, threats):
+    """trajectory.csv lines; a generator, so a skipped CSV computes no clearances."""
+    clear = clearances_along(traj, threats)
+    psi_node = np.append(traj.headings, traj.headings[-1]) if len(traj.headings) else [0.0]
+    yield ",".join(["t", "x", "y", "psi"] + [f"clearance_{j}" for j in range(len(threats))])
+    for i in range(len(traj.points)):
+        vals = [traj.times[i], traj.points[i, 0], traj.points[i, 1], psi_node[i]]
+        vals.extend(clear[i])
+        yield ",".join(_g(float(v)) for v in vals)
 
 
 def _cmd_compare(args) -> int:
@@ -247,11 +247,9 @@ def _cmd_compare(args) -> int:
         print("error: compare requires a scenario with exactly one pursuer", file=sys.stderr)
         return 2
     threat = pursuers[0]
-    try:
-        result = plan(scen)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
+    result = _plan(scen)
+    if isinstance(result, int):
+        return result
 
     rows = []
     for spec in standard_specs(threat):
@@ -263,28 +261,10 @@ def _cmd_compare(args) -> int:
     for label, radius, t_c, t_ez, pct in rows:
         print(f"{label:<8}{_g(radius):>14}{_g(t_c):>16}{_g(t_ez):>14}{_g(pct):>12}")
 
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    if _want(args, "csv"):
-        path = args.output_dir / "compare.csv"
-        with path.open("w") as fh:
-            fh.write("label,radius,t_circumnav,t_ez,percent_difference\n")
-            for label, radius, t_c, t_ez, pct in rows:
-                fh.write(f"{label}," + ",".join(_g(v) for v in (radius, t_c, t_ez, pct)) + "\n")
-        print(f"wrote {path}")
-    if _want(args, "json"):
-        path = args.output_dir / "compare.json"
-        payload = [
-            {
-                "label": label,
-                "radius": radius,
-                "t_circumnav": t_c,
-                "t_ez": t_ez,
-                "percent_difference": pct,
-            }
-            for label, radius, t_c, t_ez, pct in rows
-        ]
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {path}")
+    keys = ("label", "radius", "t_circumnav", "t_ez", "percent_difference")
+    lines = [f"{label}," + ",".join(_g(v) for v in row) for label, *row in rows]
+    _write(args, "compare.csv", [",".join(keys)] + lines)
+    _write(args, "compare.json", [json.dumps([dict(zip(keys, row)) for row in rows], indent=2)])
     if not result.converged:
         return 4
     return 0

@@ -78,6 +78,8 @@ class PlannerOptions:
     def __post_init__(self) -> None:
         if self.n_nodes < 3:
             raise ValueError(f"n_nodes must be at least 3, got {self.n_nodes}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
         if not (self.constraint_tolerance > 0.0 and self.opt_tolerance > 0.0):
             raise ValueError("tolerances must be positive")
         if self.initialization not in ("straight_line", "circumnav_reach", "custom"):

@@ -8,7 +8,7 @@ round-trip exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -20,8 +20,15 @@ from .turret import TurretThreat
 SCHEMA_VERSION = 1
 
 _AGENT_KEYS = {"start", "goal", "speed"}
-_PURSUER_KEYS = {"kind", "position", "mu", "range", "capture_radius"}
-_TURRET_KEYS = {"kind", "position", "mu", "range", "look_angle"}
+# Each threat kind: its class and its (json key, field name) pairs in file
+# order. A key is optional when its field has a default.
+_THREAT_KINDS = {
+    "pursuer": (PursuerThreat, (("position", "position"), ("mu", "mu"), ("range", "engagement_range"),
+                                ("capture_radius", "capture_radius"))),
+    "turret": (TurretThreat, (("position", "position"), ("mu", "mu"), ("range", "engagement_range"),
+                              ("look_angle", "look_angle"))),
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in _THREAT_KINDS.items()}
 _PLANNER_KEYS = {
     "n_nodes",
     "constraint_tolerance",
@@ -30,6 +37,7 @@ _PLANNER_KEYS = {
     "initialization",
 }
 _OUTPUT_KEYS = {"dir", "formats"}
+_FORMATS = ("csv", "json")
 _TOP_KEYS = {"schema_version", "agent", "threats", "planner", "output"}
 
 
@@ -44,7 +52,7 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class OutputConfig:
     directory: Optional[str] = None
-    formats: tuple[str, ...] = ("csv", "json")
+    formats: tuple[str, ...] = _FORMATS
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,9 @@ def scenario_from_dict(data: Any) -> ScenarioDocument:
 
     agent_raw = _require(data, "agent", "$")
     _reject_unknown(agent_raw, _AGENT_KEYS, "$.agent")
-    agent = AgentConfig(
+    agent = _build(
+        AgentConfig,
+        "$.agent",
         start=_point(_require(agent_raw, "start", "$.agent"), "$.agent.start"),
         goal=_point(_require(agent_raw, "goal", "$.agent"), "$.agent.goal"),
         speed=_number(_require(agent_raw, "speed", "$.agent"), "$.agent.speed"),
@@ -83,75 +93,26 @@ def scenario_from_dict(data: Any) -> ScenarioDocument:
     threats_raw = data.get("threats", [])
     if not isinstance(threats_raw, list):
         raise ScenarioError("$.threats", "must be an array")
-    threats = []
-    for i, raw in enumerate(threats_raw):
-        loc = f"$.threats[{i}]"
-        if not isinstance(raw, dict):
-            raise ScenarioError(loc, "threat must be an object")
-        kind = _require(raw, "kind", loc)
-        if kind == "pursuer":
-            _reject_unknown(raw, _PURSUER_KEYS, loc)
-            threats.append(
-                PursuerThreat(
-                    position=_point(_require(raw, "position", loc), f"{loc}.position"),
-                    mu=_number(_require(raw, "mu", loc), f"{loc}.mu"),
-                    engagement_range=_number(_require(raw, "range", loc), f"{loc}.range"),
-                    capture_radius=_number(raw.get("capture_radius", 0.0), f"{loc}.capture_radius"),
-                )
-            )
-        elif kind == "turret":
-            _reject_unknown(raw, _TURRET_KEYS, loc)
-            threats.append(
-                TurretThreat(
-                    position=_point(_require(raw, "position", loc), f"{loc}.position"),
-                    look_angle=_number(_require(raw, "look_angle", loc), f"{loc}.look_angle"),
-                    mu=_number(_require(raw, "mu", loc), f"{loc}.mu"),
-                    engagement_range=_number(_require(raw, "range", loc), f"{loc}.range"),
-                )
-            )
-        else:
-            raise ScenarioError(f"{loc}.kind", f"unknown threat kind {kind!r}")
-
+    threats = [_threat(raw, f"$.threats[{i}]") for i, raw in enumerate(threats_raw)]
     options = _planner_options(data.get("planner", {}), threats)
 
     output_raw = data.get("output", {})
     _reject_unknown(output_raw, _OUTPUT_KEYS, "$.output")
-    formats = tuple(output_raw.get("formats", ("csv", "json")))
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise ScenarioError("$.output.formats", f"unknown format {fmt!r}")
-    output = OutputConfig(directory=output_raw.get("dir"), formats=formats)
+    directory = output_raw.get("dir")
+    if directory is not None and not isinstance(directory, str):
+        raise ScenarioError("$.output.dir", f"expected a string or null, got {directory!r}")
+    formats = output_raw.get("formats", list(_FORMATS))
+    if not (isinstance(formats, list) and all(fmt in _FORMATS for fmt in formats)):
+        raise ScenarioError("$.output.formats", f'expected an array of "csv"/"json", got {formats!r}')
 
     return ScenarioDocument(
         scenario=Scenario(agent=agent, threats=tuple(threats), options=options),
-        output=output,
+        output=OutputConfig(directory=directory, formats=tuple(formats)),
     )
 
 
 def scenario_to_dict(doc: ScenarioDocument) -> dict:
     scen = doc.scenario
-    threats = []
-    for t in scen.threats:
-        if isinstance(t, PursuerThreat):
-            threats.append(
-                {
-                    "kind": "pursuer",
-                    "position": [t.position.x, t.position.y],
-                    "mu": t.mu,
-                    "range": t.engagement_range,
-                    "capture_radius": t.capture_radius,
-                }
-            )
-        else:
-            threats.append(
-                {
-                    "kind": "turret",
-                    "position": [t.position.x, t.position.y],
-                    "mu": t.mu,
-                    "range": t.engagement_range,
-                    "look_angle": t.look_angle,
-                }
-            )
     return {
         "schema_version": SCHEMA_VERSION,
         "agent": {
@@ -159,7 +120,7 @@ def scenario_to_dict(doc: ScenarioDocument) -> dict:
             "goal": [scen.agent.goal.x, scen.agent.goal.y],
             "speed": scen.agent.speed,
         },
-        "threats": threats,
+        "threats": [_threat_to_dict(t) for t in scen.threats],
         "planner": {
             "n_nodes": scen.options.n_nodes,
             "constraint_tolerance": scen.options.constraint_tolerance,
@@ -174,13 +135,39 @@ def scenario_to_dict(doc: ScenarioDocument) -> dict:
     }
 
 
+def _threat(raw: Any, location: str):
+    if not isinstance(raw, dict):
+        raise ScenarioError(location, "threat must be an object")
+    kind = _require(raw, "kind", location)
+    if not (isinstance(kind, str) and kind in _THREAT_KINDS):
+        raise ScenarioError(f"{location}.kind", f"unknown threat kind {kind!r}")
+    cls, keys = _THREAT_KINDS[kind]
+    _reject_unknown(raw, {"kind"} | {key for key, _ in keys}, location)
+    optional = {f.name for f in fields(cls) if f.default is not MISSING}
+    values = {}
+    for key, name in keys:
+        if key in raw or name not in optional:
+            parse = _point if key == "position" else _number
+            values[name] = parse(_require(raw, key, location), f"{location}.{key}")
+    return _build(cls, location, **values)
+
+
+def _threat_to_dict(threat) -> dict:
+    kind = _KIND_OF[type(threat)]
+    out = {"kind": kind}
+    for key, name in _THREAT_KINDS[kind][1]:
+        value = getattr(threat, name)
+        out[key] = [value.x, value.y] if key == "position" else value
+    return out
+
+
 def _planner_options(raw: Any, threats: list) -> PlannerOptions:
     _reject_unknown(raw, _PLANNER_KEYS, "$.planner")
-    fields = {}
+    values = {}
     for key, value in raw.items():
         loc = f"$.planner.{key}"
         if key in ("n_nodes", "max_iterations"):
-            fields[key] = _integer(value, loc)
+            values[key] = _integer(value, loc)
         elif key == "initialization":
             if value == "custom":
                 raise ScenarioError(loc, "custom initialization needs a trajectory; use the library")
@@ -188,13 +175,18 @@ def _planner_options(raw: Any, threats: list) -> PlannerOptions:
                 raise ScenarioError(loc, "circumnav_reach initialization needs a pursuer threat")
             if value not in ("straight_line", "circumnav_reach"):
                 raise ScenarioError(loc, f"unknown initialization {value!r}")
-            fields[key] = value
+            values[key] = value
         else:
-            fields[key] = _number(value, loc)
+            values[key] = _number(value, loc)
+    return _build(PlannerOptions, "$.planner", **values)
+
+
+def _build(cls, location: str, **values):
+    """Construct ``cls``, reporting a rejected value as a ScenarioError at ``location``."""
     try:
-        return PlannerOptions(**fields)
+        return cls(**values)
     except ValueError as exc:
-        raise ScenarioError("$.planner", str(exc)) from exc
+        raise ScenarioError(location, str(exc)) from exc
 
 
 def _reject_unknown(raw: Any, allowed: set, location: str) -> None:
@@ -214,7 +206,10 @@ def _require(raw: dict, key: str, location: str) -> Any:
 def _number(value: Any, location: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(location, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ScenarioError(location, str(exc)) from exc
 
 
 def _integer(value: Any, location: str) -> int:
@@ -226,4 +221,4 @@ def _integer(value: Any, location: str) -> int:
 def _point(value: Any, location: str) -> Point2:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ScenarioError(location, f"expected [x, y], got {value!r}")
-    return Point2(_number(value[0], location), _number(value[1], location))
+    return _build(Point2, location, x=_number(value[0], location), y=_number(value[1], location))

@@ -122,8 +122,19 @@ class TestPlan:
             (lambda d: d["planner"].update(constraint_tolerance=True), "$.planner.constraint_tolerance"),
             (lambda d: d["planner"].update(n_nodes=50.5), "$.planner.n_nodes"),
             (lambda d: d.update(threats={"a": 1}), "$.threats"),
+            (lambda d: d["agent"].update(goal=d["agent"]["start"]), "$.agent"),
+            (lambda d: d["threats"][0].update(mu=-1), "$.threats[0]"),
+            (lambda d: d["agent"].update(speed=-1), "$.agent"),
+            (lambda d: d["threats"][0].update(range=0), "$.threats[0]"),
+            (lambda d: d["agent"].update(start=[math.inf, 0.0]), "$.agent.start"),
+            (lambda d: d["output"].update(formats=None), "$.output.formats"),
+            (lambda d: d["planner"].update(max_iterations=-5), "$.planner"),
         ],
-        ids=["custom", "circumnav_reach_no_pursuer", "bool_tolerance", "float_n_nodes", "threats_object"],
+        ids=[
+            "custom", "circumnav_reach_no_pursuer", "bool_tolerance", "float_n_nodes", "threats_object",
+            "goal_is_start", "negative_mu", "negative_speed", "zero_range", "infinite_start",
+            "null_formats", "negative_max_iterations",
+        ],
     )
     def test_bad_scenario_values_exit_code(self, tmp_path, capsys, edit, location):
         data = json.loads(GOLDEN.read_text())
@@ -134,6 +145,40 @@ class TestPlan:
         assert main(["plan", str(bad), "--output-dir", str(tmp_path)]) == 2
         assert f"{location}: " in capsys.readouterr().err
         assert not (tmp_path / "result.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda d: d["threats"].append(
+                    {"kind": "turret", "position": [-3.0, 0.0], "mu": 0.5, "range": 1.0, "look_angle": 0.0}
+                ),
+                "agent exactly at the turret position",
+            ),
+            (lambda d: d["threats"][0].update(mu=1e308), "angle must be finite"),
+        ],
+        ids=["turret_at_start", "huge_mu"],
+    )
+    def test_plan_domain_error_exit_code(self, tmp_path, capsys, edit, message):
+        data = json.loads(GOLDEN.read_text())
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["plan", str(bad), "--output-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "result.json").exists()
+
+    def test_output_block_used_without_flags(self, tmp_path, monkeypatch):
+        data = json.loads(GOLDEN.read_text())
+        data["planner"]["n_nodes"] = 40
+        data["output"] = {"dir": "out", "formats": ["json"]}
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path)
+        assert main(["plan", str(scen)]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["result.json"]
+        assert main(["plan", str(scen), "--format", "csv", "--output-dir", "flag"]) == 0
+        assert sorted(p.name for p in (tmp_path / "flag").iterdir()) == ["trajectory.csv"]
 
     def test_turret_scenario_planning(self, tmp_path):
         data = {

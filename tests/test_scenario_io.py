@@ -1,6 +1,9 @@
+import copy
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from threatnav.geometry import Point2
 from threatnav.planner import AgentConfig, PlannerOptions, Scenario
@@ -15,6 +18,8 @@ from threatnav.scenario_io import (
     scenario_to_dict,
 )
 from threatnav.turret import TurretThreat
+
+GOLDEN = Path(__file__).resolve().parent.parent / "scenarios" / "golden.json"
 
 
 def sample_doc():
@@ -109,6 +114,10 @@ def test_golden_scenario_file_parses():
     assert doc.scenario.agent.speed == 0.9
 
 
+def test_golden_file_round_trips():
+    assert scenario_to_dict(load_scenario(GOLDEN)) == json.loads(GOLDEN.read_text())
+
+
 def test_threats_must_be_an_array():
     data = scenario_to_dict(sample_doc())
     data["threats"] = {"a": 1}
@@ -161,3 +170,73 @@ def test_planner_domain_error_located():
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(data)
     assert err.value.location == "$.planner"
+
+
+def test_threat_kind_must_be_a_known_string():
+    data = scenario_to_dict(sample_doc())
+    data["threats"][0]["kind"] = ["pursuer"]
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.location == "$.threats[0].kind"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("dir", 5), ("formats", None), ("formats", "csv"), ("formats", {"csv": 1}), ("formats", ["xml"])],
+)
+def test_output_field_types_located(key, value):
+    data = scenario_to_dict(sample_doc())
+    data["output"][key] = value
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.location == f"$.output.{key}"
+
+
+def _node_paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _replaced(data, path, value):
+    if not path:
+        return value
+    data = copy.deepcopy(data)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return data
+
+
+_FUZZ_BASE = json.loads(GOLDEN.read_text())
+_FUZZ_BASE["threats"].append(
+    {"kind": "turret", "position": [1.0, 1.0], "mu": 0.5, "range": 1.0, "look_angle": 0.5}
+)
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["csv", "json", "pursuer", "turret", "circumnav_reach"]),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(path=st.sampled_from(list(_node_paths(_FUZZ_BASE))), value=_json_values)
+def test_any_replaced_node_parses_or_is_located(path, value):
+    """Any JSON value at any node yields a document or a located ScenarioError, nothing else."""
+    try:
+        scenario_from_dict(_replaced(_FUZZ_BASE, path, value))
+    except ScenarioError as exc:
+        assert exc.location.startswith("$")
