@@ -1,8 +1,10 @@
 """Command-line interface: boundary export, planning, comparison, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse or domain
-error, 3 infeasible scenario, 4 planner did not converge (partial output
-is still written). All numeric output uses 9 significant digits.
+error (including a scenario path that cannot be read as UTF-8 JSON: a
+missing file, a directory, bad bytes, an integer literal past Python's
+digit limit), 3 infeasible scenario, 4 planner did not converge (partial
+output is still written). All numeric output uses 9 significant digits.
 """
 
 from __future__ import annotations
@@ -187,6 +189,9 @@ def _load(args):
         )
         return None, 2
     except ScenarioError as exc:
+        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
+        return None, 2
+    except (OSError, ValueError) as exc:  # a directory, not UTF-8, an over-long integer literal
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return None, 2
     args.output = doc.output

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -42,6 +44,30 @@ def wrap_angle(a: float) -> float:
     if w <= -math.pi:
         w += TWO_PI
     return w
+
+
+def wrap_angles(a: np.ndarray) -> np.ndarray:
+    """``wrap_angle`` of every element, bit for bit.
+
+    ``np.fmod`` is exact (and the identity below 2*pi in magnitude, so
+    it is skipped there), and moving its result out of (-2*pi, -pi) or
+    (pi, 2*pi) by 2*pi is exact too (Sterbenz's lemma), so this lands on
+    the same float as ``math.remainder``; a tie at -pi maps to +pi in
+    both.
+    """
+    w = np.asarray(a, dtype=float)
+    largest = float(np.max(np.abs(w))) if w.size else 0.0
+    if not largest < TWO_PI:
+        if not math.isfinite(largest):
+            raise DomainError(f"angle must be finite, got {float(w[~np.isfinite(w)][0])}")
+        w = np.fmod(w, TWO_PI)
+    w = np.where(w > math.pi, w - TWO_PI, w)
+    return np.where(w <= -math.pi, w + TWO_PI, w)
+
+
+def atan2_each(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``math.atan2`` of every pair: ``np.arctan2`` differs in the last bit on some inputs."""
+    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, count=len(y))
 
 
 def angular_separation(a: float, b: float) -> float:

@@ -9,7 +9,8 @@ the aspect-angle clearance with the node's segment heading, turret zones
 via the chord-threshold ray test. Each threat computes its own clearance
 for a batch of poses; SLSQP solves the program with an analytic
 constraint Jacobian for threats that supply a clearance gradient
-(pursuers) and central differences for the rest (turrets).
+(pursuers) and central differences for the rest (turrets), taken over
+one batched clearance call that holds every perturbed pose.
 
 A straight warm start on a blocked chord sits at a degenerate saddle, so
 the solver also tries deterministic bowed detours on both sides and
@@ -142,10 +143,15 @@ class TranscribedProblem:
     # -- kinematics -------------------------------------------------------
 
     def positions(self, z: np.ndarray) -> np.ndarray:
-        psi, t_f = z[:-1], z[-1]
+        """Node positions (n x 2) of z, or (k x n x 2) of a k x n stack of decision vectors."""
+        psi, t_f = z[..., :-1], z[..., -1:]
         dt = t_f / (self.n - 1)
-        steps = self.speed * dt * np.stack([np.cos(psi), np.sin(psi)], axis=1)
-        return np.vstack([self.a0, self.a0 + np.cumsum(steps, axis=0)])
+        steps = (self.speed * dt)[..., None] * np.stack([np.cos(psi), np.sin(psi)], axis=-1)
+        out = np.empty(z.shape[:-1] + (self.n, 2))
+        out[..., 0, :] = self.a0
+        np.cumsum(steps, axis=-2, out=out[..., 1:, :])
+        out[..., 1:, :] += self.a0
+        return out
 
     # -- endpoint equality -------------------------------------------------
 
@@ -165,8 +171,11 @@ class TranscribedProblem:
     # -- zone clearances ----------------------------------------------------
 
     def _poses(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The 2n-2 constrained poses: points (2n-2 x 2) and their headings."""
-        return self.positions(z)[self._node_idx], z[:-1][self._head_idx]
+        """The 2n-2 constrained poses: points (2n-2 x 2) and their headings.
+
+        A k x n stack of decision vectors gives k x (2n-2) x 2 and k x (2n-2).
+        """
+        return self.positions(z)[..., self._node_idx, :], z[..., :-1][..., self._head_idx]
 
     def clearances(self, z: np.ndarray) -> np.ndarray:
         """Stacked per-pose clearance, one block of 2n-2 values per threat."""
@@ -205,17 +214,21 @@ class TranscribedProblem:
         return jac
 
     def _fd_jacobian(self, threat, z) -> np.ndarray:
-        def block(zz: np.ndarray) -> np.ndarray:
-            return threat.clearance(*self._poses(zz))
+        """Central differences in every variable.
 
-        jac = np.zeros((len(self._node_idx), len(z)))
-        for j in range(len(z)):
-            h = _FD_STEP * max(1.0, abs(z[j]))
-            zp, zm = z.copy(), z.copy()
-            zp[j] += h
-            zm[j] -= h
-            jac[:, j] = (block(zp) - block(zm)) / (2.0 * h)
-        return jac
+        The 2n perturbed decision vectors are stacked, their node positions
+        come from one batched cumsum, and all their poses go through one
+        ``threat.clearance`` call.
+        """
+        n = len(z)
+        h = _FD_STEP * np.maximum(1.0, np.abs(z))
+        cols = np.arange(n)
+        stack = np.tile(z, (2 * n, 1))  # rows 0..n-1 step up, rows n..2n-1 step down
+        stack[cols, cols] += h
+        stack[n + cols, cols] -= h
+        points, headings = self._poses(stack)
+        c = threat.clearance(points.reshape(-1, 2), headings.ravel()).reshape(2 * n, -1)
+        return ((c[:n] - c[n:]) / (2.0 * h[:, None])).T
 
     # -- warm-start packing --------------------------------------------------
 

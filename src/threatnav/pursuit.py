@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .geometry import Point2, aspect_angle, distance, wrap_angle
+from .geometry import Point2, aspect_angle, distance, wrap_angle, wrap_angles
 
 _RADICAND_SLACK = 1e-14
 
@@ -52,14 +52,14 @@ class PursuerThreat:
     def clearance(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray:
         """``signed_clearance`` of every pose: rows of ``points`` with ``headings``."""
         d, _, _, xi = self._polar(points, headings)
-        return d - np.array([rho(x, self) for x in xi])
+        return d - rho_batch(xi, self)
 
     def clearance_gradient(
         self, points: np.ndarray, headings: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-pose partial derivatives of ``clearance`` in x, y and heading."""
         d, dxv, dyv, xi = self._polar(points, headings)
-        drho = np.array([rho_derivative(x, self) for x in xi])
+        drho = rho_derivative_batch(xi, self)
         d2 = d * d
         return -dxv / d + drho * dyv / d2, -dyv / d - drho * dxv / d2, -drho
 
@@ -176,6 +176,64 @@ def rho_derivative(xi: float, threat: PursuerThreat) -> float:
         dden = mu * math.cos(ax) - math.cos(ax + a)
         return sign * (-r * math.sqrt(mu * mu - 1.0) * dden / (den * den))
     return 0.0
+
+
+def _collision_course_rho_batch(xi: np.ndarray, mu: float, R: float, r: float) -> np.ndarray:
+    c = np.cos(xi)
+    rad = c * c - 1.0 + (R + r) ** 2 / (mu * mu * R * R)
+    low = rad < -_RADICAND_SLACK
+    if low.any():
+        raise DomainError(f"aspect angle {float(xi[low][0])} outside the collision-course branch")
+    return mu * R * (c + np.sqrt(np.where(rad < 0.0, 0.0, rad)))
+
+
+def rho_batch(xi: np.ndarray, threat: PursuerThreat) -> np.ndarray:
+    """``rho`` of every aspect angle in ``xi``, bit for bit (same branches, same operation order)."""
+    mu, R, r = threat.mu, threat.engagement_range, threat.capture_radius
+    w = wrap_angles(xi)
+    if mu <= 1.0:
+        return _collision_course_rho_batch(w, mu, R, r)
+    ax = np.abs(w)
+    a = math.acos(1.0 / mu)
+    out = np.full(len(ax), r)
+    course = ax <= xi_crossover(threat)
+    graze = ~course & (ax <= math.pi - a)
+    out[course] = _collision_course_rho_batch(ax[course], mu, R, r)
+    g = ax[graze]
+    out[graze] = r * math.sqrt(mu * mu - 1.0) / _nonzero(mu * np.sin(g) - np.sin(g + a))
+    return out
+
+
+def rho_derivative_batch(xi: np.ndarray, threat: PursuerThreat) -> np.ndarray:
+    """``rho_derivative`` of every aspect angle in ``xi``, bit for bit."""
+    mu, R, r = threat.mu, threat.engagement_range, threat.capture_radius
+    w = wrap_angles(xi)
+    ax = np.abs(w)
+    sign = np.where(w >= 0.0, 1.0, -1.0)
+    out = np.zeros(len(ax))
+    course = ax <= (math.inf if mu <= 1.0 else xi_crossover(threat))
+    x = ax[course]
+    c, s = np.cos(x), np.sin(x)
+    rad = c * c - 1.0 + (R + r) ** 2 / (mu * mu * R * R)
+    root = np.sqrt(np.where(0.0 > rad, 0.0, rad))
+    root = np.where(root == 0.0, _RADICAND_SLACK, root)
+    out[course] = sign[course] * (mu * R * (-s - c * s / root))
+    if mu > 1.0:
+        a = math.acos(1.0 / mu)
+        graze = ~course & (ax <= math.pi - a)
+        g = ax[graze]
+        den = mu * np.sin(g) - np.sin(g + a)
+        dden = mu * np.cos(g) - np.cos(g + a)
+        out[graze] = sign[graze] * (-r * math.sqrt(mu * mu - 1.0) * dden / _nonzero(den * den))
+    return out
+
+
+def _nonzero(den: np.ndarray) -> np.ndarray:
+    """Raise where the scalar kernel's float division would: the grazing arc's
+    denominator vanishes at asin(1/mu), which is the crossover when r = 0."""
+    if not den.all():
+        raise ZeroDivisionError("float division by zero")
+    return den
 
 
 def ez_contains(agent_pos: Point2, agent_heading: float, threat: PursuerThreat) -> bool:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Point2, angular_separation, wrap_angle
+from .geometry import Point2, angular_separation, atan2_each, wrap_angle, wrap_angles
 
 _GAMMA_SLACK = 1e-9
 
@@ -56,13 +56,22 @@ class TurretThreat:
             raise DomainError(f"look_angle must be finite, got {self.look_angle}")
 
     def clearance(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray:
-        """``turret_clearance`` of every pose: rows of ``points`` with ``headings``."""
-        return np.array(
-            [
-                turret_clearance(Point2(float(px), float(py)), float(ps), self)
-                for (px, py), ps in zip(points, headings)
-            ]
-        )
+        """``turret_clearance`` of every pose, bit for bit: rows of ``points`` with ``headings``."""
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            x, y = points[~finite][0]
+            raise DomainError(f"point components must be finite, got ({float(x)}, {float(y)})")
+        dx = points[:, 0] - self.position.x
+        dy = points[:, 1] - self.position.y
+        if np.any((dx == 0.0) & (dy == 0.0)):
+            raise DomainError("agent exactly at the turret position")
+        with np.errstate(invalid="ignore"):  # a non-finite heading raises in the threshold
+            ch, sh = np.cos(headings), np.sin(headings)
+        x0 = dx * ch + dy * sh
+        y0 = -dx * sh + dy * ch
+        R = self.engagement_range
+        y_c = np.minimum(np.maximum(y0, -R), R)
+        return _max(np.abs(y0) - R, x0 - boundary_threshold_batch(y_c, self, headings))
 
 
 @dataclass(frozen=True)
@@ -147,6 +156,51 @@ def boundary_threshold(y: float, threat: TurretThreat, agent_heading: float = 0.
         if -c <= xs <= c and wrap_angle(math.atan2(y, xs) - th) < 0.0:
             cands.append(reach(xs))
     return max(cands)
+
+
+def _max(a: np.ndarray, b) -> np.ndarray:
+    """Python's ``max(a, b)`` per element: ``a`` unless ``b`` is larger."""
+    return np.where(b > a, b, a)
+
+
+def boundary_threshold_batch(y: np.ndarray, threat: TurretThreat, agent_headings: np.ndarray) -> np.ndarray:
+    """``boundary_threshold`` of every chord ``y`` with its heading, bit for bit.
+
+    Each candidate of the scalar max is computed for every chord, masked
+    where its condition fails, and folded in the scalar's order; the
+    chord through the turret (y == 0) takes its own two-candidate max.
+    """
+    R, mu = threat.engagement_range, threat.mu
+    if np.any(np.abs(y) > R):
+        raise DomainError(f"|y|={float(np.max(np.abs(y)))} exceeds the engagement range {R}")
+    th = wrap_angles(threat.look_angle - agent_headings)
+    mirror = y < 0.0
+    y = np.where(mirror, -y, y)
+    th = np.where(mirror, wrap_angles(-th), th)
+
+    def reach(x, th, bearing):
+        return x - mu * np.abs(wrap_angles(th - bearing))
+
+    c = np.sqrt(_max(R * R - y * y, 0.0))
+    best = _max(reach(c, th, atan2_each(y, c)), reach(-c, th, atan2_each(y, -c)))
+    # crossing the initial beam
+    sin_th = np.sin(th)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = y * np.cos(th) / sin_th
+    ok = (sin_th > 0.0) & (-c <= x_cross) & (x_cross <= c)
+    best = np.where(ok & (x_cross > best), x_cross, best)
+    # interior stationary point of the chase
+    inner = mu > y
+    xs = -np.sqrt(np.where(inner, y * (mu - y), 0.0))
+    idx = np.flatnonzero(inner & (-c <= xs) & (xs <= c))
+    bearing = atan2_each(y[idx], xs[idx])
+    keep = wrap_angles(bearing - th[idx]) < 0.0
+    idx, bearing = idx[keep], bearing[keep]
+    best[idx] = _max(best[idx], reach(xs[idx], th[idx], bearing))
+    # the chord through the turret: inbound bearing pi or outbound bearing 0
+    on = np.flatnonzero(y == 0.0)
+    best[on] = _max(-mu * np.abs(wrap_angles(th[on] - math.pi)), R - mu * np.abs(wrap_angles(th[on] - 0.0)))
+    return best
 
 
 def ez_contains_turret(agent_pos: Point2, agent_heading: float, threat: TurretThreat) -> bool:

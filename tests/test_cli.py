@@ -100,6 +100,23 @@ class TestPlan:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["plan", str(tmp_path / "none.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda p: p.mkdir(),
+            lambda p: p.write_bytes(b'{"schema_version": 1, "note": "\xff\xfe"}'),
+            lambda p: p.write_text('{"schema_version": 1' + "0" * 5000 + "}"),
+        ],
+        ids=["directory", "not_utf8", "huge_int_literal"],
+    )
+    @pytest.mark.parametrize("command", ["plan", "compare"])
+    def test_unreadable_scenario_exit_code(self, tmp_path, capsys, make, command):
+        path = tmp_path / "scen.json"
+        make(path)
+        assert main([command, str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_repeat_runs_bit_identical(self, tmp_path):
         data = json.loads(GOLDEN.read_text())
         data["planner"]["n_nodes"] = 40
