@@ -1,9 +1,12 @@
 """Brute-force engagement feasibility checks.
 
 These are the ground truth the closed-form zone boundaries are tested
-against. They evaluate the raw capture/neutralization inequalities on a
-dense time grid and polish with local bisection or golden-section
-refinement; they never call the analytic boundary formulas.
+against. Both oracles evaluate their raw capture/neutralization margin
+on a dense time grid and share one scan (``_first_window``): the first grid
+point where the margin is >= 0 ends it, and without one each local
+maximum is polished by golden-section search. Feasibility stops at the
+first witnessed engagement; only the pursuit certificate bisects the
+window it returns. They never call the analytic boundary formulas.
 
 Normalization matches the zone modules: unit pursuer speed / unit slew
 rate, agent speed ``mu``. Feasibility is invariant to a common time
@@ -43,8 +46,8 @@ class OracleConfig:
 _DEFAULT = OracleConfig()
 
 
-def _golden_max(f, lo: float, hi: float, iters: int) -> float:
-    """Maximum of f on [lo, hi] by golden-section, assuming a local bracket."""
+def _golden_max(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
+    """Best point ``(t, f(t))`` of f on [lo, hi] by golden-section, assuming a local bracket."""
     a, b = lo, hi
     c = b - _INV_GOLD * (b - a)
     d = a + _INV_GOLD * (b - a)
@@ -58,93 +61,37 @@ def _golden_max(f, lo: float, hi: float, iters: int) -> float:
             a, c, fc = c, d, fd
             d = a + _INV_GOLD * (b - a)
             fd = f(d)
-    return max(f(lo), f(hi), fc, fd)
+    f_best, t_best = max((f(lo), lo), (f(hi), hi), (fc, c), (fd, d))
+    return t_best, f_best
 
 
-def _pursuit_slack(t: np.ndarray, a0: Point2, heading: float, threat: PursuerThreat):
-    """Capture slack t + r - |A(t) - P0|; capture feasible where >= 0.
+def _scalar(margin):
+    """``margin`` of one time, evaluated as a one-element array."""
+    return lambda t: float(margin(np.asarray([t]))[0])
 
-    Valid on t in [0, R]: the pursuer's reach balloon grows at unit speed
-    until the range budget R is spent, and stopping burns the budget at
-    the same rate, so the pursuer is out of the fight after t = R.
+
+def _first_window(margin, ts: np.ndarray, iters: int) -> Optional[tuple[float, float]]:
+    """Bracket ``(lo, hi)`` of the first engagement on the grid ``ts``, or None.
+
+    ``margin`` maps an array of times to the engagement margin, feasible
+    where >= 0. At the first grid point with margin >= 0 the bracket runs
+    from the grid point before it. With no grid hit, every interior local
+    maximum of the margin is polished by golden-section search, in case a
+    short window fell between grid points; the first one that reaches 0
+    gives ``(ts[i - 1], t)`` with ``t`` its best point. Either way
+    ``margin(hi) >= 0``.
     """
-    v = threat.mu
-    ax = a0.x + v * t * math.cos(heading) - threat.position.x
-    ay = a0.y + v * t * math.sin(heading) - threat.position.y
-    return t + threat.capture_radius - np.hypot(ax, ay)
-
-
-def pursuit_capture_possible(
-    a0: Point2, heading: float, threat: PursuerThreat, config: OracleConfig = _DEFAULT
-) -> bool:
-    """Can a straight-running pursuer close to capture distance in time?
-
-    Scans capture slack over the pursuer's whole life t in [0, R], then
-    refines every local maximum of the slack.
-    """
-    return _pursuit_scan(a0, heading, threat, config)[0]
-
-
-def pursuit_capture_certificate(
-    a0: Point2, heading: float, threat: PursuerThreat, config: OracleConfig = _DEFAULT
-) -> Optional[tuple[float, float]]:
-    """Minimal capture time and pursuer distance traveled, or None.
-
-    At unit pursuer speed the straight-line intercept distance equals the
-    capture time; on the zone boundary it equals the full range budget.
-    """
-    feasible, t_cap = _pursuit_scan(a0, heading, threat, config)
-    if not feasible:
-        return None
-    return t_cap, t_cap
-
-
-def _pursuit_scan(a0, heading, threat, config):
-    d0 = math.hypot(a0.x - threat.position.x, a0.y - threat.position.y)
-    if d0 == 0.0:
-        raise DomainError("agent exactly at the pursuer position")
-    horizon = threat.engagement_range  # unit pursuer speed: life ends at t = R
-    n = max(int(round(1.0 / config.pursuit_step_fraction)), 8)
-    ts = np.linspace(0.0, horizon, n + 1)
-    slack = _pursuit_slack(ts, a0, heading, threat)
-
-    def f(t: float) -> float:
-        return float(_pursuit_slack(np.asarray([t]), a0, heading, threat)[0])
-
-    if slack[0] >= 0.0:
-        return (True, 0.0)
-
-    hit = np.flatnonzero(slack >= 0.0)
+    m = margin(ts)
+    hit = np.flatnonzero(m >= 0.0)
     if hit.size:
         i = int(hit[0])
-        return (True, _bisect_first(f, ts[i - 1], ts[i], config.refine_iterations))
-
-    # No grid hit: polish every local max of the slack in case a short
-    # capture window fell between grid points.
-    t_hit = None
-    interior = np.flatnonzero((slack[1:-1] >= slack[:-2]) & (slack[1:-1] >= slack[2:])) + 1
-    for i in interior:
-        lo, hi = ts[i - 1], ts[i + 1]
-        if _golden_max(f, lo, hi, config.refine_iterations) >= 0.0:
-            tm = _argmax_refine(f, lo, hi, config)
-            if f(tm) >= 0.0:
-                t_first = _bisect_first(f, lo, tm, config.refine_iterations)
-                t_hit = t_first if t_hit is None else min(t_hit, t_first)
-    if t_hit is None:
-        return (False, None)
-    return (True, t_hit)
-
-
-def _argmax_refine(f, lo: float, hi: float, config) -> float:
-    a, b = lo, hi
-    for _ in range(config.refine_iterations):
-        c = b - _INV_GOLD * (b - a)
-        d = a + _INV_GOLD * (b - a)
-        if f(c) >= f(d):
-            b = d
-        else:
-            a = c
-    return 0.5 * (a + b)
+        return float(ts[max(i - 1, 0)]), float(ts[i])
+    f = _scalar(margin)
+    for i in np.flatnonzero((m[1:-1] >= m[:-2]) & (m[1:-1] >= m[2:])) + 1:
+        t, f_t = _golden_max(f, ts[i - 1], ts[i + 1], iters)
+        if f_t >= 0.0:
+            return float(ts[i - 1]), float(t)
+    return None
 
 
 def _bisect_first(f, lo: float, hi: float, iters: int) -> float:
@@ -161,6 +108,59 @@ def _bisect_first(f, lo: float, hi: float, iters: int) -> float:
     return b
 
 
+def _pursuit_slack(a0: Point2, heading: float, threat: PursuerThreat):
+    """Capture slack t + r - |A(t) - P0| as a function of times t; capture feasible where >= 0.
+
+    Valid on t in [0, R]: the pursuer's reach balloon grows at unit speed
+    until the range budget R is spent, and stopping burns the budget at
+    the same rate, so the pursuer is out of the fight after t = R.
+    """
+    if math.hypot(a0.x - threat.position.x, a0.y - threat.position.y) == 0.0:
+        raise DomainError("agent exactly at the pursuer position")
+    v = threat.mu
+
+    def slack(t: np.ndarray) -> np.ndarray:
+        ax = a0.x + v * t * math.cos(heading) - threat.position.x
+        ay = a0.y + v * t * math.sin(heading) - threat.position.y
+        return t + threat.capture_radius - np.hypot(ax, ay)
+
+    return slack
+
+
+def _pursuit_window(slack, threat: PursuerThreat, config: OracleConfig):
+    n = max(int(round(1.0 / config.pursuit_step_fraction)), 8)
+    ts = np.linspace(0.0, threat.engagement_range, n + 1)  # unit pursuer speed: life ends at t = R
+    return _first_window(slack, ts, config.refine_iterations)
+
+
+def pursuit_capture_possible(
+    a0: Point2, heading: float, threat: PursuerThreat, config: OracleConfig = _DEFAULT
+) -> bool:
+    """Can a straight-running pursuer close to capture distance in time?
+
+    Scans capture slack over the pursuer's whole life t in [0, R] and
+    stops at the first time the slack is witnessed >= 0.
+    """
+    return _pursuit_window(_pursuit_slack(a0, heading, threat), threat, config) is not None
+
+
+def pursuit_capture_certificate(
+    a0: Point2, heading: float, threat: PursuerThreat, config: OracleConfig = _DEFAULT
+) -> Optional[tuple[float, float]]:
+    """Minimal capture time and pursuer distance traveled, or None.
+
+    Bisects the first capture window for its start. At unit pursuer speed
+    the straight-line intercept distance equals the capture time; on the
+    zone boundary it equals the full range budget.
+    """
+    slack = _pursuit_slack(a0, heading, threat)
+    window = _pursuit_window(slack, threat, config)
+    if window is None:
+        return None
+    t_cap = _bisect_first(_scalar(slack), *window, config.refine_iterations)
+    return t_cap, t_cap
+
+
 def turret_neutralization_possible(
     a0: Point2, heading: float, threat: TurretThreat, config: OracleConfig = _DEFAULT
 ) -> bool:
@@ -170,7 +170,7 @@ def turret_neutralization_possible(
     neutralization at time t requires the angular separation between the
     initial look direction and the agent's bearing to be at most t while
     the agent is inside the range circle. Scans that margin over the
-    in-range window and refines its local maxima.
+    in-range window, the same way as the pursuit oracle.
     """
     dx0 = a0.x - threat.position.x
     dy0 = a0.y - threat.position.y
@@ -194,7 +194,7 @@ def turret_neutralization_possible(
 
     look = wrap_angle(threat.look_angle)
 
-    def margin_arr(ts: np.ndarray) -> np.ndarray:
+    def margin(ts: np.ndarray) -> np.ndarray:
         px = a0.x + v * ts * ux - threat.position.x
         py = a0.y + v * ts * uy - threat.position.y
         sep = np.abs(np.remainder(look - np.arctan2(py, px) + math.pi, 2.0 * math.pi) - math.pi)
@@ -202,16 +202,4 @@ def turret_neutralization_possible(
 
     step = config.turret_step_fraction * R / v
     n = int(min(max(math.ceil((t_hi - t_lo) / step), 64), 400_000))
-    ts = np.linspace(t_lo, t_hi, n + 1)
-    m = margin_arr(ts)
-    if np.any(m >= 0.0):
-        return True
-
-    def f(t: float) -> float:
-        return float(margin_arr(np.asarray([t]))[0])
-
-    interior = np.flatnonzero((m[1:-1] >= m[:-2]) & (m[1:-1] >= m[2:])) + 1
-    for i in interior:
-        if _golden_max(f, ts[i - 1], ts[i + 1], config.refine_iterations) >= 0.0:
-            return True
-    return False
+    return _first_window(margin, np.linspace(t_lo, t_hi, n + 1), config.refine_iterations) is not None

@@ -29,7 +29,7 @@ from scipy.optimize import minimize
 from . import circumnav as _circ
 from .errors import DomainError, InfeasibleError
 from .geometry import Point2, distance
-from .oracle import OracleConfig, pursuit_capture_possible, turret_neutralization_possible
+from .oracle import pursuit_capture_possible, turret_neutralization_possible
 from .pursuit import PursuerThreat, rho, rho_derivative  # noqa: F401
 from .trajectory import Trajectory
 from .turret import TurretThreat, turret_clearance  # noqa: F401
@@ -364,12 +364,7 @@ def clearances_along(trajectory: Trajectory, threats: Sequence[Threat]) -> np.nd
     return out
 
 
-def resample_and_verify(
-    result: PlanResult,
-    scenario: Scenario,
-    factor: int,
-    oracle_config: OracleConfig = OracleConfig(),
-) -> VerificationReport:
+def resample_and_verify(result: PlanResult, scenario: Scenario, factor: int) -> VerificationReport:
     """Densify each segment and re-audit clearance and oracle safety.
 
     Node-only constraints can dip between nodes; this reports the worst
@@ -401,7 +396,7 @@ def resample_and_verify(
         for threat, c in zip(scenario.threats, clear.T):
             oracle = oracles[type(threat)]
             for i in np.flatnonzero(c > tol):
-                if oracle(Point2(float(q[i, 0]), float(q[i, 1])), float(psi[i]), threat, oracle_config):
+                if oracle(Point2(float(q[i, 0]), float(q[i, 1])), float(psi[i]), threat):
                     disagreements += 1
     return VerificationReport(
         worst_clearance=worst,

@@ -103,6 +103,10 @@ def _touch_and_go_rho(xi: float, mu: float, r: float) -> float:
     """
     ax = abs(xi)
     den = mu * math.sin(ax) - math.sin(ax + math.acos(1.0 / mu))
+    if den == 0.0:
+        # ax = asin(1/mu), the crossover when r = 0 (or r is lost to
+        # rounding): r * 0 / 0 there, and the arc's radius is r
+        return r
     return r * math.sqrt(mu * mu - 1.0) / den
 
 
@@ -174,6 +178,8 @@ def rho_derivative(xi: float, threat: PursuerThreat) -> float:
         a = math.acos(1.0 / mu)
         den = mu * math.sin(ax) - math.sin(ax + a)
         dden = mu * math.cos(ax) - math.cos(ax + a)
+        if den == 0.0:
+            return 0.0  # see _touch_and_go_rho
         return sign * (-r * math.sqrt(mu * mu - 1.0) * dden / (den * den))
     return 0.0
 
@@ -200,7 +206,7 @@ def rho_batch(xi: np.ndarray, threat: PursuerThreat) -> np.ndarray:
     graze = ~course & (ax <= math.pi - a)
     out[course] = _collision_course_rho_batch(ax[course], mu, R, r)
     g = ax[graze]
-    out[graze] = r * math.sqrt(mu * mu - 1.0) / _nonzero(mu * np.sin(g) - np.sin(g + a))
+    out[graze] = _quotient(r * math.sqrt(mu * mu - 1.0), mu * np.sin(g) - np.sin(g + a), r)
     return out
 
 
@@ -224,22 +230,23 @@ def rho_derivative_batch(xi: np.ndarray, threat: PursuerThreat) -> np.ndarray:
         g = ax[graze]
         den = mu * np.sin(g) - np.sin(g + a)
         dden = mu * np.cos(g) - np.cos(g + a)
-        out[graze] = sign[graze] * (-r * math.sqrt(mu * mu - 1.0) * dden / _nonzero(den * den))
+        # sign * (x / y) == (sign * x) / y bit for bit: negation is exact
+        out[graze] = _quotient(sign[graze] * (-r * math.sqrt(mu * mu - 1.0) * dden), den * den, 0.0)
     return out
 
 
-def _nonzero(den: np.ndarray) -> np.ndarray:
-    """Raise where the scalar kernel's float division would: the grazing arc's
-    denominator vanishes at asin(1/mu), which is the crossover when r = 0."""
-    if not den.all():
-        raise ZeroDivisionError("float division by zero")
-    return den
+def _quotient(num, den: np.ndarray, at_zero: float) -> np.ndarray:
+    """``num / den``, and ``at_zero`` where ``den`` is 0: the grazing arc's
+    denominator at the crossover when r = 0 (see ``_touch_and_go_rho``)."""
+    if den.all():
+        return num / den
+    zero = den == 0.0
+    return np.where(zero, at_zero, num / np.where(zero, 1.0, den))
 
 
 def ez_contains(agent_pos: Point2, agent_heading: float, threat: PursuerThreat) -> bool:
     """True when the agent's pose is inside or on the zone boundary."""
-    xi = aspect_angle(agent_pos, agent_heading, threat.position)
-    return distance(agent_pos, threat.position) <= rho(xi, threat)
+    return signed_clearance(agent_pos, agent_heading, threat) <= 0.0
 
 
 def signed_clearance(agent_pos: Point2, agent_heading: float, threat: PursuerThreat) -> float:

@@ -205,10 +205,7 @@ def boundary_threshold_batch(y: np.ndarray, threat: TurretThreat, agent_headings
 
 def ez_contains_turret(agent_pos: Point2, agent_heading: float, threat: TurretThreat) -> bool:
     """True when holding the current heading admits a neutralization time."""
-    x0, y0 = _frame_coords(agent_pos, agent_heading, threat)
-    if abs(y0) > threat.engagement_range:
-        return False
-    return x0 <= boundary_threshold(y0, threat, agent_heading)
+    return turret_clearance(agent_pos, agent_heading, threat) <= 0.0
 
 
 def turret_clearance(agent_pos: Point2, agent_heading: float, threat: TurretThreat) -> float:

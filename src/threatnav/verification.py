@@ -16,12 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Point2, wrap_angle
-from .oracle import OracleConfig, pursuit_capture_possible, turret_neutralization_possible
+from .oracle import pursuit_capture_possible, turret_neutralization_possible
 from .pursuit import PursuerThreat, rho
 from .turret import TurretThreat, boundary_threshold
 
-_DEFAULT_MUS = (0.5, 0.7, 1.0, 1.5, 2.0)
-_DEFAULT_LOOKS = (math.pi / 6.0, 5.0 * math.pi / 6.0, -5.0 * math.pi / 6.0)
+_MUS = (0.5, 0.7, 1.0, 1.5, 2.0)  # pursuer speed ratios, both regimes
+_LOOKS = (math.pi / 6.0, 5.0 * math.pi / 6.0, -5.0 * math.pi / 6.0)  # turret look angles
+_TURRET_MU = 0.5
+_RANGE = 1.0  # engagement range of every swept threat
+_CAPTURE_RADIUS = 0.25
+_MARGIN = 1e-3  # least distance off the analytic boundary, in engagement ranges
 
 
 @dataclass(frozen=True)
@@ -32,14 +36,7 @@ class SweepResult:
 
 
 def pursuit_equivalence_sweep(
-    mus=_DEFAULT_MUS,
-    samples_per_mu: int = 1000,
-    engagement_range: float = 1.0,
-    capture_radius: float = 0.25,
-    margin: float = 1e-3,
-    seed: int = 0,
-    rho_scale: float = 1.0,
-    oracle_config: OracleConfig = OracleConfig(),
+    samples_per_mu: int = 1000, seed: int = 0, rho_scale: float = 1.0
 ) -> list[SweepResult]:
     """Classify random pursuit poses by zone formula and by oracle.
 
@@ -48,15 +45,15 @@ def pursuit_equivalence_sweep(
     """
     rng = np.random.default_rng(seed)
     results = []
-    R, r = engagement_range, capture_radius
-    for mu in mus:
+    R, r = _RANGE, _CAPTURE_RADIUS
+    for mu in _MUS:
         threat = PursuerThreat(Point2(0.0, 0.0), mu=mu, engagement_range=R, capture_radius=r)
         bad = 0
         for _ in range(samples_per_mu):
             xi = rng.uniform(-math.pi, math.pi)
             boundary = rho(xi, threat)
             side = 1.0 if rng.uniform() < 0.5 else -1.0
-            offset = max(margin * R * 1.0001, boundary * 10.0 ** rng.uniform(-2.5, -0.3))
+            offset = max(_MARGIN * R * 1.0001, boundary * 10.0 ** rng.uniform(-2.5, -0.3))
             dist = boundary + side * offset
             if dist <= 1e-9:
                 dist = boundary + offset  # zone collapsed to the capture disk
@@ -64,21 +61,14 @@ def pursuit_equivalence_sweep(
             ang = heading - xi + math.pi
             pos = Point2(dist * math.cos(ang), dist * math.sin(ang))
             analytic = dist <= rho_scale * boundary
-            if analytic != pursuit_capture_possible(pos, heading, threat, oracle_config):
+            if analytic != pursuit_capture_possible(pos, heading, threat):
                 bad += 1
         results.append(SweepResult(label=f"pursuer mu={mu}", samples=samples_per_mu, disagreements=bad))
     return results
 
 
 def turret_equivalence_sweep(
-    look_angles=_DEFAULT_LOOKS,
-    samples_per_angle: int = 1000,
-    mu: float = 0.5,
-    engagement_range: float = 1.0,
-    margin: float = 1e-3,
-    seed: int = 0,
-    threshold_shift: float = 0.0,
-    oracle_config: OracleConfig = OracleConfig(),
+    samples_per_angle: int = 1000, seed: int = 0, threshold_shift: float = 0.0
 ) -> list[SweepResult]:
     """Classify random turret poses by the chord-threshold test and by oracle.
 
@@ -87,9 +77,9 @@ def turret_equivalence_sweep(
     """
     rng = np.random.default_rng(seed)
     results = []
-    R = engagement_range
-    for look in look_angles:
-        threat = TurretThreat(Point2(0.0, 0.0), look_angle=look, mu=mu, engagement_range=R)
+    R = _RANGE
+    for look in _LOOKS:
+        threat = TurretThreat(Point2(0.0, 0.0), look_angle=look, mu=_TURRET_MU, engagement_range=R)
         bad = 0
         done = 0
         while done < samples_per_angle:
@@ -98,12 +88,12 @@ def turret_equivalence_sweep(
                 continue  # the through-turret chord is degenerate
             threshold = boundary_threshold(y, threat)
             x = rng.uniform(threshold - 3.0 * R, min(threshold + 3.0 * R, math.sqrt(R * R - y * y)))
-            if abs(x - threshold) < margin * R:
+            if abs(x - threshold) < _MARGIN * R:
                 continue
             done += 1
             pos = Point2(x, y)
             analytic = x <= threshold + threshold_shift * R
-            if analytic != turret_neutralization_possible(pos, 0.0, threat, oracle_config):
+            if analytic != turret_neutralization_possible(pos, 0.0, threat):
                 bad += 1
         results.append(
             SweepResult(

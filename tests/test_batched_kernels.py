@@ -144,7 +144,7 @@ def aspect_angles(threat, rng):
         joins = np.array([xi_crossover(threat), math.pi - math.acos(1.0 / threat.mu)])
         near = np.concatenate([joins, np.nextafter(joins, -1.0), np.nextafter(joins, 9.0)])
         if threat.capture_radius == 0.0:
-            near = near[near != np.nextafter(joins[0], 9.0)]  # 0/0 there: see the next test
+            near = near[near != np.nextafter(joins[0], 9.0)]  # a zero denominator there: see the next test
         xi += [near, -near]
     return np.concatenate(xi)
 
@@ -157,13 +157,13 @@ def test_rho_batches_are_bit_exact(threat):
 
 
 def test_zero_capture_radius_crossover_divides_like_scalar():
+    # Just past the crossover the grazing arc's denominator is 0; with r = 0
+    # the radius there is 0, and so is its derivative, without a 0/0.
     threat = PURSUERS[4]
     just_past = float(np.nextafter(xi_crossover(threat), 9.0))
     for batched, scalar in ((rho_batch, rho), (rho_derivative_batch, rho_derivative)):
-        with pytest.raises(ZeroDivisionError):
-            scalar(just_past, threat)
-        with pytest.raises(ZeroDivisionError):
-            batched(np.array([0.1, just_past]), threat)
+        assert bit_equal(batched(np.array([0.1, just_past]), threat), [scalar(0.1, threat), 0.0])
+        assert bit_equal(np.array([scalar(just_past, threat)]), [0.0])
 
 
 @pytest.mark.parametrize("threat", PURSUERS, ids=lambda t: f"mu{t.mu}_r{t.capture_radius}")

@@ -155,3 +155,48 @@ class TestTurretNeutralization:
         threat = TurretThreat(Point2(0, 0), look_angle=0.0, mu=0.5, engagement_range=1.0)
         with pytest.raises(DomainError):
             turret_neutralization_possible(Point2(0, 0), 0.0, threat)
+
+
+class TestWindowBetweenGridPoints:
+    """Engagement windows narrower than one grid step: only the golden-section polish finds them."""
+
+    COARSE = OracleConfig(pursuit_step_fraction=0.125, turret_step_fraction=1.0)  # 8 and 64 grid steps
+
+    @pytest.mark.parametrize("t_peak", [0.31, 0.5625, 0.81])
+    def test_pursuit_window(self, t_peak):
+        # The agent runs along +x past a slow pursuer at the origin. The
+        # capture slack t + r - |A(t)| peaks where the bearing's cosine is
+        # 1/mu; place that at t_peak with a peak slack of 1e-4.
+        mu, y0 = 1.5, 1.0
+        u = y0 / math.sqrt(mu * mu - 1.0)
+        x0, r = u - mu * t_peak, 1e-4 + mu * u - t_peak
+        threat = PursuerThreat(Point2(0, 0), mu=mu, engagement_range=1.0, capture_radius=r)
+        a0 = Point2(x0, y0)
+        # The window's ends solve (t + r)^2 = (x0 + mu t)^2 + y0^2.
+        qa, qb, qc = mu * mu - 1.0, 2.0 * (x0 * mu - r), x0 * x0 + y0 * y0 - r * r
+        root = math.sqrt(qb * qb - 4.0 * qa * qc)
+        lo, hi = (-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa)
+        assert math.floor(8 * lo) == math.floor(8 * hi)  # no grid point k/8 inside
+        assert pursuit_capture_possible(a0, 0.0, threat, self.COARSE)
+        t_cap, path = pursuit_capture_certificate(a0, 0.0, threat, self.COARSE)
+        assert lo - 1e-9 <= t_cap <= hi and path == t_cap
+        assert t_cap == pytest.approx(pursuit_capture_certificate(a0, 0.0, threat)[0], abs=1e-9)
+
+    @pytest.mark.parametrize("y0", [0.1, -0.1])
+    def test_turret_window(self, y0):
+        # A fast agent crosses just in front of a turret looking back at
+        # it. Its bearing turns faster than the beam near the closest
+        # approach, so the margin t - separation peaks at 1e-6 where the
+        # bearing rate is 1, falls, and the agent leaves range before the
+        # beam could catch up.
+        v, R = 10.0, 2.5
+        x_peak = -math.sqrt(v * abs(y0) - y0 * y0)
+        x0 = x_peak - v * (math.atan2(abs(y0), -x_peak) + 1e-6)
+        threat = TurretThreat(Point2(0, 0), look_angle=math.pi, mu=v, engagement_range=R)
+        a0 = Point2(x0, y0)
+        # The coarse grid spans the time in range; the margin is below 0 on all of it.
+        ts = np.linspace(0.0, (math.sqrt(R * R - y0 * y0) - x0) / v, 65)
+        sep = np.abs(np.remainder(-np.arctan2(y0, x0 + v * ts), 2.0 * math.pi) - math.pi)
+        assert np.all(ts - sep < 0.0)
+        assert turret_neutralization_possible(a0, 0.0, threat, self.COARSE)
+        assert turret_neutralization_possible(a0, 0.0, threat)
