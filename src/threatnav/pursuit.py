@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .geometry import Point2, aspect_angle, distance, wrap_angle, wrap_angles
+from .geometry import Point2, wrap_angles
 
 _RADICAND_SLACK = 1e-14
 
@@ -50,7 +50,12 @@ class PursuerThreat:
             raise DomainError(f"capture_radius must be nonnegative, got {self.capture_radius}")
 
     def clearance(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray:
-        """``signed_clearance`` of every pose: rows of ``points`` with ``headings``."""
+        """Signed clearance of every pose: rows of ``points`` with ``headings``.
+
+        Distance to the pursuer minus the boundary radius at the pose's
+        aspect angle: positive outside the zone, zero on the boundary,
+        negative inside.
+        """
         d, _, _, xi = self._polar(points, headings)
         return d - rho_batch(xi, self)
 
@@ -80,43 +85,11 @@ class EzBoundarySample:
     point: Point2
 
 
-def _collision_course_rho(xi: float, mu: float, R: float, r: float) -> float:
-    """Boundary radius for an intercept that spends the full range budget R.
-
-    Valid wherever the radicand is nonnegative; tiny negative values from
-    rounding at the domain edge are clamped to zero.
-    """
-    c = math.cos(xi)
-    rad = c * c - 1.0 + (R + r) ** 2 / (mu * mu * R * R)
-    if rad < 0.0:
-        if rad < -_RADICAND_SLACK:
-            raise DomainError(f"aspect angle {xi} outside the collision-course branch")
-        rad = 0.0
-    return mu * R * (c + math.sqrt(rad))
-
-
-def _touch_and_go_rho(xi: float, mu: float, r: float) -> float:
-    """Boundary radius for a grazing intercept at the limiting pursuer heading.
-
-    Only meaningful for mu > 1 on aspect angles between the crossover and
-    pi - acos(1/mu); there the separation rate is zero at capture.
-    """
-    ax = abs(xi)
-    den = mu * math.sin(ax) - math.sin(ax + math.acos(1.0 / mu))
-    if den == 0.0:
-        # ax = asin(1/mu), the crossover when r = 0 (or r is lost to
-        # rounding): r * 0 / 0 there, and the arc's radius is r
-        return r
-    return r * math.sqrt(mu * mu - 1.0) / den
-
-
 def rho_fast(xi: float, threat: PursuerThreat) -> float:
     """Zone boundary radius at aspect angle ``xi`` for a fast pursuer (mu <= 1)."""
     if threat.mu > 1.0:
         raise PreconditionError(f"rho_fast requires mu <= 1, got {threat.mu}")
-    return _collision_course_rho(
-        wrap_angle(xi), threat.mu, threat.engagement_range, threat.capture_radius
-    )
+    return rho(xi, threat)
 
 
 def xi_crossover(threat: PursuerThreat) -> float:
@@ -137,54 +110,28 @@ def xi_crossover(threat: PursuerThreat) -> float:
 
 
 def rho_slow(xi: float, threat: PursuerThreat) -> float:
-    """Zone boundary radius at aspect angle ``xi`` for a slow pursuer (mu > 1).
-
-    Piecewise: collision-course arc up to the crossover angle, grazing arc
-    up to pi - acos(1/mu), and the capture radius beyond. With a zero
-    capture radius the last two pieces collapse to zero.
-    """
+    """Zone boundary radius at aspect angle ``xi`` for a slow pursuer (mu > 1)."""
     if threat.mu <= 1.0:
         raise PreconditionError(f"rho_slow requires mu > 1, got {threat.mu}")
-    mu, R, r = threat.mu, threat.engagement_range, threat.capture_radius
-    ax = abs(wrap_angle(xi))
-    if ax <= xi_crossover(threat):
-        return _collision_course_rho(ax, mu, R, r)
-    if ax <= math.pi - math.acos(1.0 / mu):
-        return _touch_and_go_rho(ax, mu, r)
-    return r
+    return rho(xi, threat)
 
 
 def rho(xi: float, threat: PursuerThreat) -> float:
-    """Zone boundary radius at aspect angle ``xi``; even in ``xi``."""
-    if threat.mu <= 1.0:
-        return rho_fast(xi, threat)
-    return rho_slow(xi, threat)
+    """Zone boundary radius at aspect angle ``xi``; even in ``xi``. One-element ``rho_batch``."""
+    return float(rho_batch(np.array([xi], dtype=float), threat)[0])
 
 
 def rho_derivative(xi: float, threat: PursuerThreat) -> float:
-    """d(rho)/d(xi) of the active branch; one-sided at branch joins."""
-    mu, R, r = threat.mu, threat.engagement_range, threat.capture_radius
-    w = wrap_angle(xi)
-    ax = abs(w)
-    sign = 1.0 if w >= 0.0 else -1.0
-    if threat.mu <= 1.0 or ax <= xi_crossover(threat):
-        c, s = math.cos(ax), math.sin(ax)
-        rad = max(c * c - 1.0 + (R + r) ** 2 / (mu * mu * R * R), 0.0)
-        root = math.sqrt(rad)
-        if root == 0.0:
-            root = _RADICAND_SLACK
-        return sign * (mu * R * (-s - c * s / root))
-    if ax <= math.pi - math.acos(1.0 / mu):
-        a = math.acos(1.0 / mu)
-        den = mu * math.sin(ax) - math.sin(ax + a)
-        dden = mu * math.cos(ax) - math.cos(ax + a)
-        if den == 0.0:
-            return 0.0  # see _touch_and_go_rho
-        return sign * (-r * math.sqrt(mu * mu - 1.0) * dden / (den * den))
-    return 0.0
+    """d(rho)/d(xi) of the active branch; one-sided at branch joins. One-element ``rho_derivative_batch``."""
+    return float(rho_derivative_batch(np.array([xi], dtype=float), threat)[0])
 
 
 def _collision_course_rho_batch(xi: np.ndarray, mu: float, R: float, r: float) -> np.ndarray:
+    """Boundary radius for an intercept that spends the full range budget R.
+
+    Valid wherever the radicand is nonnegative; tiny negative values from
+    rounding at the domain edge are clamped to zero.
+    """
     c = np.cos(xi)
     rad = c * c - 1.0 + (R + r) ** 2 / (mu * mu * R * R)
     low = rad < -_RADICAND_SLACK
@@ -193,8 +140,24 @@ def _collision_course_rho_batch(xi: np.ndarray, mu: float, R: float, r: float) -
     return mu * R * (c + np.sqrt(np.where(rad < 0.0, 0.0, rad)))
 
 
+def _touch_and_go_rho_batch(ax: np.ndarray, mu: float, r: float) -> np.ndarray:
+    """Boundary radius for a grazing intercept at the limiting pursuer heading.
+
+    Only meaningful for mu > 1 on aspect angles ``ax`` >= 0 between the
+    crossover and pi - acos(1/mu); there the separation rate is zero at
+    capture.
+    """
+    return _quotient(r * math.sqrt(mu * mu - 1.0), mu * np.sin(ax) - np.sin(ax + math.acos(1.0 / mu)), r)
+
+
 def rho_batch(xi: np.ndarray, threat: PursuerThreat) -> np.ndarray:
-    """``rho`` of every aspect angle in ``xi``, bit for bit (same branches, same operation order)."""
+    """Zone boundary radius at every aspect angle in ``xi``; even in ``xi``.
+
+    A fast pursuer (mu <= 1) has the collision-course arc everywhere. A
+    slow one (mu > 1) has it up to the crossover angle, then the grazing
+    arc up to pi - acos(1/mu), and the capture radius beyond; with a zero
+    capture radius the last two pieces collapse to zero.
+    """
     mu, R, r = threat.mu, threat.engagement_range, threat.capture_radius
     w = wrap_angles(xi)
     if mu <= 1.0:
@@ -205,13 +168,12 @@ def rho_batch(xi: np.ndarray, threat: PursuerThreat) -> np.ndarray:
     course = ax <= xi_crossover(threat)
     graze = ~course & (ax <= math.pi - a)
     out[course] = _collision_course_rho_batch(ax[course], mu, R, r)
-    g = ax[graze]
-    out[graze] = _quotient(r * math.sqrt(mu * mu - 1.0), mu * np.sin(g) - np.sin(g + a), r)
+    out[graze] = _touch_and_go_rho_batch(ax[graze], mu, r)
     return out
 
 
 def rho_derivative_batch(xi: np.ndarray, threat: PursuerThreat) -> np.ndarray:
-    """``rho_derivative`` of every aspect angle in ``xi``, bit for bit."""
+    """d(rho)/d(xi) of the active branch at every aspect angle in ``xi``; one-sided at branch joins."""
     mu, R, r = threat.mu, threat.engagement_range, threat.capture_radius
     w = wrap_angles(xi)
     ax = np.abs(w)
@@ -236,8 +198,11 @@ def rho_derivative_batch(xi: np.ndarray, threat: PursuerThreat) -> np.ndarray:
 
 
 def _quotient(num, den: np.ndarray, at_zero: float) -> np.ndarray:
-    """``num / den``, and ``at_zero`` where ``den`` is 0: the grazing arc's
-    denominator at the crossover when r = 0 (see ``_touch_and_go_rho``)."""
+    """``num / den``, and ``at_zero`` where ``den`` is 0.
+
+    The grazing arc's denominator is 0 at the crossover when r = 0 (or r
+    is lost to rounding): r * 0 / 0 there, and the arc's radius is r.
+    """
     if den.all():
         return num / den
     zero = den == 0.0
@@ -250,12 +215,10 @@ def ez_contains(agent_pos: Point2, agent_heading: float, threat: PursuerThreat) 
 
 
 def signed_clearance(agent_pos: Point2, agent_heading: float, threat: PursuerThreat) -> float:
-    """Distance to the pursuer minus the boundary radius at the current aspect.
-
-    Positive outside the zone, zero on the boundary, negative inside.
-    """
-    xi = aspect_angle(agent_pos, agent_heading, threat.position)
-    return distance(agent_pos, threat.position) - rho(xi, threat)
+    """One-pose ``PursuerThreat.clearance``: positive outside the zone, negative inside."""
+    if agent_pos == threat.position:
+        raise DomainError("aspect angle undefined when agent and threat coincide")
+    return float(threat.clearance(np.array([agent_pos.as_tuple()]), np.array([agent_heading], dtype=float))[0])
 
 
 def sample_boundary(
@@ -270,10 +233,9 @@ def sample_boundary(
     """
     if n < 3:
         raise ValueError(f"need at least 3 samples, got {n}")
+    xis = np.linspace(-math.pi, math.pi, n)
     out = []
-    for xi in np.linspace(-math.pi, math.pi, n):
-        xi = float(xi)
-        rad = rho(xi, threat)
+    for xi, rad in zip(xis.tolist(), rho_batch(xis, threat).tolist()):
         ang = agent_heading - xi + math.pi
         point = Point2(
             threat.position.x + rad * math.cos(ang),

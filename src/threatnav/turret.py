@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Point2, angular_separation, atan2_each, wrap_angle, wrap_angles
+from .geometry import Point2, atan2_each, wrap_angle, wrap_angles
 
 _GAMMA_SLACK = 1e-9
 
@@ -56,7 +56,13 @@ class TurretThreat:
             raise DomainError(f"look_angle must be finite, got {self.look_angle}")
 
     def clearance(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray:
-        """``turret_clearance`` of every pose, bit for bit: rows of ``points`` with ``headings``."""
+        """Signed margin of every pose: rows of ``points`` with ``headings``.
+
+        Positive outside the zone. Inside the range band this is the
+        along-heading gap to the chord threshold; beyond it, the lateral
+        gap to the range disk. Continuous across the band edge, piecewise
+        smooth elsewhere.
+        """
         finite = np.isfinite(points).all(axis=1)
         if not finite.all():
             x, y = points[~finite][0]
@@ -126,36 +132,8 @@ def boundary_point(gamma: float, threat: TurretThreat) -> TurretBoundaryPoint:
 
 
 def boundary_threshold(y: float, threat: TurretThreat, agent_heading: float = 0.0) -> float:
-    """Per-chord zone threshold M(y) in the agent-heading frame.
-
-    A start (x0, y) on the chord is neutralizable iff x0 <= M(y). Raises
-    for |y| beyond the range (the chord never enters the disk).
-    """
-    R, mu = threat.engagement_range, threat.mu
-    if abs(y) > R:
-        raise DomainError(f"|y|={abs(y)} exceeds the engagement range {R}")
-    th = wrap_angle(threat.look_angle - agent_heading)
-    if y < 0.0:  # mirror symmetry: reflect chord and beam together
-        y, th = -y, wrap_angle(-th)
-    if y == 0.0:
-        # Chord through the turret: capture just before reaching it
-        # (inbound bearing pi) or at the far exit (outbound bearing 0).
-        return max(-mu * angular_separation(th, math.pi), R - mu * angular_separation(th, 0.0))
-    c = math.sqrt(max(R * R - y * y, 0.0))
-
-    def reach(x: float) -> float:
-        return x - mu * angular_separation(th, math.atan2(y, x))
-
-    cands = [reach(c), reach(-c)]
-    if math.sin(th) > 0.0:
-        x_cross = y * math.cos(th) / math.sin(th)
-        if -c <= x_cross <= c:
-            cands.append(x_cross)
-    if mu > y:
-        xs = -math.sqrt(y * (mu - y))
-        if -c <= xs <= c and wrap_angle(math.atan2(y, xs) - th) < 0.0:
-            cands.append(reach(xs))
-    return max(cands)
+    """Per-chord zone threshold M(y) in the agent-heading frame; one-element ``boundary_threshold_batch``."""
+    return float(boundary_threshold_batch(np.array([y], dtype=float), threat, np.array([agent_heading], dtype=float))[0])
 
 
 def _max(a: np.ndarray, b) -> np.ndarray:
@@ -164,17 +142,21 @@ def _max(a: np.ndarray, b) -> np.ndarray:
 
 
 def boundary_threshold_batch(y: np.ndarray, threat: TurretThreat, agent_headings: np.ndarray) -> np.ndarray:
-    """``boundary_threshold`` of every chord ``y`` with its heading, bit for bit.
+    """Per-chord zone threshold M(y) of every chord ``y`` with its agent heading.
 
-    Each candidate of the scalar max is computed for every chord, masked
-    where its condition fails, and folded in the scalar's order; the
-    chord through the turret (y == 0) takes its own two-candidate max.
+    A start (x0, y) on the chord is neutralizable iff x0 <= M(y). Raises
+    for |y| beyond the range (the chord never enters the disk). M(y) is
+    the largest candidate that applies: the exit and entry alignments,
+    the held-beam crossing and the interior stationary point, each
+    computed for every chord, masked where its condition fails and folded
+    in that order. The chord through the turret (y == 0) takes its own
+    two-candidate max.
     """
     R, mu = threat.engagement_range, threat.mu
     if np.any(np.abs(y) > R):
         raise DomainError(f"|y|={float(np.max(np.abs(y)))} exceeds the engagement range {R}")
     th = wrap_angles(threat.look_angle - agent_headings)
-    mirror = y < 0.0
+    mirror = y < 0.0  # mirror symmetry: reflect chord and beam together
     y = np.where(mirror, -y, y)
     th = np.where(mirror, wrap_angles(-th), th)
 
@@ -209,16 +191,8 @@ def ez_contains_turret(agent_pos: Point2, agent_heading: float, threat: TurretTh
 
 
 def turret_clearance(agent_pos: Point2, agent_heading: float, threat: TurretThreat) -> float:
-    """Signed margin for planner constraints: positive outside the zone.
-
-    Inside the range band this is the along-heading gap to the chord
-    threshold; beyond it, the lateral gap to the range disk. Continuous
-    across the band edge, piecewise smooth elsewhere.
-    """
-    R = threat.engagement_range
-    x0, y0 = _frame_coords(agent_pos, agent_heading, threat)
-    y_c = min(max(y0, -R), R)
-    return max(abs(y0) - R, x0 - boundary_threshold(y_c, threat, agent_heading))
+    """One-pose ``TurretThreat.clearance``: positive outside the zone."""
+    return float(threat.clearance(np.array([agent_pos.as_tuple()]), np.array([agent_heading], dtype=float))[0])
 
 
 def sample_turret_boundary(threat: TurretThreat, n: int) -> list[TurretBoundaryPoint]:
@@ -248,22 +222,13 @@ def sample_turret_boundary(threat: TurretThreat, n: int) -> list[TurretBoundaryP
             grid = grid[1:]
         gammas.extend(float(g) for g in grid)
 
+    finals = [wrap_angle(th + g) for g in gammas]
+    ys = [R * math.sin(theta_f) for theta_f in finals]
+    xs = boundary_threshold_batch(np.array(ys), threat, np.zeros(len(ys))).tolist()
     samples = []
-    for g in gammas:
-        theta_f = wrap_angle(th + g)
-        y = R * math.sin(theta_f)
+    for g, theta_f, y, x in zip(gammas, finals, ys, xs):
         x_exit = R * abs(math.cos(theta_f))  # exit side: cos(theta_f) >= 0 up to rounding
-        af = Point2(x_exit, y)
-        a0 = Point2(boundary_threshold(y, threat), y)
-        samples.append(TurretBoundaryPoint(gamma=g, a0=a0, af=af))
+        samples.append(TurretBoundaryPoint(gamma=g, a0=Point2(x, y), af=Point2(x_exit, y)))
     samples.sort(key=lambda s: wrap_angle(th + s.gamma))
     return samples
 
-
-def _frame_coords(agent_pos: Point2, agent_heading: float, threat: TurretThreat) -> tuple[float, float]:
-    dx = agent_pos.x - threat.position.x
-    dy = agent_pos.y - threat.position.y
-    if dx == 0.0 and dy == 0.0:
-        raise DomainError("agent exactly at the turret position")
-    ch, sh = math.cos(agent_heading), math.sin(agent_heading)
-    return (dx * ch + dy * sh, -dx * sh + dy * ch)

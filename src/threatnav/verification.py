@@ -3,9 +3,12 @@
 Random poses are drawn with a guaranteed margin off the analytic zone
 boundary (poses closer than the margin are ambiguous at finite scan
 resolution), then classified by both the closed form and the brute-force
-oracle. Any disagreement is a defect in one of the two routes. A
-corruption hook scales the analytic boundary so the harness can prove
-the sweep actually detects broken formulas.
+oracle. The closed forms are the batched kernels the planner runs
+(``rho_batch``, ``boundary_threshold_batch``), one call per block of
+poses, so the referee checks the code that plans use. Any disagreement
+is a defect in one of the two routes. A corruption hook scales the
+analytic boundary so the harness can prove the sweep actually detects
+broken formulas.
 """
 
 from __future__ import annotations
@@ -17,8 +20,12 @@ import numpy as np
 
 from .geometry import Point2, wrap_angle
 from .oracle import pursuit_capture_possible, turret_neutralization_possible
-from .pursuit import PursuerThreat, rho
-from .turret import TurretThreat, boundary_threshold
+from .pursuit import PursuerThreat, rho, rho_batch  # noqa: F401
+from .turret import TurretThreat, boundary_threshold, boundary_threshold_batch  # noqa: F401
+
+# rho and boundary_threshold are not called here; they stay bound because
+# benchmarks/tracing.py wraps them by name and its self-test expects every
+# binding it names to exist.
 
 _MUS = (0.5, 0.7, 1.0, 1.5, 2.0)  # pursuer speed ratios, both regimes
 _LOOKS = (math.pi / 6.0, 5.0 * math.pi / 6.0, -5.0 * math.pi / 6.0)  # turret look angles
@@ -48,16 +55,16 @@ def pursuit_equivalence_sweep(
     R, r = _RANGE, _CAPTURE_RADIUS
     for mu in _MUS:
         threat = PursuerThreat(Point2(0.0, 0.0), mu=mu, engagement_range=R, capture_radius=r)
+        # per pose: aspect angle, side draw, offset exponent, heading
+        draws = rng.uniform([-math.pi, 0.0, -2.5, -math.pi], [math.pi, 1.0, -0.3, math.pi], size=(samples_per_mu, 4))
+        boundaries = rho_batch(draws[:, 0], threat)
         bad = 0
-        for _ in range(samples_per_mu):
-            xi = rng.uniform(-math.pi, math.pi)
-            boundary = rho(xi, threat)
-            side = 1.0 if rng.uniform() < 0.5 else -1.0
-            offset = max(_MARGIN * R * 1.0001, boundary * 10.0 ** rng.uniform(-2.5, -0.3))
+        for (xi, u, exponent, heading), boundary in zip(draws.tolist(), boundaries.tolist()):
+            side = 1.0 if u < 0.5 else -1.0
+            offset = max(_MARGIN * R * 1.0001, boundary * 10.0**exponent)
             dist = boundary + side * offset
             if dist <= 1e-9:
                 dist = boundary + offset  # zone collapsed to the capture disk
-            heading = rng.uniform(-math.pi, math.pi)
             ang = heading - xi + math.pi
             pos = Point2(dist * math.cos(ang), dist * math.sin(ang))
             analytic = dist <= rho_scale * boundary
@@ -83,18 +90,22 @@ def turret_equivalence_sweep(
         bad = 0
         done = 0
         while done < samples_per_angle:
-            y = rng.uniform(-0.999 * R, 0.999 * R)
-            if abs(y) < 1e-6 * R:
-                continue  # the through-turret chord is degenerate
-            threshold = boundary_threshold(y, threat)
-            x = rng.uniform(threshold - 3.0 * R, min(threshold + 3.0 * R, math.sqrt(R * R - y * y)))
-            if abs(x - threshold) < _MARGIN * R:
-                continue
-            done += 1
-            pos = Point2(x, y)
-            analytic = x <= threshold + threshold_shift * R
-            if analytic != turret_neutralization_possible(pos, 0.0, threat):
-                bad += 1
+            # one attempt per pose still needed: a chord offset and the
+            # uniform that places the start on the chord; a through-turret
+            # chord is degenerate and is dropped with its uniform
+            draws = rng.uniform([-0.999 * R, 0.0], [0.999 * R, 1.0], size=(samples_per_angle - done, 2))
+            draws = draws[~(np.abs(draws[:, 0]) < 1e-6 * R)]
+            thresholds = boundary_threshold_batch(draws[:, 0], threat, np.zeros(len(draws)))
+            for (y, u), threshold in zip(draws.tolist(), thresholds.tolist()):
+                lo = threshold - 3.0 * R
+                hi = min(threshold + 3.0 * R, math.sqrt(R * R - y * y))
+                x = lo + (hi - lo) * u  # rng.uniform(lo, hi), bit for bit
+                if abs(x - threshold) < _MARGIN * R:
+                    continue
+                done += 1
+                analytic = x <= threshold + threshold_shift * R
+                if analytic != turret_neutralization_possible(Point2(x, y), 0.0, threat):
+                    bad += 1
         results.append(
             SweepResult(
                 label=f"turret look_angle={wrap_angle(look):.4f}",

@@ -25,8 +25,8 @@ from threatnav.planner import (
 )
 from threatnav.pursuit import (
     PursuerThreat,
-    _collision_course_rho,
-    _touch_and_go_rho,
+    _collision_course_rho_batch,
+    _touch_and_go_rho_batch,
     ez_contains,
     rho,
     rho_legacy,
@@ -81,12 +81,12 @@ def test_criterion_2_slow_pursuer_branch_agreement():
         R = rng.uniform(0.2, 3.0)
         r = rng.uniform(0.01, 1.0) * R
         threat = PursuerThreat(Point2(0, 0), mu=mu, engagement_range=R, capture_radius=r)
-        xc = xi_crossover(threat)
-        b1 = _collision_course_rho(xc, mu, R, r)
-        b2 = _touch_and_go_rho(xc, mu, r)
+        xc = np.array([xi_crossover(threat)])
+        b1 = _collision_course_rho_batch(xc, mu, R, r)[0]
+        b2 = _touch_and_go_rho_batch(xc, mu, r)[0]
         assert abs(b1 - b2) <= 1e-9 * R
-        xi_max = math.pi - math.acos(1.0 / mu)
-        assert abs(_touch_and_go_rho(xi_max, mu, r) - r) <= 1e-9 * R
+        xi_max = np.array([math.pi - math.acos(1.0 / mu)])
+        assert abs(_touch_and_go_rho_batch(xi_max, mu, r)[0] - r) <= 1e-9 * R
     _report(2, "slow-pursuer branch agreement", started, 1.0)
 
 

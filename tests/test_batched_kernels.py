@@ -1,8 +1,9 @@
 """Batched threat kernels and the batched finite-difference Jacobian, bit for bit.
 
 SLSQP reacts to last-bit changes in its constraints, so the batched
-kernels must return exactly the scalar closed forms' floats, not values
-within a tolerance; every comparison here is ``np.array_equal``.
+kernels must return exactly the floats of the frozen scalar closed forms
+in ``reference_kernels``, not values within a tolerance; every
+comparison here is ``np.array_equal``.
 """
 
 import math
@@ -15,15 +16,15 @@ from threatnav.geometry import Point2, wrap_angle, wrap_angles
 from threatnav.planner import AgentConfig, PlannerOptions, Scenario, TranscribedProblem, plan, transcribe
 from threatnav.pursuit import (
     PursuerThreat,
-    _collision_course_rho,
     _collision_course_rho_batch,
-    rho,
     rho_batch,
-    rho_derivative,
     rho_derivative_batch,
+    sample_boundary,
     xi_crossover,
 )
-from threatnav.turret import TurretThreat, boundary_threshold, boundary_threshold_batch, turret_clearance
+from threatnav.turret import TurretThreat, boundary_threshold_batch, sample_turret_boundary
+
+import reference_kernels as ref
 
 SEAM_LOOKS = (math.pi / 2, -math.pi / 2, math.pi, -math.pi, 0.0, math.pi / 6, -2.5)
 
@@ -92,7 +93,7 @@ TURRETS = [
 def test_boundary_threshold_batch_is_bit_exact(threat):
     y, headings = chords(threat, np.random.default_rng(5))
     batched = boundary_threshold_batch(y, threat, headings)
-    scalar = [boundary_threshold(float(v), threat, float(h)) for v, h in zip(y, headings)]
+    scalar = [ref.boundary_threshold(float(v), threat, float(h)) for v, h in zip(y, headings)]
     assert bit_equal(batched, scalar)
 
 
@@ -108,7 +109,7 @@ def test_turret_clearance_batch_is_bit_exact(threat):
     headings[4:12] = 0.0
     points[12:16] = centre + [[0.0, 0.5 * R], [0.0, -0.5 * R], [0.0, 2.0 * R], [0.0, -2.0 * R]]
     batched = threat.clearance(points, headings)
-    scalar = [turret_clearance(Point2(float(x), float(y)), float(h), threat) for (x, y), h in zip(points, headings)]
+    scalar = [ref.turret_clearance(Point2(float(x), float(y)), float(h), threat) for (x, y), h in zip(points, headings)]
     assert bit_equal(batched, scalar)
 
 
@@ -152,8 +153,8 @@ def aspect_angles(threat, rng):
 @pytest.mark.parametrize("threat", PURSUERS, ids=lambda t: f"mu{t.mu}_r{t.capture_radius}")
 def test_rho_batches_are_bit_exact(threat):
     xi = aspect_angles(threat, np.random.default_rng(8))
-    assert bit_equal(rho_batch(xi, threat), [rho(v, threat) for v in xi.tolist()])
-    assert bit_equal(rho_derivative_batch(xi, threat), [rho_derivative(v, threat) for v in xi.tolist()])
+    assert bit_equal(rho_batch(xi, threat), [ref.rho(v, threat) for v in xi.tolist()])
+    assert bit_equal(rho_derivative_batch(xi, threat), [ref.rho_derivative(v, threat) for v in xi.tolist()])
 
 
 def test_zero_capture_radius_crossover_divides_like_scalar():
@@ -161,7 +162,7 @@ def test_zero_capture_radius_crossover_divides_like_scalar():
     # the radius there is 0, and so is its derivative, without a 0/0.
     threat = PURSUERS[4]
     just_past = float(np.nextafter(xi_crossover(threat), 9.0))
-    for batched, scalar in ((rho_batch, rho), (rho_derivative_batch, rho_derivative)):
+    for batched, scalar in ((rho_batch, ref.rho), (rho_derivative_batch, ref.rho_derivative)):
         assert bit_equal(batched(np.array([0.1, just_past]), threat), [scalar(0.1, threat), 0.0])
         assert bit_equal(np.array([scalar(just_past, threat)]), [0.0])
 
@@ -188,10 +189,33 @@ def test_pursuer_batch_domain_errors():
         threat.clearance(np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([0.0, math.nan]))
     mu, R, r = 2.0, 1.0, 0.0  # radicand -0.75 at xi = pi/2
     with pytest.raises(DomainError, match="outside the collision-course branch") as scalar:
-        _collision_course_rho(math.pi / 2, mu, R, r)
+        ref._collision_course_rho(math.pi / 2, mu, R, r)
     with pytest.raises(DomainError, match="outside the collision-course branch") as batched:
         _collision_course_rho_batch(np.array([0.0, math.pi / 2]), mu, R, r)
     assert str(batched.value) == str(scalar.value)
+
+
+# -- boundary samplers -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("threat", PURSUERS, ids=lambda t: f"mu{t.mu}_r{t.capture_radius}")
+@pytest.mark.parametrize("heading", [0.0, 0.7, -2.5])
+def test_sample_boundary_is_bit_exact(threat, heading):
+    samples = sample_boundary(threat, heading, 401)
+    radii, points = [], []
+    for s in samples:
+        rad = ref.rho(s.xi, threat)
+        ang = heading - s.xi + math.pi
+        radii.append(rad)
+        points.append((threat.position.x + rad * math.cos(ang), threat.position.y + rad * math.sin(ang)))
+    assert bit_equal([s.rho for s in samples], radii)
+    assert bit_equal([s.point.as_tuple() for s in samples], points)
+
+
+@pytest.mark.parametrize("threat", TURRETS, ids=lambda t: f"look{t.look_angle:.3f}_mu{t.mu}")
+def test_sample_turret_boundary_is_bit_exact(threat):
+    samples = sample_turret_boundary(threat, 301)
+    assert bit_equal([s.a0.x for s in samples], [ref.boundary_threshold(s.a0.y, threat) for s in samples])
 
 
 # -- the finite-difference Jacobian and whole plans ------------------------------
@@ -231,17 +255,17 @@ def reference_fd_jacobian(self, threat, z):
 
 
 def scalar_turret_clearance(self, points, headings):
-    return np.array([turret_clearance(Point2(float(x), float(y)), float(h), self) for (x, y), h in zip(points, headings)])
+    return np.array([ref.turret_clearance(Point2(float(x), float(y)), float(h), self) for (x, y), h in zip(points, headings)])
 
 
 def scalar_pursuer_clearance(self, points, headings):
     d, _, _, xi = self._polar(points, headings)
-    return d - np.array([rho(x, self) for x in xi])
+    return d - np.array([ref.rho(x, self) for x in xi])
 
 
 def scalar_pursuer_gradient(self, points, headings):
     d, dxv, dyv, xi = self._polar(points, headings)
-    drho = np.array([rho_derivative(x, self) for x in xi])
+    drho = np.array([ref.rho_derivative(x, self) for x in xi])
     d2 = d * d
     return -dxv / d + drho * dyv / d2, -dyv / d - drho * dxv / d2, -drho
 

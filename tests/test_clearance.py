@@ -1,4 +1,4 @@
-"""Batched ``clearance`` of each threat kind against its scalar closed form."""
+"""Batched ``clearance`` of each threat kind against its frozen scalar closed form."""
 
 import math
 
@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from threatnav.geometry import Point2
-from threatnav.pursuit import PursuerThreat, signed_clearance
-from threatnav.turret import TurretThreat, turret_clearance
+from threatnav.pursuit import PursuerThreat
+from threatnav.turret import TurretThreat
+
+from reference_kernels import signed_clearance, turret_clearance
 
 PURSUERS = (
     PursuerThreat(Point2(0.3, -0.2), mu=0.7, engagement_range=1.0, capture_radius=0.25),

@@ -8,8 +8,8 @@ from threatnav.errors import PreconditionError
 from threatnav.geometry import Point2, aspect_angle
 from threatnav.pursuit import (
     PursuerThreat,
-    _collision_course_rho,
-    _touch_and_go_rho,
+    _collision_course_rho_batch,
+    _touch_and_go_rho_batch,
     ez_contains,
     rho,
     rho_derivative,
@@ -80,8 +80,9 @@ class TestRhoSlow:
         for _ in range(300):
             t = random_threat(rng, 1.0001, 3.0, r_min_frac=0.01)
             xc = xi_crossover(t)
-            b1 = _collision_course_rho(xc, t.mu, t.engagement_range, t.capture_radius)
-            b2 = _touch_and_go_rho(xc, t.mu, t.capture_radius)
+            at = np.array([xc])
+            b1 = _collision_course_rho_batch(at, t.mu, t.engagement_range, t.capture_radius)[0]
+            b2 = _touch_and_go_rho_batch(at, t.mu, t.capture_radius)[0]
             assert abs(b1 - b2) <= 1e-9 * t.engagement_range
 
     def test_zero_capture_radius_collapses_outer_branches(self):
