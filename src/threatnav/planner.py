@@ -12,13 +12,20 @@ constraint Jacobian for threats that supply a clearance gradient
 (pursuers) and central differences for the rest (turrets), taken over
 one batched clearance call that holds every perturbed pose.
 
-A straight warm start on a blocked chord sits at a degenerate saddle, so
-the solver also tries deterministic bowed detours on both sides and
-keeps the best feasible result.
+Only warm starts that can win are solved. A straight chord whose node
+poses all clear every zone is optimal: its t_f is the lower bound
+chord_time, so it is returned at once with no solve. A blocked chord is
+a degenerate saddle and is never solved; the solver starts from
+deterministic bowed detours on both sides instead (and from the
+circumnav_reach or custom warm start when one is chosen, adding the
+detours only when that one is blocked too), and keeps the best feasible
+result. Each solve logs one debug line to the ``threatnav.planner``
+logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
@@ -36,6 +43,8 @@ from .turret import TurretThreat, turret_clearance  # noqa: F401
 
 # rho, rho_derivative and turret_clearance are not called here any more;
 # they stay bound because benchmarks/tracing.py wraps them by name.
+
+_log = logging.getLogger(__name__)
 
 
 class Threat(Protocol):
@@ -293,6 +302,12 @@ def initialize(scenario: Scenario, mode: str, custom: Optional[Trajectory] = Non
 def plan(scenario: Scenario) -> PlanResult:
     """Solve the minimum-time problem for the scenario.
 
+    A chord that clears every zone at every node pose is returned as is
+    (0 iterations): no path is faster. Otherwise the warm starts that can
+    win are solved (the two detours for straight_line; the chosen warm
+    start, plus the detours when it is blocked, for circumnav_reach and
+    custom) and the best feasible result is kept.
+
     Raises InfeasibleError when an endpoint sits strictly inside a
     pursuer's capturability disk. Returns the best feasible iterate with
     converged=False when the solver stalls before full convergence.
@@ -300,27 +315,36 @@ def plan(scenario: Scenario) -> PlanResult:
     opts = scenario.options
     _screen_endpoints(scenario)
     problem = transcribe(scenario)
+    agent = scenario.agent
+    chord_time = distance(agent.start, agent.goal) / agent.speed
 
-    seeds = [problem.pack(initialize(scenario, opts.initialization))]
-    if len(problem.threats) and float(np.min(problem.clearances(seeds[0]))) < 0.0:
-        seeds.extend(problem.pack(t) for t in _detour_seeds(scenario))
+    seeds = []  # (name, packed warm start)
+    if opts.initialization != "straight_line":
+        seeds.append((opts.initialization, problem.pack(initialize(scenario, opts.initialization))))
+
+    heading = math.atan2(agent.goal.y - agent.start.y, agent.goal.x - agent.start.x)
+    chord = np.append(np.full(opts.n_nodes - 1, heading), chord_time)
+    clear = problem.clearances(chord)
+    if np.all(clear >= 0.0):  # a NaN clearance counts as blocked
+        min_clear = float(np.min(clear)) if clear.size else math.inf
+        _log.debug("chord clear: returned unsolved, t_f %.12g, min clearance %.6g", chord_time, min_clear)
+        return PlanResult(problem.unpack(chord), chord_time, True, min_clear, 0)
+
+    if not seeds or not np.all(problem.clearances(seeds[0][1]) >= 0.0):
+        seeds.extend(zip(("detour+", "detour-"), (problem.pack(t) for t in _detour_seeds(scenario))))
 
     constraints = [
-        {"type": "eq", "fun": problem.endpoint, "jac": problem.endpoint_jacobian}
+        {"type": "eq", "fun": problem.endpoint, "jac": problem.endpoint_jacobian},
+        {"type": "ineq", "fun": problem.clearances, "jac": problem.clearance_jacobian},
     ]
-    if len(scenario.threats):
-        constraints.append(
-            {"type": "ineq", "fun": problem.clearances, "jac": problem.clearance_jacobian}
-        )
     n_vars = opts.n_nodes
     grad = np.zeros(n_vars)
     grad[-1] = 1.0
-    chord_time = distance(scenario.agent.start, scenario.agent.goal) / scenario.agent.speed
     bounds = [(None, None)] * (n_vars - 1) + [(chord_time * (1.0 - 1e-12), None)]
 
-    best = None  # (feasible, t_f or violation, z, success, nit)
+    best = None  # (key, z, success, feasible)
     total_nit = 0
-    for z0 in seeds:
+    for name, z0 in seeds:
         res = minimize(
             lambda z: z[-1],
             z0,
@@ -333,19 +357,21 @@ def plan(scenario: Scenario) -> PlanResult:
         total_nit += int(res.nit)
         z = res.x
         viol = _max_violation(problem, z)
+        _log.debug(
+            "seed %s: nit %d, status %d (%s), t_f %.12g, violation %.3g",
+            name, res.nit, res.status, res.message, z[-1], viol,
+        )
         feasible = viol <= opts.constraint_tolerance
         key = (0, float(z[-1])) if feasible else (1, viol)
         if best is None or key < best[0]:
             best = (key, z, bool(res.success), feasible)
 
     _, z, success, feasible = best
-    clear = problem.clearances(z)
-    min_clear = float(np.min(clear)) if clear.size else math.inf
     return PlanResult(
         trajectory=problem.unpack(z),
         t_f=float(z[-1]),
         converged=bool(success and feasible),
-        min_clearance=min_clear,
+        min_clearance=float(np.min(problem.clearances(z))),
         iterations=total_nit,
     )
 

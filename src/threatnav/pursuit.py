@@ -48,6 +48,16 @@ class PursuerThreat:
             raise DomainError(f"engagement_range must be positive, got {self.engagement_range}")
         if not (self.capture_radius >= 0.0 and math.isfinite(self.capture_radius)):
             raise DomainError(f"capture_radius must be nonnegative, got {self.capture_radius}")
+        # The kernels take (R + r)^2 / (mu^2 R^2), the crossover (r / R)^2, and
+        # the planner's detours reach (1 + mu) R + r: each must stay finite.
+        mu, R, r = self.mu, self.engagement_range, self.capture_radius
+        scale = mu * mu * R * R
+        ratio = (R + r) * (R + r) / scale if scale > 0.0 else math.inf
+        if not (scale < math.inf and ratio < math.inf and (r / R) * (r / R) < math.inf
+                and (1.0 + mu) * R + r < math.inf):
+            raise DomainError(
+                f"mu {mu}, engagement_range {R} and capture_radius {r} overflow the zone's closed forms"
+            )
 
     def clearance(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray:
         """Signed clearance of every pose: rows of ``points`` with ``headings``.
@@ -70,6 +80,9 @@ class PursuerThreat:
 
     def _polar(self, points: np.ndarray, headings: np.ndarray):
         """Distance, offsets to the pursuer, and aspect angles in [-pi, pi)."""
+        finite = np.isfinite(headings)
+        if not finite.all():
+            raise DomainError(f"angle must be finite, got {float(headings[~finite][0])}")
         dxv = self.position.x - points[:, 0]
         dyv = self.position.y - points[:, 1]
         xi = np.remainder(headings - np.arctan2(dyv, dxv) + math.pi, 2.0 * math.pi) - math.pi

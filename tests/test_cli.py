@@ -146,11 +146,12 @@ class TestPlan:
             (lambda d: d["agent"].update(start=[math.inf, 0.0]), "$.agent.start"),
             (lambda d: d["output"].update(formats=None), "$.output.formats"),
             (lambda d: d["planner"].update(max_iterations=-5), "$.planner"),
+            (lambda d: d["threats"][0].update(mu=1e308), "$.threats[0]"),
         ],
         ids=[
             "custom", "circumnav_reach_no_pursuer", "bool_tolerance", "float_n_nodes", "threats_object",
             "goal_is_start", "negative_mu", "negative_speed", "zero_range", "infinite_start",
-            "null_formats", "negative_max_iterations",
+            "null_formats", "negative_max_iterations", "huge_mu",
         ],
     )
     def test_bad_scenario_values_exit_code(self, tmp_path, capsys, edit, location):
@@ -172,9 +173,8 @@ class TestPlan:
                 ),
                 "agent exactly at the turret position",
             ),
-            (lambda d: d["threats"][0].update(mu=1e308), "angle must be finite"),
         ],
-        ids=["turret_at_start", "huge_mu"],
+        ids=["turret_at_start"],
     )
     def test_plan_domain_error_exit_code(self, tmp_path, capsys, edit, message):
         data = json.loads(GOLDEN.read_text())

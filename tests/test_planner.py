@@ -1,15 +1,19 @@
+import logging
 import math
+import statistics
 
 import numpy as np
 import pytest
 
+from threatnav import planner
 from threatnav.circumnav import circumnavigate, standard_specs
 from threatnav.errors import InfeasibleError
-from threatnav.geometry import Point2
+from threatnav.geometry import Point2, distance
 from threatnav.planner import (
     AgentConfig,
     PlannerOptions,
     Scenario,
+    TranscribedProblem,
     clearances_along,
     initialize,
     plan,
@@ -49,6 +53,93 @@ class TestUnobstructed:
         res = plan(scen)
         assert res.converged
         assert res.t_f == pytest.approx(4.0, rel=1e-8)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The warm start of every SLSQP solve ``plan`` makes."""
+    starts = []
+    real = planner.minimize
+
+    def counted(fun, x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        return real(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "minimize", counted)
+    return starts
+
+
+def far_scenario():
+    far = PursuerThreat(Point2(0, 50), mu=0.5, engagement_range=1.0, capture_radius=0.1)
+    return Scenario(AgentConfig(Point2(-2, 0.3), Point2(2.5, 1.1), speed=0.7), (far,))
+
+
+class TestSeedRule:
+    def test_blocked_chord_solves_only_the_detours(self, solves):
+        res = plan(golden_scenario(n_nodes=50))
+        assert len(solves) == 2
+        assert res.converged
+
+    def test_clear_chord_returned_unsolved(self, solves):
+        scen = far_scenario()
+        res = plan(scen)
+        assert solves == []
+        assert res.iterations == 0
+        assert res.converged
+        assert res.t_f == distance(scen.agent.start, scen.agent.goal) / scen.agent.speed
+        assert res.min_clearance > 0.0
+
+    def test_circumnav_reach_warm_start_is_solved(self, solves):
+        scen = golden_scenario(initialization="circumnav_reach")
+        reach = transcribe(scen).pack(initialize(scen, "circumnav_reach"))
+        res = plan(scen)
+        assert len(solves) == 1  # the Reach path clears the zone, so no detours
+        assert np.array_equal(solves[0], reach)
+        assert res.converged
+
+    def test_nan_clearance_blocks_the_chord(self, solves, monkeypatch):
+        real = PursuerThreat.clearance
+        calls = []
+
+        def nan_first(self, points, headings):
+            out = real(self, points, headings)
+            if not calls:
+                out[0] = math.nan
+            calls.append(1)
+            return out
+
+        monkeypatch.setattr(PursuerThreat, "clearance", nan_first)
+        res = plan(far_scenario())
+        assert len(solves) == 2
+        assert res.iterations > 0
+
+    def test_one_log_line_per_solve(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="threatnav.planner"):
+            plan(golden_scenario(n_nodes=50))
+            plan(far_scenario())
+        lines = [r.getMessage() for r in caplog.records if r.name == "threatnav.planner"]
+        assert [line.split(":")[0] for line in lines] == ["seed detour+", "seed detour-", "chord clear"]
+        assert all("nit" in line and "status" in line and "violation" in line for line in lines[:2])
+
+    @pytest.mark.parametrize("n_nodes", [50, 100])
+    def test_iterations_steady_under_last_bit_noise(self, monkeypatch, n_nodes):
+        scen = golden_scenario(n_nodes=n_nodes)
+        base = plan(scen)
+        iterations, times = [base.iterations], [base.t_f]
+        real = TranscribedProblem.pack
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+
+            def noisy(self, trajectory, rng=rng):
+                z = real(self, trajectory)
+                return z * (1.0 + 4e-16 * rng.standard_normal(len(z)))
+
+            monkeypatch.setattr(TranscribedProblem, "pack", noisy)
+            res = plan(scen)
+            iterations.append(res.iterations)
+            times.append(res.t_f)
+        assert max(iterations) - min(iterations) <= 0.1 * statistics.median(iterations)
+        assert max(times) - min(times) <= 1e-12
 
 
 class TestGolden:

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from threatnav.errors import PreconditionError
+from threatnav.errors import DomainError, PreconditionError
 from threatnav.geometry import Point2, aspect_angle
 from threatnav.pursuit import (
     PursuerThreat,
@@ -173,6 +174,30 @@ class TestMembership:
         assert signed_clearance(boundary.point, 0.0, FAST) == pytest.approx(0.0, abs=1e-12)
         assert signed_clearance(Point2(-2.05, 0), 0.0, FAST) == pytest.approx(0.1, abs=1e-12)
         assert signed_clearance(Point2(0.45, 0), 0.0, FAST) == pytest.approx(-0.10, abs=1e-12)
+
+
+    def test_infinite_heading_is_a_domain_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="angle must be finite, got inf"):
+                signed_clearance(Point2(1, 1), math.inf, FAST)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "mu, R, r",
+        [(1e308, 1.0, 0.2), (1e200, 1.0, 0.0), (0.9, 1e160, 0.0), (0.9, 1.0, 1e308), (1e-170, 1.0, 0.0),
+         (1e10, 1e-10, 1e150)],
+        ids=["huge_mu", "mu_squared_overflows", "huge_range", "huge_capture_radius", "mu_squared_underflows",
+             "crossover_ratio_overflows"],
+    )
+    def test_rejects_parameters_that_overflow_the_closed_forms(self, mu, R, r):
+        with pytest.raises(DomainError, match="overflow the zone's closed forms"):
+            PursuerThreat(Point2(0, 0), mu=mu, engagement_range=R, capture_radius=r)
+
+    def test_accepts_large_finite_geometry(self):
+        t = PursuerThreat(Point2(0, 0), mu=1e100, engagement_range=1e10, capture_radius=1e50)
+        assert math.isfinite(signed_clearance(Point2(1e60, 0), 0.0, t))
 
 
 class TestSampleBoundary:
