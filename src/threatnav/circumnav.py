@@ -61,8 +61,8 @@ def standard_specs(threat: PursuerThreat) -> list[CircumnavSpec]:
     """
     mu, R, r = threat.mu, threat.engagement_range, threat.capture_radius
     specs = [
-        CircumnavSpec("Reach", R + r),
-        CircumnavSpec("Worst", (1.0 + mu) * R + r),
+        CircumnavSpec("Reach", threat.keep_out_radius),
+        CircumnavSpec("Worst", threat.extent),
     ]
     apol = (1.0 - mu) * R + r
     if apol > 0.0:

@@ -7,10 +7,10 @@ n_nodes long (n_nodes - 1 headings plus the terminal time). The zone
 constraint is imposed at every node for every threat: pursuer zones via
 the aspect-angle clearance with the node's segment heading, turret zones
 via the chord-threshold ray test. Each threat computes its own clearance
-for a batch of poses; SLSQP solves the program with an analytic
-constraint Jacobian for threats that supply a clearance gradient
-(pursuers) and central differences for the rest (turrets), taken over
-one batched clearance call that holds every perturbed pose.
+and its pose gradient for a batch of poses, and SLSQP solves the program
+with one analytic constraint Jacobian chained from those gradients. The
+planner knows a threat only through the ``Threat`` protocol, so a new
+zone kind needs no code here.
 
 Only warm starts that can win are solved. A straight chord whose node
 poses all clear every zone is optimal: its t_f is the lower bound
@@ -42,25 +42,38 @@ from .trajectory import Trajectory
 from .turret import TurretThreat, turret_clearance  # noqa: F401
 
 # rho, rho_derivative and turret_clearance are not called here any more;
-# they stay bound because benchmarks/tracing.py wraps them by name.
+# they stay bound because benchmarks/tracing.py wraps them by name, as do
+# the oracles keyed by kind in resample_and_verify.
 
 _log = logging.getLogger(__name__)
 
 
 class Threat(Protocol):
-    """An engagement zone as the planner sees it.
+    """An engagement zone centred on ``position``, as the planner sees it.
 
     ``clearance`` maps n poses (an n x 2 array of points and n headings)
-    to n signed clearances, positive outside the zone. A threat may also
-    offer ``clearance_gradient(points, headings)``, returning the
-    per-pose partials in x, y and heading; the planner then assembles
-    its Jacobian rows analytically instead of by finite differences.
+    to n signed clearances, positive outside the zone, and
+    ``clearance_gradient`` maps them to three arrays of n partials of
+    the clearance, in x, y and heading. ``keep_out_radius`` is the radius
+    of the disk around ``position`` that no endpoint may enter and that
+    circumnav_reach rides (0 when there is none). ``extent`` bounds how
+    far from ``position`` the zone reaches; the detour warm starts bow
+    out past the largest one.
     """
+
+    position: Point2
 
     def clearance(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray: ...
 
+    def clearance_gradient(
+        self, points: np.ndarray, headings: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
-_FD_STEP = 1e-7
+    @property
+    def keep_out_radius(self) -> float: ...
+
+    @property
+    def extent(self) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -152,14 +165,14 @@ class TranscribedProblem:
     # -- kinematics -------------------------------------------------------
 
     def positions(self, z: np.ndarray) -> np.ndarray:
-        """Node positions (n x 2) of z, or (k x n x 2) of a k x n stack of decision vectors."""
-        psi, t_f = z[..., :-1], z[..., -1:]
+        """Node positions (n x 2) of z."""
+        psi, t_f = z[:-1], z[-1]
         dt = t_f / (self.n - 1)
-        steps = (self.speed * dt)[..., None] * np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-        out = np.empty(z.shape[:-1] + (self.n, 2))
-        out[..., 0, :] = self.a0
-        np.cumsum(steps, axis=-2, out=out[..., 1:, :])
-        out[..., 1:, :] += self.a0
+        steps = self.speed * dt * np.stack([np.cos(psi), np.sin(psi)], axis=1)
+        out = np.empty((self.n, 2))
+        out[0] = self.a0
+        np.cumsum(steps, axis=0, out=out[1:])
+        out[1:] += self.a0
         return out
 
     # -- endpoint equality -------------------------------------------------
@@ -180,11 +193,8 @@ class TranscribedProblem:
     # -- zone clearances ----------------------------------------------------
 
     def _poses(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The 2n-2 constrained poses: points (2n-2 x 2) and their headings.
-
-        A k x n stack of decision vectors gives k x (2n-2) x 2 and k x (2n-2).
-        """
-        return self.positions(z)[..., self._node_idx, :], z[..., :-1][..., self._head_idx]
+        """The 2n-2 constrained poses: points (2n-2 x 2) and their headings."""
+        return self.positions(z)[self._node_idx], z[:-1][self._head_idx]
 
     def clearances(self, z: np.ndarray) -> np.ndarray:
         """Stacked per-pose clearance, one block of 2n-2 values per threat."""
@@ -194,13 +204,7 @@ class TranscribedProblem:
 
     def clearance_jacobian(self, z: np.ndarray) -> np.ndarray:
         points, headings = self._poses(z)
-        blocks = []
-        for threat in self.threats:
-            gradient = getattr(threat, "clearance_gradient", None)
-            if gradient is None:
-                blocks.append(self._fd_jacobian(threat, z))
-            else:
-                blocks.append(self._chain(z, points, *gradient(points, headings)))
+        blocks = [self._chain(z, points, *t.clearance_gradient(points, headings)) for t in self.threats]
         return np.vstack(blocks) if blocks else np.zeros((0, len(z)))
 
     def _chain(self, z, points, gx, gy, gpsi) -> np.ndarray:
@@ -221,23 +225,6 @@ class TranscribedProblem:
         rel = points - self.a0
         jac[:, -1] = (gx * rel[:, 0] + gy * rel[:, 1]) / t_f
         return jac
-
-    def _fd_jacobian(self, threat, z) -> np.ndarray:
-        """Central differences in every variable.
-
-        The 2n perturbed decision vectors are stacked, their node positions
-        come from one batched cumsum, and all their poses go through one
-        ``threat.clearance`` call.
-        """
-        n = len(z)
-        h = _FD_STEP * np.maximum(1.0, np.abs(z))
-        cols = np.arange(n)
-        stack = np.tile(z, (2 * n, 1))  # rows 0..n-1 step up, rows n..2n-1 step down
-        stack[cols, cols] += h
-        stack[n + cols, cols] -= h
-        points, headings = self._poses(stack)
-        c = threat.clearance(points.reshape(-1, 2), headings.ravel()).reshape(2 * n, -1)
-        return ((c[:n] - c[n:]) / (2.0 * h[:, None])).T
 
     # -- warm-start packing --------------------------------------------------
 
@@ -265,8 +252,9 @@ def initialize(scenario: Scenario, mode: str, custom: Optional[Trajectory] = Non
     """Warm-start trajectory for the solver.
 
     straight_line is the constant-heading chord; circumnav_reach rides the
-    first pursuer's capturability circle; custom passes a caller-supplied
-    trajectory through.
+    keep-out circle of the first threat that has one (a pursuer's
+    capturability disk); custom passes a caller-supplied trajectory
+    through.
     """
     agent = scenario.agent
     n = scenario.options.n_nodes
@@ -284,11 +272,8 @@ def initialize(scenario: Scenario, mode: str, custom: Optional[Trajectory] = Non
             speed=agent.speed,
         )
     if mode == "circumnav_reach":
-        pursuers = [t for t in scenario.threats if isinstance(t, PursuerThreat)]
-        if not pursuers:
-            raise ValueError("circumnav_reach initialization needs a pursuer threat")
-        threat = pursuers[0]
-        spec = _circ.CircumnavSpec("Reach", threat.engagement_range + threat.capture_radius)
+        threat = _reach_threat(scenario.threats)
+        spec = _circ.CircumnavSpec("Reach", threat.keep_out_radius)
         result = _circ.circumnavigate(agent.start, agent.goal, threat.position, spec, agent.speed)
         return Trajectory.from_polyline(_resample_equal_arc(result.path.points, n), agent.speed)
     if mode == "custom":
@@ -309,8 +294,9 @@ def plan(scenario: Scenario) -> PlanResult:
     custom) and the best feasible result is kept.
 
     Raises InfeasibleError when an endpoint sits strictly inside a
-    pursuer's capturability disk. Returns the best feasible iterate with
-    converged=False when the solver stalls before full convergence.
+    threat's keep-out disk (a pursuer's capturability disk). Returns the
+    best feasible iterate with converged=False when the solver stalls
+    before full convergence.
     """
     opts = scenario.options
     _screen_endpoints(scenario)
@@ -437,15 +423,21 @@ def resample_and_verify(result: PlanResult, scenario: Scenario, factor: int) -> 
 
 def _screen_endpoints(scenario: Scenario) -> None:
     for threat in scenario.threats:
-        if not isinstance(threat, PursuerThreat):
-            continue
-        disk = threat.engagement_range + threat.capture_radius
+        disk = threat.keep_out_radius
         for name, point in (("start", scenario.agent.start), ("goal", scenario.agent.goal)):
             if distance(point, threat.position) < disk:
                 raise InfeasibleError(
                     f"{name} lies inside a capturability disk "
                     f"(distance {distance(point, threat.position):.6g} < {disk:.6g})"
                 )
+
+
+def _reach_threat(threats: Sequence[Threat]) -> Threat:
+    """The threat whose keep-out circle circumnav_reach rides: the first that has one."""
+    for threat in threats:
+        if threat.keep_out_radius > 0.0:
+            return threat
+    raise ValueError("circumnav_reach initialization needs a threat with a keep-out disk (a pursuer)")
 
 
 def _max_violation(problem: TranscribedProblem, z: np.ndarray) -> float:
@@ -464,13 +456,7 @@ def _detour_seeds(scenario: Scenario) -> list[Trajectory]:
     chord = af - a0
     length = float(np.hypot(*chord))
     normal = np.array([-chord[1], chord[0]]) / length
-    extent = 0.0
-    for threat in scenario.threats:
-        if isinstance(threat, PursuerThreat):
-            big = (1.0 + threat.mu) * threat.engagement_range + threat.capture_radius
-        else:
-            big = threat.engagement_range
-        extent = max(extent, big)
+    extent = max((threat.extent for threat in scenario.threats), default=0.0)
     amp = 1.2 * extent if extent > 0.0 else 0.25 * length
     seeds = []
     s = np.linspace(0.0, 1.0, 256)[:, None]

@@ -49,15 +49,25 @@ class PursuerThreat:
         if not (self.capture_radius >= 0.0 and math.isfinite(self.capture_radius)):
             raise DomainError(f"capture_radius must be nonnegative, got {self.capture_radius}")
         # The kernels take (R + r)^2 / (mu^2 R^2), the crossover (r / R)^2, and
-        # the planner's detours reach (1 + mu) R + r: each must stay finite.
+        # the planner's detours reach the extent: each must stay finite.
         mu, R, r = self.mu, self.engagement_range, self.capture_radius
         scale = mu * mu * R * R
         ratio = (R + r) * (R + r) / scale if scale > 0.0 else math.inf
         if not (scale < math.inf and ratio < math.inf and (r / R) * (r / R) < math.inf
-                and (1.0 + mu) * R + r < math.inf):
+                and self.extent < math.inf):
             raise DomainError(
                 f"mu {mu}, engagement_range {R} and capture_radius {r} overflow the zone's closed forms"
             )
+
+    @property
+    def keep_out_radius(self) -> float:
+        """Radius of the capturability disk, closed to both endpoints: R + r."""
+        return self.engagement_range + self.capture_radius
+
+    @property
+    def extent(self) -> float:
+        """Reach of the zone from the pursuer at any aspect: (1 + mu) R + r."""
+        return (1.0 + self.mu) * self.engagement_range + self.capture_radius
 
     def clearance(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray:
         """Signed clearance of every pose: rows of ``points`` with ``headings``.

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from .geometry import Point2
-from .planner import AgentConfig, PlannerOptions, Scenario
+from .planner import AgentConfig, PlannerOptions, Scenario, _reach_threat
 from .pursuit import PursuerThreat
 from .turret import TurretThreat
 
@@ -171,8 +171,11 @@ def _planner_options(raw: Any, threats: list) -> PlannerOptions:
         elif key == "initialization":
             if value == "custom":
                 raise ScenarioError(loc, "custom initialization needs a trajectory; use the library")
-            if value == "circumnav_reach" and not any(isinstance(t, PursuerThreat) for t in threats):
-                raise ScenarioError(loc, "circumnav_reach initialization needs a pursuer threat")
+            if value == "circumnav_reach":
+                try:
+                    _reach_threat(threats)  # the rule and message of initialize
+                except ValueError as exc:
+                    raise ScenarioError(loc, str(exc)) from exc
             if value not in ("straight_line", "circumnav_reach"):
                 raise ScenarioError(loc, f"unknown initialization {value!r}")
             values[key] = value

@@ -55,6 +55,14 @@ class TurretThreat:
         if not math.isfinite(self.look_angle):
             raise DomainError(f"look_angle must be finite, got {self.look_angle}")
 
+    @property
+    def keep_out_radius(self) -> float:
+        return 0.0  # no disk around a turret is closed to an endpoint
+
+    @property
+    def extent(self) -> float:
+        return self.engagement_range
+
     def clearance(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray:
         """Signed margin of every pose: rows of ``points`` with ``headings``.
 
@@ -63,6 +71,26 @@ class TurretThreat:
         gap to the range disk. Continuous across the band edge, piecewise
         smooth elsewhere.
         """
+        x0, y0, _, _ = self._frame(points, headings)
+        R = self.engagement_range
+        y_c = np.minimum(np.maximum(y0, -R), R)
+        return _max(np.abs(y0) - R, x0 - boundary_threshold_batch(y_c, self, headings))
+
+    def clearance_gradient(self, points: np.ndarray, headings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-pose partials of ``clearance`` in x, y and heading.
+
+        Each pose differentiates the piece that wins its max, ``|y0| - R`` or
+        ``x0 - M(y0, look_angle - heading)``; dM/dy is 0 at |y0| = R, where y0 is clamped.
+        """
+        x0, y0, ch, sh = self._frame(points, headings)
+        R = self.engagement_range
+        m, m_y, m_th = _threshold(np.minimum(np.maximum(y0, -R), R), self, headings)
+        side, chord = np.sign(y0), x0 - m > np.abs(y0) - R
+        return (np.where(chord, ch + m_y * sh, -side * sh), np.where(chord, sh - m_y * ch, side * ch),
+                np.where(chord, y0 + m_y * x0 + m_th, -side * x0))
+
+    def _frame(self, points: np.ndarray, headings: np.ndarray):
+        """Agent-heading frame of every pose: x0 along the heading, y0 to its left, cos and sin of the heading."""
         finite = np.isfinite(points).all(axis=1)
         if not finite.all():
             x, y = points[~finite][0]
@@ -73,11 +101,7 @@ class TurretThreat:
             raise DomainError("agent exactly at the turret position")
         with np.errstate(invalid="ignore"):  # a non-finite heading raises in the threshold
             ch, sh = np.cos(headings), np.sin(headings)
-        x0 = dx * ch + dy * sh
-        y0 = -dx * sh + dy * ch
-        R = self.engagement_range
-        y_c = np.minimum(np.maximum(y0, -R), R)
-        return _max(np.abs(y0) - R, x0 - boundary_threshold_batch(y_c, self, headings))
+        return dx * ch + dy * sh, -dx * sh + dy * ch, ch, sh
 
 
 @dataclass(frozen=True)
@@ -145,44 +169,60 @@ def boundary_threshold_batch(y: np.ndarray, threat: TurretThreat, agent_headings
     """Per-chord zone threshold M(y) of every chord ``y`` with its agent heading.
 
     A start (x0, y) on the chord is neutralizable iff x0 <= M(y). Raises
-    for |y| beyond the range (the chord never enters the disk). M(y) is
-    the largest candidate that applies: the exit and entry alignments,
-    the held-beam crossing and the interior stationary point, each
-    computed for every chord, masked where its condition fails and folded
-    in that order. The chord through the turret (y == 0) takes its own
-    two-candidate max.
+    for |y| beyond the range (the chord never enters the disk).
+    """
+    return _threshold(y, threat, agent_headings)[0]
+
+
+def _threshold(y: np.ndarray, threat: TurretThreat, agent_headings: np.ndarray):
+    """M(y) of ``boundary_threshold_batch`` and its partials in y and in th = look_angle - heading.
+
+    M(y) folds the exit and entry alignments, the held-beam crossing and the interior stationary point
+    in that order (the chord through the turret has its own pair). The partials follow the winner: with
+    c = sqrt(R^2 - y^2), dM/dy is -(y + dM/dth) / c at the exit, (y + dM/dth) / c at the entry, cot th at
+    the crossing (dM/dth = -y / sin^2 th), xs / y at the stationary point (envelope theorem), 0 on y == 0.
     """
     R, mu = threat.engagement_range, threat.mu
     if np.any(np.abs(y) > R):
         raise DomainError(f"|y|={float(np.max(np.abs(y)))} exceeds the engagement range {R}")
     th = wrap_angles(threat.look_angle - agent_headings)
-    mirror = y < 0.0  # mirror symmetry: reflect chord and beam together
+    mirror = y < 0.0  # mirror symmetry: reflect chord and beam together (and the partials)
     y = np.where(mirror, -y, y)
     th = np.where(mirror, wrap_angles(-th), th)
 
     def reach(x, th, bearing):
-        return x - mu * np.abs(wrap_angles(th - bearing))
+        gap = wrap_angles(th - bearing)
+        return x - mu * np.abs(gap), -mu * np.sign(gap)
+
+    def fold(take, value, dy, dth):
+        return np.where(take, value, best), np.where(take, dy, m_y), np.where(take, dth, m_th)
 
     c = np.sqrt(_max(R * R - y * y, 0.0))
-    best = _max(reach(c, th, atan2_each(y, c)), reach(-c, th, atan2_each(y, -c)))
+    inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0.0)
+    (best, m_th), (entry, entry_th) = reach(c, th, atan2_each(y, c)), reach(-c, th, atan2_each(y, -c))
+    m_y = -(y + m_th) * inv_c
+    best, m_y, m_th = fold(entry > best, entry, (y + entry_th) * inv_c, entry_th)
     # crossing the initial beam
     sin_th = np.sin(th)
     with np.errstate(divide="ignore", invalid="ignore"):
         x_cross = y * np.cos(th) / sin_th
-    ok = (sin_th > 0.0) & (-c <= x_cross) & (x_cross <= c)
-    best = np.where(ok & (x_cross > best), x_cross, best)
-    # interior stationary point of the chase
-    inner = mu > y
+        ok = (sin_th > 0.0) & (-c <= x_cross) & (x_cross <= c)
+        best, m_y, m_th = fold(ok & (x_cross > best), x_cross, np.cos(th) / sin_th, -y / (sin_th * sin_th))
+    # interior stationary point of the chase (y == 0 is settled below)
+    inner = (mu > y) & (y > 0.0)
     xs = -np.sqrt(np.where(inner, y * (mu - y), 0.0))
     idx = np.flatnonzero(inner & (-c <= xs) & (xs <= c))
     bearing = atan2_each(y[idx], xs[idx])
-    keep = wrap_angles(bearing - th[idx]) < 0.0
-    idx, bearing = idx[keep], bearing[keep]
-    best[idx] = _max(best[idx], reach(xs[idx], th[idx], bearing))
-    # the chord through the turret: inbound bearing pi or outbound bearing 0
+    value, slope = reach(xs[idx], th[idx], bearing)
+    win = (wrap_angles(bearing - th[idx]) < 0.0) & (value > best[idx])
+    idx = idx[win]
+    best[idx], m_y[idx], m_th[idx] = value[win], xs[idx] / y[idx], slope[win]
+    # the chord through the turret: inbound bearing pi (-0.0 - mu|gap| is -mu|gap|) or outbound bearing 0
     on = np.flatnonzero(y == 0.0)
-    best[on] = _max(-mu * np.abs(wrap_angles(th[on] - math.pi)), R - mu * np.abs(wrap_angles(th[on] - 0.0)))
-    return best
+    (inbound, in_th), (outbound, out_th) = reach(-0.0, th[on], math.pi), reach(R, th[on], 0.0)
+    out = outbound > inbound
+    best[on], m_y[on], m_th[on] = np.where(out, outbound, inbound), 0.0, np.where(out, out_th, in_th)
+    return best, np.where(mirror, -m_y, m_y), np.where(mirror, -m_th, m_th)
 
 
 def ez_contains_turret(agent_pos: Point2, agent_heading: float, threat: TurretThreat) -> bool:

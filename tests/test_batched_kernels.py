@@ -1,9 +1,11 @@
-"""Batched threat kernels and the batched finite-difference Jacobian, bit for bit.
+"""Batched threat kernels bit for bit, and the analytic turret gradient and Jacobian.
 
 SLSQP reacts to last-bit changes in its constraints, so the batched
 kernels must return exactly the floats of the frozen scalar closed forms
-in ``reference_kernels``, not values within a tolerance; every
-comparison here is ``np.array_equal``.
+in ``reference_kernels``, not values within a tolerance; every kernel
+comparison here is ``np.array_equal``. The turret's clearance gradient
+and the constraint Jacobian have no frozen scalar form; they are checked
+against central differences of the reference clearance instead.
 """
 
 import math
@@ -13,7 +15,7 @@ import pytest
 
 from threatnav.errors import DomainError
 from threatnav.geometry import Point2, wrap_angle, wrap_angles
-from threatnav.planner import AgentConfig, PlannerOptions, Scenario, TranscribedProblem, plan, transcribe
+from threatnav.planner import AgentConfig, PlannerOptions, Scenario, plan, transcribe
 from threatnav.pursuit import (
     PursuerThreat,
     _collision_course_rho_batch,
@@ -111,6 +113,31 @@ def test_turret_clearance_batch_is_bit_exact(threat):
     batched = threat.clearance(points, headings)
     scalar = [ref.turret_clearance(Point2(float(x), float(y)), float(h), threat) for (x, y), h in zip(points, headings)]
     assert bit_equal(batched, scalar)
+
+
+@pytest.mark.parametrize("threat", TURRETS, ids=lambda t: f"look{t.look_angle:.3f}_mu{t.mu}")
+def test_turret_gradient_matches_central_differences(threat):
+    rng = np.random.default_rng(7)
+    R, h = threat.engagement_range, 1e-6
+    points = np.array(threat.position.as_tuple()) + rng.uniform(-3.0 * R, 3.0 * R, size=(2000, 2))
+    headings = rng.uniform(-4.0, 4.0, 2000)
+    gradient = np.stack(threat.clearance_gradient(points, headings), axis=1)
+
+    def clear(pose):
+        return ref.turret_clearance(Point2(pose[0], pose[1]), pose[2], threat)
+
+    poses = np.column_stack([points, headings])
+    checked = 0
+    for pose, grad in zip(poses, gradient):
+        here = clear(pose)
+        for axis, step in enumerate(h * np.eye(3)):
+            up, down = clear(pose + step), clear(pose - step)
+            if abs((up - here) - (here - down)) > 1e-3 * h:
+                continue  # the stencil straddles a kink of the max or of the fold
+            central = (up - down) / (2.0 * h)
+            assert abs(grad[axis] - central) <= 1e-6 * max(1.0, abs(central)), (pose, axis)
+            checked += 1
+    assert checked > 0.99 * poses.size
 
 
 def test_turret_batch_domain_errors():
@@ -218,7 +245,7 @@ def test_sample_turret_boundary_is_bit_exact(threat):
     assert bit_equal([s.a0.x for s in samples], [ref.boundary_threshold(s.a0.y, threat) for s in samples])
 
 
-# -- the finite-difference Jacobian and whole plans ------------------------------
+# -- the constraint Jacobian and whole plans --------------------------------------
 
 
 def turret_scenario(n):
@@ -239,7 +266,7 @@ def mixed_scenario(n):
 
 
 def reference_fd_jacobian(self, threat, z):
-    """The column-by-column central differences the batched routine replaced."""
+    """One threat's constraint Jacobian by column-by-column central differences."""
 
     def block(zz):
         return threat.clearance(*self._poses(zz))
@@ -271,7 +298,6 @@ def scalar_pursuer_gradient(self, points, headings):
 
 
 def install_reference(monkeypatch):
-    monkeypatch.setattr(TranscribedProblem, "_fd_jacobian", reference_fd_jacobian)
     monkeypatch.setattr(TurretThreat, "clearance", scalar_turret_clearance)
     monkeypatch.setattr(PursuerThreat, "clearance", scalar_pursuer_clearance)
     monkeypatch.setattr(PursuerThreat, "clearance_gradient", scalar_pursuer_gradient)
@@ -279,23 +305,17 @@ def install_reference(monkeypatch):
 
 @pytest.mark.parametrize("make", [turret_scenario, mixed_scenario], ids=["turret", "mixed"])
 def test_jacobian_matches_column_by_column_reference(make, monkeypatch):
-    problem = transcribe(make(20))
     rng = np.random.default_rng(4)
-    z = np.concatenate([rng.uniform(-0.4, 0.4, 19), [9.0]])
-    batched = (problem.clearances(z), problem.clearance_jacobian(z))
-    install_reference(monkeypatch)
-    assert bit_equal(batched[0], problem.clearances(z))
-    assert bit_equal(batched[1], problem.clearance_jacobian(z))
-
-
-def test_batched_positions_match_single():
-    problem = transcribe(mixed_scenario(20))
-    stack = np.random.default_rng(2).uniform(-1.0, 1.0, size=(5, 20))
-    stack[:, -1] = 9.0
-    batched = problem.positions(stack)
-    assert batched.shape == (5, 20, 2)
-    for z, p in zip(stack, batched):
-        assert bit_equal(p, problem.positions(z))
+    for n in (20, 60):
+        problem = transcribe(make(n))
+        z = np.concatenate([rng.uniform(-0.4, 0.4, n - 1), [9.0]])
+        analytic = problem.clearance_jacobian(z)
+        reference = np.vstack([reference_fd_jacobian(problem, t, z) for t in problem.threats])
+        assert np.max(np.abs(analytic - reference)) <= 1e-6, n
+        batched = problem.clearances(z)
+        with monkeypatch.context() as m:
+            install_reference(m)
+            assert bit_equal(batched, problem.clearances(z))
 
 
 @pytest.mark.parametrize("make", [turret_scenario, mixed_scenario], ids=["turret", "mixed"])

@@ -8,6 +8,7 @@ import pytest
 from threatnav.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios" / "golden.json"
+TURRET = GOLDEN.with_name("turret.json")
 
 
 def read_csv(path):
@@ -198,25 +199,10 @@ class TestPlan:
         assert sorted(p.name for p in (tmp_path / "flag").iterdir()) == ["trajectory.csv"]
 
     def test_turret_scenario_planning(self, tmp_path):
-        data = {
-            "schema_version": 1,
-            "agent": {"start": [-3.0, -0.4], "goal": [3.0, -0.4], "speed": 0.5},
-            "threats": [
-                {
-                    "kind": "turret",
-                    "position": [0.0, 0.0],
-                    "mu": 0.5,
-                    "range": 1.0,
-                    "look_angle": 0.5235987755982988,
-                }
-            ],
-            "planner": {"n_nodes": 60, "constraint_tolerance": 1e-4},
-        }
-        scen = tmp_path / "turret.json"
-        scen.write_text(json.dumps(data))
-        rc = main(["plan", str(scen), "--output-dir", str(tmp_path)])
-        assert rc in (0, 4)
+        rc = main(["plan", str(TURRET), "--output-dir", str(tmp_path)])
+        assert rc == 0
         result = json.loads((tmp_path / "result.json").read_text())
+        assert result["converged"] is True
         assert result["min_clearance"] >= -1e-4
 
 
