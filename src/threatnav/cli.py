@@ -1,10 +1,14 @@
 """Command-line interface: boundary export, planning, comparison, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse or domain
-error (including a scenario path that cannot be read as UTF-8 JSON: a
-missing file, a directory, bad bytes, an integer literal past Python's
-digit limit), 3 infeasible scenario, 4 planner did not converge (partial
-output is still written). All numeric output uses 9 significant digits.
+error (including a numeric flag that is not finite or is below its
+bound, a scenario path that cannot be read as UTF-8 JSON: a missing
+file, a directory, bad bytes, an integer literal past Python's digit
+limit, and an output directory that cannot be made), 3 infeasible
+scenario (for ``compare`` also an endpoint inside a baseline circle),
+4 planner did not converge (partial output is still written). Handlers
+return 0, 1 or 4 and raise the rest; ``main`` alone maps an exception
+to its code. All numeric output uses 9 significant digits.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ import numpy as np
 from .circumnav import circumnavigate, percent_difference, standard_specs
 from .errors import DomainError, InfeasibleError
 from .geometry import Point2, wrap_angle
-from .planner import clearances_along, plan
+from .planner import Scenario, clearances_along, plan
 from .pursuit import PursuerThreat, sample_boundary
-from .scenario_io import OutputConfig, ScenarioError, load_scenario
+from .scenario_io import OutputConfig, load_scenario
 from .turret import TurretThreat, sample_turret_boundary
 from .verification import pursuit_equivalence_sweep, turret_equivalence_sweep
 
@@ -37,17 +41,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Threat-aware navigation: engagement zones, planning, baselines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    real = _number(float)
 
     ez = sub.add_parser("ez-boundary", help="sample an engagement-zone boundary")
     ez.add_argument("--kind", choices=["pursuer", "turret"], required=True)
-    ez.add_argument("--mu", type=float, required=True)
-    ez.add_argument("--R", type=float, required=True, dest="engagement_range")
-    ez.add_argument("--r", type=float, default=0.0, dest="capture_radius")
-    ez.add_argument("--theta0", type=float, default=0.0, help="turret initial look angle")
-    ez.add_argument("--heading", type=float, default=0.0, help="agent heading")
-    ez.add_argument("--px", type=float, default=0.0, help="threat x position")
-    ez.add_argument("--py", type=float, default=0.0, help="threat y position")
-    ez.add_argument("--n", type=int, default=360)
+    ez.add_argument("--mu", type=real, required=True)
+    ez.add_argument("--R", type=real, required=True, dest="engagement_range")
+    ez.add_argument("--r", type=real, default=0.0, dest="capture_radius")
+    ez.add_argument("--theta0", type=real, default=0.0, help="turret initial look angle")
+    ez.add_argument("--heading", type=real, default=0.0, help="agent heading")
+    ez.add_argument("--px", type=real, default=0.0, help="threat x position")
+    ez.add_argument("--py", type=real, default=0.0, help="threat y position")
+    ez.add_argument("--n", type=_number(int, minimum=3), default=360)
     _output_args(ez)
 
     pl = sub.add_parser("plan", help="plan a minimum-time path from a scenario file")
@@ -60,15 +65,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run analytic-vs-oracle equivalence sweeps")
     ver.add_argument("--kind", choices=["pursuer", "turret", "both"], default="both")
-    ver.add_argument("--samples", type=int, default=1000)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--samples", type=_number(int, minimum=1), default=1000)
+    ver.add_argument("--seed", type=_number(int, minimum=0), default=0)
     ver.add_argument(
         "--corrupt-rho",
-        type=float,
+        type=real,
         default=0.0,
         help="test hook: fractional corruption of the analytic boundary",
     )
     return parser
+
+
+def _number(kind, minimum=None):
+    """An argparse ``type``: a ``kind`` value that is finite and at least ``minimum``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if minimum is not None and value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
 def _output_args(p: argparse.ArgumentParser) -> None:
@@ -78,18 +98,23 @@ def _output_args(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    handler = {
+    handlers = {
         "ez-boundary": _cmd_ez_boundary,
         "plan": _cmd_plan,
         "compare": _cmd_compare,
         "verify": _cmd_verify,
-    }[args.command]
-    return handler(args)
+    }
+    try:
+        args = _build_parser().parse_args(argv)
+        return handlers[args.command](args)
+    except SystemExit as exc:  # argparse: --help, or a usage error it has printed
+        return int(exc.code or 0)
+    except InfeasibleError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return 3
+    except (DomainError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:
@@ -109,14 +134,7 @@ def _write(args, name: str, lines) -> None:
 
 
 def _cmd_ez_boundary(args) -> int:
-    if args.n < 3:
-        print("error: --n must be at least 3", file=sys.stderr)
-        return 2
-    try:
-        rows, summary = _boundary_rows(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows, summary = _boundary_rows(args)
     header = "xi_or_gamma,rho_or_x,y,world_x,world_y"
     _write(args, "ez_boundary.csv", [header] + [",".join(_g(v) for v in row) for row in rows])
     _write(args, "ez_boundary.json", [json.dumps(summary, indent=2)])
@@ -176,48 +194,36 @@ def _boundary_rows(args):
     return rows, summary
 
 
-def _load(args):
+def _load(args) -> Scenario:
+    """The scenario at ``args.scenario``, whose output block ``_write`` then follows.
+
+    A missing file propagates (its message names the path); every other
+    loader failure becomes a ``DomainError`` that starts with the path.
+    """
     try:
         doc = load_scenario(args.scenario)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 2
+    except FileNotFoundError:
+        raise
     except json.JSONDecodeError as exc:
-        print(
-            f"error: {args.scenario}: line {exc.lineno} column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return None, 2
-    except ScenarioError as exc:
-        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
-        return None, 2
-    except (OSError, ValueError) as exc:  # a directory, not UTF-8, an over-long integer literal
-        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
-        return None, 2
+        raise DomainError(f"{args.scenario}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # ScenarioError, a directory, not UTF-8, an over-long integer literal
+        raise DomainError(f"{args.scenario}: {exc}") from exc
     args.output = doc.output
-    return doc, 0
+    return doc.scenario
 
 
-def _plan(scenario):
-    """The plan of ``scenario``, or the exit code after printing why there is none."""
-    try:
-        return plan(scenario)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _convergence_code(result) -> int:
+    """0 for a converged plan; else 4, after saying the output written is partial."""
+    if result.converged:
+        return 0
+    print("planner did not converge; partial output written", file=sys.stderr)
+    return 4
 
 
 def _cmd_plan(args) -> int:
-    doc, code = _load(args)
-    if doc is None:
-        return code
-    result = _plan(doc.scenario)
-    if isinstance(result, int):
-        return result
-    _write(args, "trajectory.csv", _trajectory_lines(result.trajectory, doc.scenario.threats))
+    scenario = _load(args)
+    result = plan(scenario)
+    _write(args, "trajectory.csv", _trajectory_lines(result.trajectory, scenario.threats))
     payload = {
         "t_f": result.t_f,
         "converged": result.converged,
@@ -225,10 +231,7 @@ def _cmd_plan(args) -> int:
         "iterations": result.iterations,
     }
     _write(args, "result.json", [json.dumps(payload, indent=2)])
-    if not result.converged:
-        print("planner did not converge; partial output written", file=sys.stderr)
-        return 4
-    return 0
+    return _convergence_code(result)
 
 
 def _trajectory_lines(traj, threats):
@@ -243,18 +246,11 @@ def _trajectory_lines(traj, threats):
 
 
 def _cmd_compare(args) -> int:
-    doc, code = _load(args)
-    if doc is None:
-        return code
-    scen = doc.scenario
-    pursuers = [t for t in scen.threats if isinstance(t, PursuerThreat)]
-    if len(pursuers) != 1 or len(scen.threats) != 1:
-        print("error: compare requires a scenario with exactly one pursuer", file=sys.stderr)
-        return 2
-    threat = pursuers[0]
-    result = _plan(scen)
-    if isinstance(result, int):
-        return result
+    scen = _load(args)
+    if len(scen.threats) != 1 or not isinstance(scen.threats[0], PursuerThreat):
+        raise DomainError("compare requires a scenario with exactly one pursuer")
+    threat = scen.threats[0]
+    result = plan(scen)
 
     rows = []
     for spec in standard_specs(threat):
@@ -270,15 +266,10 @@ def _cmd_compare(args) -> int:
     lines = [f"{label}," + ",".join(_g(v) for v in row) for label, *row in rows]
     _write(args, "compare.csv", [",".join(keys)] + lines)
     _write(args, "compare.json", [json.dumps([dict(zip(keys, row)) for row in rows], indent=2)])
-    if not result.converged:
-        return 4
-    return 0
+    return _convergence_code(result)
 
 
 def _cmd_verify(args) -> int:
-    if args.samples < 1:
-        print("error: --samples must be positive", file=sys.stderr)
-        return 2
     total = 0
     results = []
     if args.kind in ("pursuer", "both"):

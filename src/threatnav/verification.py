@@ -63,8 +63,6 @@ def pursuit_equivalence_sweep(
             side = 1.0 if u < 0.5 else -1.0
             offset = max(_MARGIN * R * 1.0001, boundary * 10.0**exponent)
             dist = boundary + side * offset
-            if dist <= 1e-9:
-                dist = boundary + offset  # zone collapsed to the capture disk
             ang = heading - xi + math.pi
             pos = Point2(dist * math.cos(ang), dist * math.sin(ang))
             analytic = dist <= rho_scale * boundary

@@ -55,6 +55,15 @@ class TestEzBoundary:
     def test_bad_flag_is_usage_error(self):
         assert main(["ez-boundary", "--era", "jazz"]) == 2
 
+    def test_negative_mu_is_domain_error(self, tmp_path, capsys):
+        rc = main(
+            ["ez-boundary", "--kind", "turret", "--mu", "-1", "--R", "1",
+             "--output-dir", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: mu must be positive and finite, got -1.0\n"
+        assert not (tmp_path / "out").exists()
+
     def test_deterministic_output(self, tmp_path):
         args = [
             "ez-boundary", "--kind", "pursuer", "--mu", "0.7", "--R", "1",
@@ -198,6 +207,37 @@ class TestPlan:
         assert main(["plan", str(scen), "--format", "csv", "--output-dir", "flag"]) == 0
         assert sorted(p.name for p in (tmp_path / "flag").iterdir()) == ["trajectory.csv"]
 
+    @pytest.mark.parametrize(
+        "command, files",
+        [("plan", ["result.json", "trajectory.csv"]), ("compare", ["compare.csv", "compare.json"])],
+    )
+    def test_not_converged_exit_code(self, tmp_path, capsys, command, files):
+        data = json.loads(GOLDEN.read_text())
+        data["planner"]["max_iterations"] = 1
+        scen = tmp_path / "short.json"
+        scen.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main([command, str(scen), "--output-dir", str(out)]) == 4
+        assert capsys.readouterr().err == "planner did not converge; partial output written\n"
+        assert sorted(p.name for p in out.iterdir()) == files
+        if command == "plan":
+            assert json.loads((out / "result.json").read_text())["converged"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ez-boundary", "--kind", "pursuer", "--mu", "0.7", "--R", "1"],
+            ["plan", str(GOLDEN)],
+            ["compare", str(GOLDEN)],
+        ],
+        ids=["ez-boundary", "plan", "compare"],
+    )
+    def test_output_dir_is_a_file_exit_code(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        assert main(argv + ["--output-dir", str(blocker)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{blocker}'\n"
+
     def test_turret_scenario_planning(self, tmp_path):
         rc = main(["plan", str(TURRET), "--output-dir", str(tmp_path)])
         assert rc == 0
@@ -225,6 +265,18 @@ class TestCompare:
         empty.write_text(json.dumps(data))
         assert main(["compare", str(empty), "--output-dir", str(tmp_path)]) == 2
 
+    def test_endpoint_inside_baseline_circle_exit_code(self, tmp_path, capsys):
+        data = json.loads(GOLDEN.read_text())
+        data["agent"]["start"] = [-1.5, 0.0]  # outside the capturability disk, inside Worst
+        scen = tmp_path / "near.json"
+        scen.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["compare", str(scen), "--output-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "infeasible: endpoint inside the Worst circle (d0=1.5, df=3, radius=2)\n"
+        )
+        assert not out.exists()
+
 
 class TestVerify:
     def test_small_clean_sweep(self, capsys):
@@ -242,3 +294,12 @@ class TestVerify:
 
     def test_bad_samples_usage_error(self):
         assert main(["verify", "--samples", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--seed", "-1"), ("--corrupt-rho", "nan")], ids=["negative_seed", "nan_corruption"]
+    )
+    def test_bad_numeric_flag_usage_error(self, capsys, flag, value):
+        assert main(["verify", "--samples", "5", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}: " in captured.err

@@ -13,6 +13,7 @@ from threatnav.geometry import Point2, distance
 from threatnav.planner import (
     AgentConfig,
     PlannerOptions,
+    PlanResult,
     Scenario,
     TranscribedProblem,
     clearances_along,
@@ -210,6 +211,23 @@ class TestResampleAndVerify:
     def test_rejects_small_factor(self, golden_plan):
         with pytest.raises(ValueError):
             resample_and_verify(golden_plan, golden_scenario(), 1)
+
+    def test_oracle_overrules_a_clearance_that_calls_the_zone_safe(self, monkeypatch):
+        # off the chord, so no dense point lands on the pursuer itself
+        threat = PursuerThreat(Point2(0.1, 0.2), mu=MU, engagement_range=RANGE, capture_radius=CAPTURE)
+        scen = Scenario(GOLDEN_AGENT, (threat,), PlannerOptions(constraint_tolerance=1e-4))
+        chord = initialize(scen, "straight_line")
+        blocked = PlanResult(chord, float(chord.times[-1]), False, -math.inf, 0)
+        assert resample_and_verify(blocked, scen, 10).oracle_disagreements == 0
+
+        dense = np.column_stack([np.linspace(-3.0, 3.0, 991), np.zeros(991)])
+        inside = int(np.count_nonzero(threat.clearance(dense, np.zeros(991)) <= 1e-4))
+        true_clearance = PursuerThreat.clearance
+        monkeypatch.setattr(PursuerThreat, "clearance", lambda self, q, psi: true_clearance(self, q, psi) + 10.0)
+        rep = resample_and_verify(blocked, scen, 10)
+        assert rep.points_checked == 991
+        assert inside > 0
+        assert rep.oracle_disagreements == inside
 
 
 class TestInitialize:
