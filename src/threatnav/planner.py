@@ -4,10 +4,10 @@ Transcription: a uniform time grid with the terminal time as a decision
 variable and one piecewise-constant heading per segment. Node positions
 are chained forward from the start, so the decision vector is exactly
 n_nodes long (n_nodes - 1 headings plus the terminal time). The zone
-constraint is imposed at every node for every threat: pursuer zones via
-the aspect-angle clearance with the node's segment heading, turret zones
-via the chord-threshold ray test. Each threat computes its own clearance
-and its pose gradient for a batch of poses, and SLSQP solves the program
+constraint has one row per node pose and threat: pursuer zones via the
+aspect-angle clearance with the node's segment heading, turret zones via
+the chord-threshold ray test. Each threat computes its own clearance and
+its pose gradient for a batch of poses, and SLSQP solves the program
 with one analytic constraint Jacobian chained from those gradients. The
 planner knows a threat only through the ``Threat`` protocol, so a new
 zone kind needs no code here.
@@ -19,15 +19,25 @@ a degenerate saddle and is never solved; the solver starts from
 deterministic bowed detours on both sides instead (and from the
 circumnav_reach or custom warm start when one is chosen, adding the
 detours only when that one is blocked too), and keeps the best feasible
-result. Each solve logs one debug line to the ``threatnav.planner``
-logger.
+result.
+
+Grids finer than _COARSE_NODES are solved coarse to fine. The scenario
+is first planned on the coarse grid, and that plan, packed onto the fine
+grid, is the only warm start. SLSQP sees only the rows whose clearance
+there is below _SCREEN_FRACTION of their threat's extent; after each
+solve every row is checked again, and any screened-out row below
+-constraint_tolerance joins the next solve from that result. When the
+coarse plan did not converge, or is an unsolved clear chord, the fine
+grid is solved from the warm starts above with every row. ``converged``
+and ``min_clearance`` always come from every row. Each solve logs one
+debug line to the ``threatnav.planner`` logger.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -46,6 +56,13 @@ from .turret import TurretThreat, turret_clearance  # noqa: F401
 # the oracles keyed by kind in resample_and_verify.
 
 _log = logging.getLogger(__name__)
+
+_COARSE_NODES = 50  # finer grids start from a plan on this one
+# Rows whose warm-start clearance is below this share of their threat's
+# extent enter the first fine solve. The share guards more than speed: at
+# 0, golden n=100 and n=200 converge to local optima 12% and 23% slower,
+# and adding the violated rows afterwards does not undo that.
+_SCREEN_FRACTION = 0.1
 
 
 class Threat(Protocol):
@@ -192,35 +209,46 @@ class TranscribedProblem:
 
     # -- zone clearances ----------------------------------------------------
 
-    def _poses(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The 2n-2 constrained poses: points (2n-2 x 2) and their headings."""
-        return self.positions(z)[self._node_idx], z[:-1][self._head_idx]
+    def _rows(self, rows: Optional[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per threat, the node and heading index of each constrained pose it keeps.
 
-    def clearances(self, z: np.ndarray) -> np.ndarray:
-        """Stacked per-pose clearance, one block of 2n-2 values per threat."""
-        points, headings = self._poses(z)
-        blocks = [t.clearance(points, headings) for t in self.threats]
+        ``rows`` marks the kept rows of the stacked constraint vector; None,
+        like a mask that marks them all, keeps all 2n-2 per threat.
+        """
+        if rows is None or rows.all():
+            return [(self._node_idx, self._head_idx)] * len(self.threats)
+        keep = np.reshape(rows, (len(self.threats), len(self._node_idx)))
+        return [(self._node_idx[k], self._head_idx[k]) for k in keep]
+
+    def clearances(self, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Stacked per-pose clearance, one block of 2n-2 values per threat (only ``rows`` if given)."""
+        points, psi = self.positions(z), z[:-1]
+        blocks = [t.clearance(points[nodes], psi[heads]) for t, (nodes, heads) in zip(self.threats, self._rows(rows))]
         return np.concatenate(blocks) if blocks else np.zeros(0)
 
-    def clearance_jacobian(self, z: np.ndarray) -> np.ndarray:
-        points, headings = self._poses(z)
-        blocks = [self._chain(z, points, *t.clearance_gradient(points, headings)) for t in self.threats]
+    def clearance_jacobian(self, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        points, psi = self.positions(z), z[:-1]
+        blocks = []
+        for t, (nodes, heads) in zip(self.threats, self._rows(rows)):
+            pose_points = points[nodes]
+            gradient = t.clearance_gradient(pose_points, psi[heads])
+            blocks.append(self._chain(z, nodes, heads, pose_points, *gradient))
         return np.vstack(blocks) if blocks else np.zeros((0, len(z)))
 
-    def _chain(self, z, points, gx, gy, gpsi) -> np.ndarray:
+    def _chain(self, z, nodes, heads, points, gx, gy, gpsi) -> np.ndarray:
         """Jacobian rows of the pose clearances from their pose gradients."""
         n = self.n
         psi, t_f = z[:-1], z[-1]
         dt = t_f / (n - 1)
-        m = len(self._node_idx)
+        m = len(nodes)
         jac = np.zeros((m, n))
         # position chain: node k depends on headings 0..k-1
         sens = self.speed * dt * np.stack([-np.sin(psi), np.cos(psi)], axis=1)
         full = gx[:, None] * sens[None, :, 0] + gy[:, None] * sens[None, :, 1]
-        mask = np.arange(n - 1)[None, :] < self._node_idx[:, None]
+        mask = np.arange(n - 1)[None, :] < nodes[:, None]
         jac[:, : n - 1] = np.where(mask, full, 0.0)
         # direct dependence on the pose's own heading
-        jac[np.arange(m), self._head_idx] += gpsi
+        jac[np.arange(m), heads] += gpsi
         # terminal-time column through the node positions
         rel = points - self.a0
         jac[:, -1] = (gx * rel[:, 0] + gy * rel[:, 1]) / t_f
@@ -288,10 +316,13 @@ def plan(scenario: Scenario) -> PlanResult:
     """Solve the minimum-time problem for the scenario.
 
     A chord that clears every zone at every node pose is returned as is
-    (0 iterations): no path is faster. Otherwise the warm starts that can
-    win are solved (the two detours for straight_line; the chosen warm
-    start, plus the detours when it is blocked, for circumnav_reach and
-    custom) and the best feasible result is kept.
+    (0 iterations): no path is faster. A grid finer than _COARSE_NODES is
+    solved from the coarse grid's plan over the rows that can bind, as
+    the module docstring says. Otherwise the warm starts that can win are
+    solved (the two detours for straight_line; the chosen warm start,
+    plus the detours when it is blocked, for circumnav_reach and custom)
+    and the best feasible result is kept. ``iterations`` counts every
+    solve, the coarse grid's included.
 
     Raises InfeasibleError when an endpoint sits strictly inside a
     threat's keep-out disk (a pursuer's capturability disk). Returns the
@@ -316,37 +347,58 @@ def plan(scenario: Scenario) -> PlanResult:
         _log.debug("chord clear: returned unsolved, t_f %.12g, min clearance %.6g", chord_time, min_clear)
         return PlanResult(problem.unpack(chord), chord_time, True, min_clear, 0)
 
-    if not seeds or not np.all(problem.clearances(seeds[0][1]) >= 0.0):
+    rows = np.ones(clear.size, dtype=bool)
+    coarse = None
+    if opts.n_nodes > _COARSE_NODES:
+        coarse = plan(replace(scenario, options=replace(opts, n_nodes=_COARSE_NODES)))
+    total_nit = coarse.iterations if coarse is not None else 0
+    # a coarse plan of 0 iterations is its clear chord, which says nothing of the blocked fine one
+    if coarse is not None and coarse.converged and coarse.iterations > 0:
+        z0 = problem.pack(coarse.trajectory)
+        extents = np.repeat([t.extent for t in scenario.threats], clear.size // len(scenario.threats))
+        seeds, rows = [("coarse", z0)], problem.clearances(z0) < _SCREEN_FRACTION * extents
+    elif not seeds or not np.all(problem.clearances(seeds[0][1]) >= 0.0):
         seeds.extend(zip(("detour+", "detour-"), (problem.pack(t) for t in _detour_seeds(scenario))))
 
-    constraints = [
-        {"type": "eq", "fun": problem.endpoint, "jac": problem.endpoint_jacobian},
-        {"type": "ineq", "fun": problem.clearances, "jac": problem.clearance_jacobian},
-    ]
     n_vars = opts.n_nodes
     grad = np.zeros(n_vars)
     grad[-1] = 1.0
     bounds = [(None, None)] * (n_vars - 1) + [(chord_time * (1.0 - 1e-12), None)]
 
     best = None  # (key, z, success, feasible)
-    total_nit = 0
     for name, z0 in seeds:
-        res = minimize(
-            lambda z: z[-1],
-            z0,
-            jac=lambda z: grad,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=constraints,
-            options={"maxiter": opts.max_iterations, "ftol": opts.opt_tolerance},
-        )
-        total_nit += int(res.nit)
-        z = res.x
-        viol = _max_violation(problem, z)
-        _log.debug(
-            "seed %s: nit %d, status %d (%s), t_f %.12g, violation %.3g",
-            name, res.nit, res.status, res.message, z[-1], viol,
-        )
+        keep = rows.copy()
+        while True:
+            res = minimize(
+                lambda z: z[-1],
+                z0,
+                jac=lambda z: grad,
+                method="SLSQP",
+                bounds=bounds,
+                constraints=[
+                    {"type": "eq", "fun": problem.endpoint, "jac": problem.endpoint_jacobian},
+                    {
+                        "type": "ineq",
+                        "fun": lambda z: problem.clearances(z, keep),
+                        "jac": lambda z: problem.clearance_jacobian(z, keep),
+                    },
+                ],
+                options={"maxiter": opts.max_iterations, "ftol": opts.opt_tolerance},
+            )
+            total_nit += int(res.nit)
+            z = res.x
+            clear = problem.clearances(z)
+            viol = _max_violation(problem, z, clear)
+            _log.debug(
+                "seed %s: n %d, rows %d/%d, nit %d, status %d (%s), t_f %.12g, violation %.3g",
+                name, opts.n_nodes, np.count_nonzero(keep), keep.size, res.nit, res.status, res.message,
+                z[-1], viol,
+            )
+            missed = ~keep & (clear < -opts.constraint_tolerance)
+            if not missed.any():
+                break
+            keep |= missed
+            z0 = z
         feasible = viol <= opts.constraint_tolerance
         key = (0, float(z[-1])) if feasible else (1, viol)
         if best is None or key < best[0]:
@@ -440,9 +492,9 @@ def _reach_threat(threats: Sequence[Threat]) -> Threat:
     raise ValueError("circumnav_reach initialization needs a threat with a keep-out disk (a pursuer)")
 
 
-def _max_violation(problem: TranscribedProblem, z: np.ndarray) -> float:
+def _max_violation(problem: TranscribedProblem, z: np.ndarray, clear: np.ndarray) -> float:
+    """Largest endpoint miss or zone violation of z, whose every clearance row is ``clear``."""
     viol = float(np.max(np.abs(problem.endpoint(z))))
-    clear = problem.clearances(z)
     if clear.size:
         viol = max(viol, float(-np.min(np.minimum(clear, 0.0))))
     return viol

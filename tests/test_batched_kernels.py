@@ -269,7 +269,7 @@ def reference_fd_jacobian(self, threat, z):
     """One threat's constraint Jacobian by column-by-column central differences."""
 
     def block(zz):
-        return threat.clearance(*self._poses(zz))
+        return threat.clearance(self.positions(zz)[self._node_idx], zz[:-1][self._head_idx])
 
     jac = np.zeros((len(self._node_idx), len(z)))
     for j in range(len(z)):

@@ -92,12 +92,24 @@ class TestSeedRule:
         assert res.min_clearance > 0.0
 
     def test_circumnav_reach_warm_start_is_solved(self, solves):
-        scen = golden_scenario(initialization="circumnav_reach")
+        scen = golden_scenario(n_nodes=50, initialization="circumnav_reach")
         reach = transcribe(scen).pack(initialize(scen, "circumnav_reach"))
         res = plan(scen)
         assert len(solves) == 1  # the Reach path clears the zone, so no detours
         assert np.array_equal(solves[0], reach)
         assert res.converged
+
+    def test_fine_grid_solves_once_from_the_packed_coarse_plan(self, solves):
+        coarse_scen = golden_scenario(n_nodes=50, initialization="circumnav_reach")
+        coarse = plan(coarse_scen)
+        solves.clear()
+        scen = golden_scenario(initialization="circumnav_reach")
+        res = plan(scen)
+        assert len(solves) == 2  # the coarse Reach solve, then one fine round
+        assert np.array_equal(solves[0], transcribe(coarse_scen).pack(initialize(coarse_scen, "circumnav_reach")))
+        assert np.array_equal(solves[1], transcribe(scen).pack(coarse.trajectory))
+        assert res.converged
+        assert res.iterations > coarse.iterations
 
     def test_nan_clearance_blocks_the_chord(self, solves, monkeypatch):
         real = PursuerThreat.clearance
@@ -119,11 +131,19 @@ class TestSeedRule:
         with caplog.at_level(logging.DEBUG, logger="threatnav.planner"):
             plan(golden_scenario(n_nodes=50))
             plan(far_scenario())
+            plan(golden_scenario(n_nodes=100))
         lines = [r.getMessage() for r in caplog.records if r.name == "threatnav.planner"]
-        assert [line.split(":")[0] for line in lines] == ["seed detour+", "seed detour-", "chord clear"]
-        assert all("nit" in line and "status" in line and "violation" in line for line in lines[:2])
+        assert [line.split(":")[0] for line in lines] == [
+            "seed detour+", "seed detour-", "chord clear", "seed detour+", "seed detour-", "seed coarse",
+        ]
+        solved = lines[:2] + lines[3:]
+        assert all("nit" in line and "status" in line and "violation" in line for line in solved)
+        assert all(", rows 98/98, " in line for line in lines[:2] + lines[3:5])
+        assert [line.split(", ")[0].split(": ")[1] for line in solved] == ["n 50"] * 4 + ["n 100"]
+        kept, total = map(int, lines[5].split(", rows ")[1].split(",")[0].split("/"))
+        assert 0 < kept < total == 198
 
-    @pytest.mark.parametrize("n_nodes", [50, 100])
+    @pytest.mark.parametrize("n_nodes", [50, 100, 400])
     def test_iterations_steady_under_last_bit_noise(self, monkeypatch, n_nodes):
         scen = golden_scenario(n_nodes=n_nodes)
         base = plan(scen)
@@ -142,6 +162,43 @@ class TestSeedRule:
             times.append(res.t_f)
         assert max(iterations) - min(iterations) <= 0.1 * statistics.median(iterations)
         assert max(times) - min(times) <= 1e-12
+
+
+class TestCoarseToFine:
+    """Grids above 50 nodes: coarse plan, screened rows, re-check of every row."""
+
+    @pytest.mark.parametrize("n_nodes, full_solve_tf", [(100, 7.0339238593979445), (200, 7.0299017707836216)])
+    def test_reaches_the_full_solve(self, n_nodes, full_solve_tf):
+        res = plan(golden_scenario(n_nodes=n_nodes))
+        assert res.converged
+        assert res.t_f == pytest.approx(full_solve_tf, rel=1e-8)
+
+    def test_recheck_adds_the_rows_the_screen_missed(self, solves, monkeypatch, caplog):
+        monkeypatch.setattr(planner, "_SCREEN_FRACTION", 0.0)
+        scen = golden_scenario(n_nodes=100)
+        with caplog.at_level(logging.DEBUG, logger="threatnav.planner"):
+            res = plan(scen)
+        fine = [r.getMessage() for r in caplog.records if r.getMessage().startswith("seed coarse")]
+        kept = [int(line.split(", rows ")[1].split("/")[0]) for line in fine]
+        assert len(solves) == 2 + len(fine) and len(fine) >= 2
+        assert kept == sorted(set(kept))  # each round keeps more rows
+        assert res.converged
+        assert res.min_clearance >= -scen.options.constraint_tolerance
+
+    def test_coarse_clear_chord_falls_back_to_every_row(self, solves, caplog):
+        # the disk sits on a node of the 101-node chord and between two of the 50-node one
+        scen = Scenario(
+            AgentConfig(Point2(-3, 0), Point2(3, 0), speed=1.0),
+            (DiskThreat(Point2(0.0, 0.0), 0.05),),
+            PlannerOptions(n_nodes=101, constraint_tolerance=1e-4),
+        )
+        with caplog.at_level(logging.DEBUG, logger="threatnav.planner"):
+            res = plan(scen)
+        lines = [r.getMessage() for r in caplog.records if r.name == "threatnav.planner"]
+        assert [line.split(":")[0] for line in lines] == ["chord clear", "seed detour+", "seed detour-"]
+        assert all("n 101, rows 200/200," in line for line in lines[1:])
+        assert len(solves) == 2
+        assert res.converged
 
 
 class TestGolden:
