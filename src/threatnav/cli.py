@@ -5,10 +5,12 @@ error (including a numeric flag that is not finite or is below its
 bound, a scenario path that cannot be read as UTF-8 JSON: a missing
 file, a directory, bad bytes, an integer literal past Python's digit
 limit, and an output directory that cannot be made), 3 infeasible
-scenario (for ``compare`` also an endpoint inside a baseline circle),
-4 planner did not converge (partial output is still written). Handlers
-return 0, 1 or 4 and raise the rest; ``main`` alone maps an exception
-to its code. All numeric output uses 9 significant digits.
+scenario (``compare`` builds its baselines before it plans, so an
+endpoint inside a baseline circle, the capturability disk that Reach
+rings included, exits 3 naming that circle before any solve), 4 planner
+did not converge (partial output is still written). Handlers return 0,
+1 or 4 and raise the rest; ``main`` alone maps an exception to its code.
+All numeric output uses 9 significant digits.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .circumnav import circumnavigate, percent_difference, standard_specs
 from .errors import DomainError, InfeasibleError
@@ -237,7 +237,7 @@ def _cmd_plan(args) -> int:
 def _trajectory_lines(traj, threats):
     """trajectory.csv lines; a generator, so a skipped CSV computes no clearances."""
     clear = clearances_along(traj, threats)
-    psi_node = np.append(traj.headings, traj.headings[-1]) if len(traj.headings) else [0.0]
+    psi_node = traj.node_headings
     yield ",".join(["t", "x", "y", "psi"] + [f"clearance_{j}" for j in range(len(threats))])
     for i in range(len(traj.points)):
         vals = [traj.times[i], traj.points[i, 0], traj.points[i, 1], psi_node[i]]
@@ -250,12 +250,16 @@ def _cmd_compare(args) -> int:
     if len(scen.threats) != 1 or not isinstance(scen.threats[0], PursuerThreat):
         raise DomainError("compare requires a scenario with exactly one pursuer")
     threat = scen.threats[0]
+    # The baselines go first: an endpoint inside one of their circles exits 3 before any solve.
+    circs = [
+        (spec, circumnavigate(scen.agent.start, scen.agent.goal, threat.position, spec, scen.agent.speed))
+        for spec in standard_specs(threat)
+    ]
     result = plan(scen)
-
-    rows = []
-    for spec in standard_specs(threat):
-        circ = circumnavigate(scen.agent.start, scen.agent.goal, threat.position, spec, scen.agent.speed)
-        rows.append((spec.label, spec.radius, circ.t_f, result.t_f, percent_difference(result.t_f, circ.t_f)))
+    rows = [
+        (spec.label, spec.radius, circ.t_f, result.t_f, percent_difference(result.t_f, circ.t_f))
+        for spec, circ in circs
+    ]
 
     header = f"{'label':<8}{'radius':>14}{'t_circumnav':>16}{'t_ez':>14}{'pct_diff':>12}"
     print(header)

@@ -124,6 +124,8 @@ class PlannerOptions:
             raise ValueError("tolerances must be positive")
         if self.initialization not in ("straight_line", "circumnav_reach", "custom"):
             raise ValueError(f"unknown initialization {self.initialization!r}")
+        if self.initialization == "custom" and self.custom_trajectory is None:
+            raise ValueError("custom initialization requires a trajectory")
 
 
 @dataclass(frozen=True)
@@ -276,12 +278,12 @@ def transcribe(scenario: Scenario) -> TranscribedProblem:
     return TranscribedProblem(scenario)
 
 
-def initialize(scenario: Scenario, mode: str, custom: Optional[Trajectory] = None) -> Trajectory:
+def initialize(scenario: Scenario, mode: str) -> Trajectory:
     """Warm-start trajectory for the solver.
 
     straight_line is the constant-heading chord; circumnav_reach rides the
     keep-out circle of the first threat that has one (a pursuer's
-    capturability disk); custom passes a caller-supplied trajectory
+    capturability disk); custom passes the options' custom_trajectory
     through.
     """
     agent = scenario.agent
@@ -305,10 +307,9 @@ def initialize(scenario: Scenario, mode: str, custom: Optional[Trajectory] = Non
         result = _circ.circumnavigate(agent.start, agent.goal, threat.position, spec, agent.speed)
         return Trajectory.from_polyline(_resample_equal_arc(result.path.points, n), agent.speed)
     if mode == "custom":
-        chosen = custom if custom is not None else scenario.options.custom_trajectory
-        if chosen is None:
+        if scenario.options.custom_trajectory is None:
             raise ValueError("custom initialization requires a trajectory")
-        return chosen
+        return scenario.options.custom_trajectory
     raise ValueError(f"unknown initialization mode {mode!r}")
 
 
@@ -416,13 +417,8 @@ def plan(scenario: Scenario) -> PlanResult:
 
 def clearances_along(trajectory: Trajectory, threats: Sequence[Threat]) -> np.ndarray:
     """Per-node clearance matrix (n_nodes x n_threats) for reporting."""
-    n = len(trajectory.points)
-    psi_node = (
-        np.append(trajectory.headings, trajectory.headings[-1])
-        if len(trajectory.headings)
-        else np.zeros(n)
-    )
-    out = np.zeros((n, len(threats)))
+    psi_node = trajectory.node_headings
+    out = np.zeros((len(trajectory.points), len(threats)))
     for j, threat in enumerate(threats):
         out[:, j] = threat.clearance(trajectory.points, psi_node)
     return out

@@ -3,6 +3,11 @@
 Schema v1, strict: unknown keys are rejected with a location-bearing
 error so typos never silently change a run. Parsing and serialization
 round-trip exactly.
+
+One table entry describes each section (agent, planner, output and each
+threat kind): its class and its (json key, field name, parser) triples in
+file order; a key is optional when its field has a default. ``_section``
+reads any section by its entry and ``_section_dict`` writes it.
 """
 
 from __future__ import annotations
@@ -19,24 +24,6 @@ from .turret import TurretThreat
 
 SCHEMA_VERSION = 1
 
-_AGENT_KEYS = {"start", "goal", "speed"}
-# Each threat kind: its class and its (json key, field name) pairs in file
-# order. A key is optional when its field has a default.
-_THREAT_KINDS = {
-    "pursuer": (PursuerThreat, (("position", "position"), ("mu", "mu"), ("range", "engagement_range"),
-                                ("capture_radius", "capture_radius"))),
-    "turret": (TurretThreat, (("position", "position"), ("mu", "mu"), ("range", "engagement_range"),
-                              ("look_angle", "look_angle"))),
-}
-_KIND_OF = {cls: kind for kind, (cls, _) in _THREAT_KINDS.items()}
-_PLANNER_KEYS = {
-    "n_nodes",
-    "constraint_tolerance",
-    "opt_tolerance",
-    "max_iterations",
-    "initialization",
-}
-_OUTPUT_KEYS = {"dir", "formats"}
 _FORMATS = ("csv", "json")
 _TOP_KEYS = {"schema_version", "agent", "threats", "planner", "output"}
 
@@ -80,58 +67,24 @@ def scenario_from_dict(data: Any) -> ScenarioDocument:
     if version != SCHEMA_VERSION:
         raise ScenarioError("$.schema_version", f"unsupported schema version {version!r}")
 
-    agent_raw = _require(data, "agent", "$")
-    _reject_unknown(agent_raw, _AGENT_KEYS, "$.agent")
-    agent = _build(
-        AgentConfig,
-        "$.agent",
-        start=_point(_require(agent_raw, "start", "$.agent"), "$.agent.start"),
-        goal=_point(_require(agent_raw, "goal", "$.agent"), "$.agent.goal"),
-        speed=_number(_require(agent_raw, "speed", "$.agent"), "$.agent.speed"),
-    )
-
+    agent = _section(_AGENT, _require(data, "agent", "$"), "$.agent")
     threats_raw = data.get("threats", [])
     if not isinstance(threats_raw, list):
         raise ScenarioError("$.threats", "must be an array")
-    threats = [_threat(raw, f"$.threats[{i}]") for i, raw in enumerate(threats_raw)]
-    options = _planner_options(data.get("planner", {}), threats)
-
-    output_raw = data.get("output", {})
-    _reject_unknown(output_raw, _OUTPUT_KEYS, "$.output")
-    directory = output_raw.get("dir")
-    if directory is not None and not isinstance(directory, str):
-        raise ScenarioError("$.output.dir", f"expected a string or null, got {directory!r}")
-    formats = output_raw.get("formats", list(_FORMATS))
-    if not (isinstance(formats, list) and all(fmt in _FORMATS for fmt in formats)):
-        raise ScenarioError("$.output.formats", f'expected an array of "csv"/"json", got {formats!r}')
-
-    return ScenarioDocument(
-        scenario=Scenario(agent=agent, threats=tuple(threats), options=options),
-        output=OutputConfig(directory=directory, formats=tuple(formats)),
-    )
+    threats = tuple(_threat(raw, f"$.threats[{i}]") for i, raw in enumerate(threats_raw))
+    options = _section(_PLANNER, data.get("planner", {}), "$.planner", threats=threats)
+    output = _section(_OUTPUT, data.get("output", {}), "$.output")
+    return ScenarioDocument(scenario=Scenario(agent=agent, threats=threats, options=options), output=output)
 
 
 def scenario_to_dict(doc: ScenarioDocument) -> dict:
     scen = doc.scenario
     return {
         "schema_version": SCHEMA_VERSION,
-        "agent": {
-            "start": [scen.agent.start.x, scen.agent.start.y],
-            "goal": [scen.agent.goal.x, scen.agent.goal.y],
-            "speed": scen.agent.speed,
-        },
+        "agent": _section_dict(_AGENT, scen.agent),
         "threats": [_threat_to_dict(t) for t in scen.threats],
-        "planner": {
-            "n_nodes": scen.options.n_nodes,
-            "constraint_tolerance": scen.options.constraint_tolerance,
-            "opt_tolerance": scen.options.opt_tolerance,
-            "max_iterations": scen.options.max_iterations,
-            "initialization": scen.options.initialization,
-        },
-        "output": {
-            "dir": doc.output.directory,
-            "formats": list(doc.output.formats),
-        },
+        "planner": _section_dict(_PLANNER, scen.options),
+        "output": _section_dict(_OUTPUT, doc.output),
     }
 
 
@@ -141,47 +94,36 @@ def _threat(raw: Any, location: str):
     kind = _require(raw, "kind", location)
     if not (isinstance(kind, str) and kind in _THREAT_KINDS):
         raise ScenarioError(f"{location}.kind", f"unknown threat kind {kind!r}")
-    cls, keys = _THREAT_KINDS[kind]
-    _reject_unknown(raw, {"kind"} | {key for key, _ in keys}, location)
-    optional = {f.name for f in fields(cls) if f.default is not MISSING}
-    values = {}
-    for key, name in keys:
-        if key in raw or name not in optional:
-            parse = _point if key == "position" else _number
-            values[name] = parse(_require(raw, key, location), f"{location}.{key}")
-    return _build(cls, location, **values)
+    return _section(_THREAT_KINDS[kind], {k: v for k, v in raw.items() if k != "kind"}, location)
 
 
 def _threat_to_dict(threat) -> dict:
     kind = _KIND_OF[type(threat)]
-    out = {"kind": kind}
-    for key, name in _THREAT_KINDS[kind][1]:
-        value = getattr(threat, name)
-        out[key] = [value.x, value.y] if key == "position" else value
-    return out
+    return {"kind": kind, **_section_dict(_THREAT_KINDS[kind], threat)}
 
 
-def _planner_options(raw: Any, threats: list) -> PlannerOptions:
-    _reject_unknown(raw, _PLANNER_KEYS, "$.planner")
+def _section(spec, raw: Any, location: str, **context):
+    """Parse one section by its table entry, calling ``parse(value, location, **context)`` per key."""
+    cls, keys = spec
+    _reject_unknown(raw, {key for key, _, _ in keys}, location)
+    optional = {f.name for f in fields(cls) if f.default is not MISSING}
     values = {}
-    for key, value in raw.items():
-        loc = f"$.planner.{key}"
-        if key in ("n_nodes", "max_iterations"):
-            values[key] = _integer(value, loc)
-        elif key == "initialization":
-            if value == "custom":
-                raise ScenarioError(loc, "custom initialization needs a trajectory; use the library")
-            if value == "circumnav_reach":
-                try:
-                    _reach_threat(threats)  # the rule and message of initialize
-                except ValueError as exc:
-                    raise ScenarioError(loc, str(exc)) from exc
-            if value not in ("straight_line", "circumnav_reach"):
-                raise ScenarioError(loc, f"unknown initialization {value!r}")
-            values[key] = value
-        else:
-            values[key] = _number(value, loc)
-    return _build(PlannerOptions, "$.planner", **values)
+    for key, name, parse in keys:
+        if key in raw or name not in optional:
+            values[name] = parse(_require(raw, key, location), f"{location}.{key}", **context)
+    return _build(cls, location, **values)
+
+
+def _section_dict(spec, obj) -> dict:
+    """The file form of ``obj``, every key of its table entry in order."""
+    return {key: _unparse(getattr(obj, name)) for key, name, _ in spec[1]}
+
+
+def _unparse(value: Any) -> Any:
+    """The JSON form of a parsed field value: a point as [x, y], a tuple as an array."""
+    if isinstance(value, Point2):
+        return [value.x, value.y]
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _build(cls, location: str, **values):
@@ -206,7 +148,7 @@ def _require(raw: dict, key: str, location: str) -> Any:
     return raw[key]
 
 
-def _number(value: Any, location: str) -> float:
+def _number(value: Any, location: str, **_) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(location, f"expected a number, got {value!r}")
     try:
@@ -215,13 +157,58 @@ def _number(value: Any, location: str) -> float:
         raise ScenarioError(location, str(exc)) from exc
 
 
-def _integer(value: Any, location: str) -> int:
+def _integer(value: Any, location: str, **_) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(location, f"expected an integer, got {value!r}")
     return value
 
 
-def _point(value: Any, location: str) -> Point2:
+def _point(value: Any, location: str, **_) -> Point2:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ScenarioError(location, f"expected [x, y], got {value!r}")
     return _build(Point2, location, x=_number(value[0], location), y=_number(value[1], location))
+
+
+def _directory(value: Any, location: str, **_) -> Optional[str]:
+    if value is not None and not isinstance(value, str):
+        raise ScenarioError(location, f"expected a string or null, got {value!r}")
+    return value
+
+
+def _formats(value: Any, location: str, **_) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(fmt in _FORMATS for fmt in value)):
+        raise ScenarioError(location, f'expected an array of "csv"/"json", got {value!r}')
+    return tuple(value)
+
+
+def _initialization(value: Any, location: str, threats=(), **_) -> str:
+    if value == "custom":
+        raise ScenarioError(location, "custom initialization needs a trajectory; use the library")
+    if value == "circumnav_reach":
+        try:
+            _reach_threat(threats)  # the rule and message of initialize
+        except ValueError as exc:
+            raise ScenarioError(location, str(exc)) from exc
+    if value not in ("straight_line", "circumnav_reach"):
+        raise ScenarioError(location, f"unknown initialization {value!r}")
+    return value
+
+
+_AGENT = (AgentConfig, (("start", "start", _point), ("goal", "goal", _point), ("speed", "speed", _number)))
+_PLANNER = (
+    PlannerOptions,
+    (
+        ("n_nodes", "n_nodes", _integer),
+        ("constraint_tolerance", "constraint_tolerance", _number),
+        ("opt_tolerance", "opt_tolerance", _number),
+        ("max_iterations", "max_iterations", _integer),
+        ("initialization", "initialization", _initialization),
+    ),
+)
+_OUTPUT = (OutputConfig, (("dir", "directory", _directory), ("formats", "formats", _formats)))
+_ZONE = (("position", "position", _point), ("mu", "mu", _number), ("range", "engagement_range", _number))
+_THREAT_KINDS = {
+    "pursuer": (PursuerThreat, _ZONE + (("capture_radius", "capture_radius", _number),)),
+    "turret": (TurretThreat, _ZONE + (("look_angle", "look_angle", _number),)),
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in _THREAT_KINDS.items()}

@@ -55,6 +55,13 @@ class Trajectory:
     def t_f(self) -> float:
         return float(self.times[-1])
 
+    @property
+    def node_headings(self) -> np.ndarray:
+        """Each node's outgoing heading; the goal reuses the last one, a one-point path gets 0."""
+        if not len(self.headings):
+            return np.zeros(len(self.points))
+        return np.append(self.headings, self.headings[-1])
+
     def max_speed_violation(self) -> float:
         """Largest relative mismatch between segment length and speed * dt."""
         seg = np.hypot(*np.diff(self.points, axis=0).T)

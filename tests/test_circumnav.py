@@ -157,3 +157,10 @@ def test_from_polyline_drops_zero_length_segments():
     assert traj.points.tolist() == [[0.0, 0.0], [3.0, 4.0], [3.0, 6.0]]
     assert traj.times.tolist() == [0.0, 2.5, 3.5]
     assert traj.headings[1] == math.pi / 2
+
+
+def test_node_headings_reuse_the_last_segment_at_the_goal():
+    traj = Trajectory.from_polyline([(0.0, 0.0), (3.0, 4.0), (3.0, 6.0)], 2.0)
+    assert traj.node_headings.tolist() == [traj.headings[0], math.pi / 2, math.pi / 2]
+    single = Trajectory(times=[0.0], points=[[1.0, 2.0]], headings=[])
+    assert single.node_headings.tolist() == [0.0]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from threatnav import planner
 from threatnav.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios" / "golden.json"
@@ -265,17 +266,30 @@ class TestCompare:
         empty.write_text(json.dumps(data))
         assert main(["compare", str(empty), "--output-dir", str(tmp_path)]) == 2
 
-    def test_endpoint_inside_baseline_circle_exit_code(self, tmp_path, capsys):
+    def test_endpoint_inside_baseline_circle_exit_code(self, tmp_path, capsys, monkeypatch):
         data = json.loads(GOLDEN.read_text())
         data["agent"]["start"] = [-1.5, 0.0]  # outside the capturability disk, inside Worst
         scen = tmp_path / "near.json"
         scen.write_text(json.dumps(data))
         out = tmp_path / "out"
+        solves, solve = [], planner.minimize
+        monkeypatch.setattr(planner, "minimize", lambda *a, **k: solves.append(1) or solve(*a, **k))
         assert main(["compare", str(scen), "--output-dir", str(out)]) == 3
         assert capsys.readouterr().err == (
             "infeasible: endpoint inside the Worst circle (d0=1.5, df=3, radius=2)\n"
         )
         assert not out.exists()
+        assert solves == []  # the baselines reject the endpoint before any solve
+
+    def test_endpoint_inside_capturability_disk_names_reach(self, tmp_path, capsys):
+        data = json.loads(GOLDEN.read_text())
+        data["agent"]["start"] = [-0.5, 0.0]
+        scen = tmp_path / "inside.json"
+        scen.write_text(json.dumps(data))
+        assert main(["compare", str(scen), "--output-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("infeasible: endpoint inside the Reach circle (d0=0.5, ")
+        assert main(["plan", str(scen), "--output-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("infeasible: start lies inside a capturability disk (")
 
 
 class TestVerify:

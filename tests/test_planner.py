@@ -298,10 +298,9 @@ class TestInitialize:
     def test_circumnav_reach_feasible_warm_start(self):
         scen = golden_scenario()
         traj = initialize(scen, "circumnav_reach")
-        psi = np.append(traj.headings, traj.headings[-1])
         clear = [
             signed_clearance(Point2(*p), float(h), GOLDEN_THREAT)
-            for p, h in zip(traj.points, psi)
+            for p, h in zip(traj.points, traj.node_headings)
         ]
         assert min(clear) >= 0.0
 
@@ -311,7 +310,12 @@ class TestInitialize:
 
     def test_custom_passthrough(self):
         base = initialize(golden_scenario(), "straight_line")
-        assert initialize(golden_scenario(), "custom", custom=base) is base
+        scen = golden_scenario(initialization="custom", custom_trajectory=base)
+        assert initialize(scen, "custom") is base
+
+    def test_custom_without_trajectory_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="custom initialization requires a trajectory"):
+            PlannerOptions(initialization="custom")
 
 
 class TestFeasibilityScreen:

@@ -1,10 +1,12 @@
 import copy
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from threatnav import scenario_io
 from threatnav.geometry import Point2
 from threatnav.planner import AgentConfig, PlannerOptions, Scenario
 from threatnav.pursuit import PursuerThreat
@@ -190,6 +192,65 @@ def test_output_field_types_located(key, value):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(data)
     assert err.value.location == f"$.output.{key}"
+
+
+_TABLE = {
+    "agent": scenario_io._AGENT,
+    "planner": scenario_io._PLANNER,
+    "output": scenario_io._OUTPUT,
+    **scenario_io._THREAT_KINDS,
+}
+
+
+@pytest.mark.parametrize("section", sorted(_TABLE))
+def test_table_names_every_field_a_file_carries(section):
+    """Adding a field to a section's class without a key in its table entry fails here."""
+    cls, keys = _TABLE[section]
+    names = [name for _, name, _ in keys]
+    assert len({key for key, _, _ in keys}) == len(names) == len(set(names))
+    assert set(names) == {f.name for f in fields(cls)} - {"custom_trajectory"}
+
+
+def test_round_trip_every_key_off_default():
+    data = {
+        "schema_version": 1,
+        "agent": {"start": [-2.5, 0.25], "goal": [3.0, -0.5], "speed": 0.75},
+        "threats": [
+            {"kind": "pursuer", "position": [0.0, 0.5], "mu": 0.8, "range": 1.1, "capture_radius": 0.15},
+            {"kind": "turret", "position": [1.5, 1.0], "mu": 0.4, "range": 0.9, "look_angle": -0.3},
+            {"kind": "pursuer", "position": [-1.0, -2.0], "mu": 1.2, "range": 0.5},
+        ],
+        "planner": {
+            "n_nodes": 37,
+            "constraint_tolerance": 2e-5,
+            "opt_tolerance": 3e-9,
+            "max_iterations": 123,
+            "initialization": "circumnav_reach",
+        },
+        "output": {"dir": "runs/one", "formats": ["json"]},
+    }
+    doc = scenario_from_dict(data)
+    defaults = PlannerOptions()
+    assert all(
+        getattr(doc.scenario.options, f.name) != getattr(defaults, f.name)
+        for f in fields(PlannerOptions)
+        if f.name != "custom_trajectory"
+    )
+    assert doc.output == OutputConfig(directory="runs/one", formats=("json",))
+    assert doc.scenario.threats[2].capture_radius == 0.0
+    expected = copy.deepcopy(data)
+    expected["threats"][2]["capture_radius"] = 0.0  # written back at its default
+    assert scenario_to_dict(doc) == expected
+    assert scenario_from_dict(expected) == doc
+
+
+def test_planner_keys_checked_in_table_order():
+    """Two bad planner keys in reverse schema order: the first in the table is named."""
+    data = scenario_to_dict(sample_doc())
+    data["planner"] = {"max_iterations": 1.5, "n_nodes": "many"}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert str(err.value) == "$.planner.n_nodes: expected an integer, got 'many'"
 
 
 def _node_paths(value, path=()):
