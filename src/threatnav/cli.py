@@ -10,6 +10,8 @@ endpoint inside a baseline circle, the capturability disk that Reach
 rings included, exits 3 naming that circle before any solve), 4 planner
 did not converge (partial output is still written). Handlers return 0,
 1 or 4 and raise the rest; ``main`` alone maps an exception to its code.
+``compare`` on a pursuer with no Apol circle (mu >= 1 + r/R) reports
+the omitted circle as one ``note:`` line on stderr and exits 0.
 All numeric output uses 9 significant digits.
 """
 
@@ -19,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from .circumnav import circumnavigate, percent_difference, standard_specs
@@ -250,10 +253,15 @@ def _cmd_compare(args) -> int:
     if len(scen.threats) != 1 or not isinstance(scen.threats[0], PursuerThreat):
         raise DomainError("compare requires a scenario with exactly one pursuer")
     threat = scen.threats[0]
+    with warnings.catch_warnings(record=True) as omitted:
+        warnings.simplefilter("always")
+        specs = standard_specs(threat)
+    for warning in omitted:
+        print(f"note: {warning.message}", file=sys.stderr)
     # The baselines go first: an endpoint inside one of their circles exits 3 before any solve.
     circs = [
         (spec, circumnavigate(scen.agent.start, scen.agent.goal, threat.position, spec, scen.agent.speed))
-        for spec in standard_specs(threat)
+        for spec in specs
     ]
     result = plan(scen)
     rows = [

@@ -437,6 +437,10 @@ def resample_and_verify(result: PlanResult, scenario: Scenario, factor: int) -> 
     traj = result.trajectory
     tol = scenario.options.constraint_tolerance
     oracles = {PursuerThreat: pursuit_capture_possible, TurretThreat: turret_neutralization_possible}
+    for threat in scenario.threats:
+        if type(threat) not in oracles:
+            raise TypeError(f"resample_and_verify has no oracle for {type(threat).__name__}: "
+                            "it referees PursuerThreat and TurretThreat zones only")
     # factor points per segment at s = j / factor, then the goal node
     n_seg = len(traj.points) - 1
     seg = np.repeat(np.arange(n_seg), factor)

@@ -149,28 +149,35 @@ def rho_derivative(xi: float, threat: PursuerThreat) -> float:
     return float(rho_derivative_batch(np.array([xi], dtype=float), threat)[0])
 
 
-def _collision_course_rho_batch(xi: np.ndarray, mu: float, R: float, r: float) -> np.ndarray:
-    """Boundary radius for an intercept that spends the full range budget R.
+def _collision_course_rho_batch(x: np.ndarray, mu: float, R: float, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary radius for an intercept that spends the full range budget R, and its slope in ``x``.
 
     Valid wherever the radicand is nonnegative; tiny negative values from
-    rounding at the domain edge are clamped to zero.
+    rounding at the domain edge are clamped to zero, and the slope's root
+    is floored at ``_RADICAND_SLACK`` where it would divide by zero.
     """
-    c = np.cos(xi)
+    c, s = np.cos(x), np.sin(x)
     rad = c * c - 1.0 + (R + r) ** 2 / (mu * mu * R * R)
     low = rad < -_RADICAND_SLACK
     if low.any():
-        raise DomainError(f"aspect angle {float(xi[low][0])} outside the collision-course branch")
-    return mu * R * (c + np.sqrt(np.where(rad < 0.0, 0.0, rad)))
+        raise DomainError(f"aspect angle {float(x[low][0])} outside the collision-course branch")
+    root = np.sqrt(np.where(rad < 0.0, 0.0, rad))
+    return mu * R * (c + root), mu * R * (-s - c * s / np.where(root == 0.0, _RADICAND_SLACK, root))
 
 
-def _touch_and_go_rho_batch(ax: np.ndarray, mu: float, r: float) -> np.ndarray:
-    """Boundary radius for a grazing intercept at the limiting pursuer heading.
+def _touch_and_go_rho_batch(ax: np.ndarray, mu: float, r: float, sign) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary radius for a grazing intercept at the limiting pursuer heading, and its slope times ``sign``.
 
     Only meaningful for mu > 1 on aspect angles ``ax`` >= 0 between the
     crossover and pi - acos(1/mu); there the separation rate is zero at
     capture.
     """
-    return _quotient(r * math.sqrt(mu * mu - 1.0), mu * np.sin(ax) - np.sin(ax + math.acos(1.0 / mu)), r)
+    a = math.acos(1.0 / mu)
+    k = r * math.sqrt(mu * mu - 1.0)
+    den = mu * np.sin(ax) - np.sin(ax + a)
+    dden = mu * np.cos(ax) - np.cos(ax + a)
+    # the sign goes in before the division, so the zero cases stay +0.0
+    return _quotient(k, den, r), _quotient(sign * (-k * dden), den * den, 0.0)
 
 
 def rho_batch(xi: np.ndarray, threat: PursuerThreat) -> np.ndarray:
@@ -181,43 +188,30 @@ def rho_batch(xi: np.ndarray, threat: PursuerThreat) -> np.ndarray:
     arc up to pi - acos(1/mu), and the capture radius beyond; with a zero
     capture radius the last two pieces collapse to zero.
     """
-    mu, R, r = threat.mu, threat.engagement_range, threat.capture_radius
-    w = wrap_angles(xi)
-    if mu <= 1.0:
-        return _collision_course_rho_batch(w, mu, R, r)
-    ax = np.abs(w)
-    a = math.acos(1.0 / mu)
-    out = np.full(len(ax), r)
-    course = ax <= xi_crossover(threat)
-    graze = ~course & (ax <= math.pi - a)
-    out[course] = _collision_course_rho_batch(ax[course], mu, R, r)
-    out[graze] = _touch_and_go_rho_batch(ax[graze], mu, r)
-    return out
+    return _rho(xi, threat)[0]
 
 
 def rho_derivative_batch(xi: np.ndarray, threat: PursuerThreat) -> np.ndarray:
     """d(rho)/d(xi) of the active branch at every aspect angle in ``xi``; one-sided at branch joins."""
+    return _rho(xi, threat)[1]
+
+
+def _rho(xi: np.ndarray, threat: PursuerThreat) -> tuple[np.ndarray, np.ndarray]:
+    """``rho_batch`` and ``rho_derivative_batch``: each arc at |xi|, the slope signed like the wrapped xi."""
     mu, R, r = threat.mu, threat.engagement_range, threat.capture_radius
     w = wrap_angles(xi)
     ax = np.abs(w)
     sign = np.where(w >= 0.0, 1.0, -1.0)
-    out = np.zeros(len(ax))
-    course = ax <= (math.inf if mu <= 1.0 else xi_crossover(threat))
-    x = ax[course]
-    c, s = np.cos(x), np.sin(x)
-    rad = c * c - 1.0 + (R + r) ** 2 / (mu * mu * R * R)
-    root = np.sqrt(np.where(0.0 > rad, 0.0, rad))
-    root = np.where(root == 0.0, _RADICAND_SLACK, root)
-    out[course] = sign[course] * (mu * R * (-s - c * s / root))
-    if mu > 1.0:
-        a = math.acos(1.0 / mu)
-        graze = ~course & (ax <= math.pi - a)
-        g = ax[graze]
-        den = mu * np.sin(g) - np.sin(g + a)
-        dden = mu * np.cos(g) - np.cos(g + a)
-        # sign * (x / y) == (sign * x) / y bit for bit: negation is exact
-        out[graze] = _quotient(sign[graze] * (-r * math.sqrt(mu * mu - 1.0) * dden), den * den, 0.0)
-    return out
+    if mu <= 1.0:
+        radius, slope = _collision_course_rho_batch(ax, mu, R, r)
+        return radius, sign * slope
+    course = ax <= xi_crossover(threat)
+    graze = ~course & (ax <= math.pi - math.acos(1.0 / mu))
+    radius, slope = np.full(len(ax), r), np.zeros(len(ax))
+    radius[course], course_slope = _collision_course_rho_batch(ax[course], mu, R, r)
+    slope[course] = sign[course] * course_slope
+    radius[graze], slope[graze] = _touch_and_go_rho_batch(ax[graze], mu, r, sign[graze])
+    return radius, slope
 
 
 def _quotient(num, den: np.ndarray, at_zero: float) -> np.ndarray:

@@ -259,6 +259,15 @@ class TestCompare:
             float(rows["Reach"]["percent_difference"])
         )
 
+    def test_omitted_apol_is_one_note_line(self, tmp_path, capsys):
+        data = json.loads(GOLDEN.read_text())
+        data["threats"][0]["mu"] = 1.5
+        scen = tmp_path / "slow.json"
+        scen.write_text(json.dumps(data))
+        assert main(["compare", str(scen), "--output-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == "note: Apol radius -0.273684 is not positive for mu=1.5; spec omitted\n"
+        assert [r["label"] for r in read_csv(tmp_path / "compare.csv")] == ["Reach", "Worst"]
+
     def test_requires_single_pursuer(self, tmp_path):
         data = json.loads(GOLDEN.read_text())
         data["threats"] = []

@@ -410,6 +410,11 @@ class TestThreatProtocol:
         with pytest.raises(InfeasibleError):
             plan(scen)
 
+    def test_audit_names_a_kind_without_an_oracle(self):
+        scen = self.disk_scenario()
+        with pytest.raises(TypeError, match="no oracle for DiskThreat"):
+            resample_and_verify(plan(scen), scen, 10)
+
 
 class TestTranscription:
     def test_jacobian_matches_finite_differences(self):

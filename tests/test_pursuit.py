@@ -82,8 +82,8 @@ class TestRhoSlow:
             t = random_threat(rng, 1.0001, 3.0, r_min_frac=0.01)
             xc = xi_crossover(t)
             at = np.array([xc])
-            b1 = _collision_course_rho_batch(at, t.mu, t.engagement_range, t.capture_radius)[0]
-            b2 = _touch_and_go_rho_batch(at, t.mu, t.capture_radius)[0]
+            b1 = _collision_course_rho_batch(at, t.mu, t.engagement_range, t.capture_radius)[0][0]
+            b2 = _touch_and_go_rho_batch(at, t.mu, t.capture_radius, 1.0)[0][0]
             assert abs(b1 - b2) <= 1e-9 * t.engagement_range
 
     def test_zero_capture_radius_collapses_outer_branches(self):
