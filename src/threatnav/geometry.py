@@ -32,6 +32,13 @@ class Point2:
         return (self.x, self.y)
 
 
+def require_finite_points(points: np.ndarray) -> None:
+    """Raise DomainError naming the first row of ``points`` (n x 2) with a non-finite component."""
+    if not np.isfinite(points).all():
+        x, y = points[~np.isfinite(points).all(axis=1)][0]
+        raise DomainError(f"point components must be finite, got ({float(x)}, {float(y)})")
+
+
 def wrap_angle(a: float) -> float:
     """Wrap an angle into (-pi, pi].
 

@@ -8,18 +8,18 @@ constraint has one row per node pose and threat: pursuer zones via the
 aspect-angle clearance with the node's segment heading, turret zones via
 the chord-threshold ray test. Each threat computes its own clearance and
 its pose gradient for a batch of poses, and SLSQP solves the program
-with one analytic constraint Jacobian chained from those gradients. The
-planner knows a threat only through the ``Threat`` protocol, so a new
-zone kind needs no code here.
+with analytic Jacobians: every row, the endpoint's included, is chained
+through ``_chain`` from its pose partials. The planner knows a threat
+only through the ``Threat`` protocol, so a new zone kind needs no code.
 
 Only warm starts that can win are solved. A straight chord whose node
 poses all clear every zone is optimal: its t_f is the lower bound
-chord_time, so it is returned at once with no solve. A blocked chord is
-a degenerate saddle and is never solved; the solver starts from
-deterministic bowed detours on both sides instead (and from the
-circumnav_reach or custom warm start when one is chosen, adding the
-detours only when that one is blocked too), and keeps the best feasible
-result.
+chord_time, so it is returned at once with no solve. That chord is also
+the straight_line warm start. A blocked chord is a degenerate saddle and
+is never solved; the solver starts from deterministic bowed detours on
+both sides instead (and from the circumnav_reach or custom warm start
+when one is chosen, adding the detours only when that one is blocked
+too), and keeps the best feasible result.
 
 Grids finer than _COARSE_NODES are solved coarse to fine. The scenario
 is first planned on the coarse grid, and that plan, packed onto the fine
@@ -126,6 +126,8 @@ class PlannerOptions:
             raise ValueError(f"unknown initialization {self.initialization!r}")
         if self.initialization == "custom" and self.custom_trajectory is None:
             raise ValueError("custom initialization requires a trajectory")
+        if self.initialization != "custom" and self.custom_trajectory is not None:
+            raise ValueError(f"{self.initialization} initialization reads no custom_trajectory")
 
 
 @dataclass(frozen=True)
@@ -183,6 +185,12 @@ class TranscribedProblem:
 
     # -- kinematics -------------------------------------------------------
 
+    def chord(self) -> np.ndarray:
+        """z of the straight chord: its heading on every segment and t_f = chord length / speed, the least t_f."""
+        start, goal = self.scenario.agent.start, self.scenario.agent.goal
+        heading = math.atan2(goal.y - start.y, goal.x - start.x)
+        return np.append(np.full(self.n - 1, heading), distance(start, goal) / self.speed)
+
     def positions(self, z: np.ndarray) -> np.ndarray:
         """Node positions (n x 2) of z."""
         psi, t_f = z[:-1], z[-1]
@@ -200,14 +208,11 @@ class TranscribedProblem:
         return self.positions(z)[-1] - self.af
 
     def endpoint_jacobian(self, z: np.ndarray) -> np.ndarray:
-        psi, t_f = z[:-1], z[-1]
-        dt = t_f / (self.n - 1)
-        jac = np.zeros((2, self.n))
-        jac[0, : self.n - 1] = -self.speed * dt * np.sin(psi)
-        jac[1, : self.n - 1] = self.speed * dt * np.cos(psi)
-        p_end = self.positions(z)[-1]
-        jac[:, -1] = (p_end - self.a0) / t_f
-        return jac
+        """``_chain`` at the goal node, whose x and y have pose partials (1, 0, 0) and (0, 1, 0)."""
+        goal = np.full(2, self.n - 1)
+        # a zero partial is -0.0, which leaves each term it is added to as it was, a signed zero included
+        gx, gy, gpsi = np.array([1.0, -0.0]), np.array([-0.0, 1.0]), np.array([-0.0, -0.0])
+        return self._chain(z, goal, goal - 1, self.positions(z)[goal], gx, gy, gpsi)
 
     # -- zone clearances ----------------------------------------------------
 
@@ -281,31 +286,21 @@ def transcribe(scenario: Scenario) -> TranscribedProblem:
 def initialize(scenario: Scenario, mode: str) -> Trajectory:
     """Warm-start trajectory for the solver.
 
-    straight_line is the constant-heading chord; circumnav_reach rides the
+    straight_line is the chord ``plan`` returns unsolved when it is clear
+    (``TranscribedProblem.chord``); circumnav_reach rides the
     keep-out circle of the first threat that has one (a pursuer's
     capturability disk); custom passes the options' custom_trajectory
     through.
     """
     agent = scenario.agent
-    n = scenario.options.n_nodes
     if mode == "straight_line":
-        a0 = np.array(agent.start.as_tuple())
-        af = np.array(agent.goal.as_tuple())
-        chord = distance(agent.start, agent.goal)
-        s = np.linspace(0.0, 1.0, n)[:, None]
-        pts = a0 + s * (af - a0)
-        heading = math.atan2(af[1] - a0[1], af[0] - a0[0])
-        return Trajectory(
-            times=np.linspace(0.0, chord / agent.speed, n),
-            points=pts,
-            headings=np.full(n - 1, heading),
-            speed=agent.speed,
-        )
+        problem = transcribe(scenario)
+        return problem.unpack(problem.chord())
     if mode == "circumnav_reach":
         threat = _reach_threat(scenario.threats)
         spec = _circ.CircumnavSpec("Reach", threat.keep_out_radius)
         result = _circ.circumnavigate(agent.start, agent.goal, threat.position, spec, agent.speed)
-        return Trajectory.from_polyline(_resample_equal_arc(result.path.points, n), agent.speed)
+        return Trajectory.from_polyline(_resample_equal_arc(result.path.points, scenario.options.n_nodes), agent.speed)
     if mode == "custom":
         if scenario.options.custom_trajectory is None:
             raise ValueError("custom initialization requires a trajectory")
@@ -333,15 +328,13 @@ def plan(scenario: Scenario) -> PlanResult:
     opts = scenario.options
     _screen_endpoints(scenario)
     problem = transcribe(scenario)
-    agent = scenario.agent
-    chord_time = distance(agent.start, agent.goal) / agent.speed
+    chord = problem.chord()
+    chord_time = float(chord[-1])
 
     seeds = []  # (name, packed warm start)
     if opts.initialization != "straight_line":
         seeds.append((opts.initialization, problem.pack(initialize(scenario, opts.initialization))))
 
-    heading = math.atan2(agent.goal.y - agent.start.y, agent.goal.x - agent.start.x)
-    chord = np.append(np.full(opts.n_nodes - 1, heading), chord_time)
     clear = problem.clearances(chord)
     if np.all(clear >= 0.0):  # a NaN clearance counts as blocked
         min_clear = float(np.min(clear)) if clear.size else math.inf

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .geometry import Point2, wrap_angles
+from .geometry import Point2, require_finite_points, wrap_angles
 
 _RADICAND_SLACK = 1e-14
 
@@ -90,6 +90,7 @@ class PursuerThreat:
 
     def _polar(self, points: np.ndarray, headings: np.ndarray):
         """Distance, offsets to the pursuer, and aspect angles in [-pi, pi)."""
+        require_finite_points(points)
         finite = np.isfinite(headings)
         if not finite.all():
             raise DomainError(f"angle must be finite, got {float(headings[~finite][0])}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Point2, atan2_each, wrap_angle, wrap_angles
+from .geometry import Point2, atan2_each, require_finite_points, wrap_angle, wrap_angles
 
 _GAMMA_SLACK = 1e-9
 
@@ -71,30 +71,29 @@ class TurretThreat:
         gap to the range disk. Continuous across the band edge, piecewise
         smooth elsewhere.
         """
-        x0, y0, _, _ = self._frame(points, headings)
-        R = self.engagement_range
-        y_c = np.minimum(np.maximum(y0, -R), R)
-        return _max(np.abs(y0) - R, x0 - boundary_threshold_batch(y_c, self, headings))
+        return self._clearance(points, headings)[0]
 
     def clearance_gradient(self, points: np.ndarray, headings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-pose partials of ``clearance`` in x, y and heading.
+        """Per-pose partials of ``clearance`` in x, y and heading."""
+        return self._clearance(points, headings)[1:]
 
-        Each pose differentiates the piece that wins its max, ``|y0| - R`` or
-        ``x0 - M(y0, look_angle - heading)``; dM/dy is 0 at |y0| = R, where y0 is clamped.
+    def _clearance(self, points: np.ndarray, headings: np.ndarray):
+        """``clearance`` of every pose and its partials in x, y and heading, from one choice of piece.
+
+        Each pose takes the larger of ``|y0| - R`` and ``x0 - M(y0, look_angle - heading)`` (on a tie,
+        the first) and differentiates that piece; dM/dy is 0 at |y0| = R, where y0 is clamped.
         """
         x0, y0, ch, sh = self._frame(points, headings)
         R = self.engagement_range
         m, m_y, m_th = _threshold(np.minimum(np.maximum(y0, -R), R), self, headings)
-        side, chord = np.sign(y0), x0 - m > np.abs(y0) - R
-        return (np.where(chord, ch + m_y * sh, -side * sh), np.where(chord, sh - m_y * ch, side * ch),
-                np.where(chord, y0 + m_y * x0 + m_th, -side * x0))
+        lateral, along, side = np.abs(y0) - R, x0 - m, np.sign(y0)
+        chord = along > lateral
+        return (np.where(chord, along, lateral), np.where(chord, ch + m_y * sh, -side * sh),
+                np.where(chord, sh - m_y * ch, side * ch), np.where(chord, y0 + m_y * x0 + m_th, -side * x0))
 
     def _frame(self, points: np.ndarray, headings: np.ndarray):
         """Agent-heading frame of every pose: x0 along the heading, y0 to its left, cos and sin of the heading."""
-        finite = np.isfinite(points).all(axis=1)
-        if not finite.all():
-            x, y = points[~finite][0]
-            raise DomainError(f"point components must be finite, got ({float(x)}, {float(y)})")
+        require_finite_points(points)
         dx = points[:, 0] - self.position.x
         dy = points[:, 1] - self.position.y
         if np.any((dx == 0.0) & (dy == 0.0)):
@@ -160,11 +159,6 @@ def boundary_threshold(y: float, threat: TurretThreat, agent_heading: float = 0.
     return float(boundary_threshold_batch(np.array([y], dtype=float), threat, np.array([agent_heading], dtype=float))[0])
 
 
-def _max(a: np.ndarray, b) -> np.ndarray:
-    """Python's ``max(a, b)`` per element: ``a`` unless ``b`` is larger."""
-    return np.where(b > a, b, a)
-
-
 def boundary_threshold_batch(y: np.ndarray, threat: TurretThreat, agent_headings: np.ndarray) -> np.ndarray:
     """Per-chord zone threshold M(y) of every chord ``y`` with its agent heading.
 
@@ -197,7 +191,7 @@ def _threshold(y: np.ndarray, threat: TurretThreat, agent_headings: np.ndarray):
     def fold(take, value, dy, dth):
         return np.where(take, value, best), np.where(take, dy, m_y), np.where(take, dth, m_th)
 
-    c = np.sqrt(_max(R * R - y * y, 0.0))
+    c = np.sqrt(R * R - y * y)  # |y| <= R, so y * y <= R * R after rounding too
     inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0.0)
     (best, m_th), (entry, entry_th) = reach(c, th, atan2_each(y, c)), reach(-c, th, atan2_each(y, -c))
     m_y = -(y + m_th) * inv_c

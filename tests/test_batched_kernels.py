@@ -9,6 +9,8 @@ against central differences of the reference clearance instead.
 """
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +210,17 @@ def test_pursuer_clearance_batch_is_bit_exact(threat):
         batched = threat.clearance_gradient(points, headings)
         for got, want in zip(batched, scalar_pursuer_gradient(threat, points, headings)):
             assert bit_equal(got, want)
+
+
+@pytest.mark.parametrize("threat", [TURRETS[0], PURSUERS[3]], ids=["turret", "pursuer"])
+@pytest.mark.parametrize("member", ["clearance", "clearance_gradient"])
+@pytest.mark.parametrize("bad", [(math.nan, 0.5), (2.0, math.inf), (-math.inf, math.nan)], ids=["nan", "inf", "both"])
+def test_non_finite_point_is_a_domain_error(threat, member, bad):
+    points = np.array([[1.0, 1.0], bad, [2.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(f"point components must be finite, got {bad}")):
+            getattr(threat, member)(points, np.zeros(3))
 
 
 def test_pursuer_batch_domain_errors():

@@ -25,6 +25,8 @@ from threatnav.planner import (
 from threatnav.pursuit import PursuerThreat, signed_clearance
 from threatnav.turret import TurretThreat
 
+from test_batched_kernels import bit_equal
+
 MU, CAPTURE = 0.9, 0.2
 RANGE = (2 - CAPTURE) / (MU + 1)
 GOLDEN_THREAT = PursuerThreat(Point2(0, 0), mu=MU, engagement_range=RANGE, capture_radius=CAPTURE)
@@ -317,6 +319,19 @@ class TestInitialize:
         with pytest.raises(ValueError, match="custom initialization requires a trajectory"):
             PlannerOptions(initialization="custom")
 
+    @pytest.mark.parametrize("mode", ["straight_line", "circumnav_reach"])
+    def test_trajectory_no_mode_reads_rejected_at_construction(self, mode):
+        base = initialize(golden_scenario(), "straight_line")
+        with pytest.raises(ValueError, match=f"{mode} initialization reads no custom_trajectory"):
+            PlannerOptions(initialization=mode, custom_trajectory=base)
+
+    def test_straight_line_is_the_chord_plan_returns(self):
+        scen = Scenario(AgentConfig(Point2(-1.3, 0.7), Point2(2.9, -4.1), speed=0.7), (), PlannerOptions(n_nodes=97))
+        chord, res = initialize(scen, "straight_line"), plan(scen)
+        assert res.iterations == 0
+        for name in ("points", "times", "headings"):
+            assert bit_equal(getattr(chord, name), getattr(res.trajectory, name)), name
+
 
 class TestFeasibilityScreen:
     def test_goal_inside_capturability_disk(self):
@@ -416,6 +431,18 @@ class TestThreatProtocol:
             resample_and_verify(plan(scen), scen, 10)
 
 
+def central_differences(f, z):
+    """Jacobian of f at z by central differences, one column per component of z."""
+    columns = []
+    for j in range(len(z)):
+        h = 1e-6 * max(1.0, abs(z[j]))
+        zp, zm = z.copy(), z.copy()
+        zp[j] += h
+        zm[j] -= h
+        columns.append((f(zp) - f(zm)) / (2 * h))
+    return np.stack(columns, axis=1)
+
+
 class TestTranscription:
     def test_jacobian_matches_finite_differences(self):
         scen = golden_scenario()
@@ -425,13 +452,7 @@ class TestTranscription:
         z = z + rng.normal(0, 0.03, len(z))
         z[-1] = abs(z[-1])
         jac = prob.clearance_jacobian(z)
-        fd = np.zeros_like(jac)
-        for j in range(len(z)):
-            h = 1e-6 * max(1.0, abs(z[j]))
-            zp, zm = z.copy(), z.copy()
-            zp[j] += h
-            zm[j] -= h
-            fd[:, j] = (prob.clearances(zp) - prob.clearances(zm)) / (2 * h)
+        fd = central_differences(prob.clearances, z)
         scale = np.maximum(1.0, np.maximum(np.abs(jac), np.abs(fd)))
         assert float(np.max(np.abs(jac - fd) / scale)) <= 1e-5
 
@@ -448,19 +469,49 @@ class TestTranscription:
         z = prob.pack(initialize(scen, "straight_line"))
         z = z + rng.normal(0, 0.03, len(z))
         jac = prob.clearance_jacobian(z)
-        fd = np.zeros_like(jac)
-        for j in range(len(z)):
-            h = 1e-6 * max(1.0, abs(z[j]))
-            zp, zm = z.copy(), z.copy()
-            zp[j] += h
-            zm[j] -= h
-            fd[:, j] = (prob.clearances(zp) - prob.clearances(zm)) / (2 * h)
+        fd = central_differences(prob.clearances, z)
         m = 2 * 50 - 2
         assert jac.shape == (2 * m, 50)
         scale = np.maximum(1.0, np.maximum(np.abs(jac), np.abs(fd)))
         err = np.abs(jac - fd) / scale
         assert float(np.max(err[:m])) <= 1e-5  # pursuer rows, analytic
         assert float(np.max(err[m:])) <= 1e-5  # turret rows, analytic
+
+    @staticmethod
+    def reference_endpoint_jacobian(prob, z):
+        """The endpoint Jacobian written out by hand: each heading moves the goal node by speed * dt."""
+        psi, t_f = z[:-1], z[-1]
+        dt = t_f / (prob.n - 1)
+        jac = np.zeros((2, prob.n))
+        jac[0, : prob.n - 1] = -prob.speed * dt * np.sin(psi)
+        jac[1, : prob.n - 1] = prob.speed * dt * np.cos(psi)
+        jac[:, -1] = (prob.positions(z)[-1] - prob.a0) / t_f
+        return jac
+
+    @pytest.mark.parametrize("n", [3, 20, 100, 400])
+    def test_endpoint_jacobian_is_the_hand_formula(self, n):
+        scen = Scenario(GOLDEN_AGENT, (GOLDEN_THREAT,), PlannerOptions(n_nodes=n))
+        prob = transcribe(scen)
+        rng = np.random.default_rng(n)
+        for draw in range(50):
+            z = np.append(rng.uniform(-math.pi, math.pi, n - 1), rng.uniform(0.5, 20.0))
+            if draw % 2:  # headings of exactly 0 and +/-pi
+                k = max(1, n // 3)
+                z[rng.integers(0, n - 1, size=k)] = rng.choice([0.0, -0.0, math.pi, -math.pi], size=k)
+            assert bit_equal(prob.endpoint_jacobian(z), self.reference_endpoint_jacobian(prob, z)), draw
+        chord = np.append(np.zeros(n - 1), 6.0 / MU)  # the golden chord: every heading 0
+        assert bit_equal(prob.endpoint_jacobian(chord), self.reference_endpoint_jacobian(prob, chord))
+
+    def test_endpoint_jacobian_matches_finite_differences(self):
+        scen = golden_scenario()
+        prob = transcribe(scen)
+        rng = np.random.default_rng(31)
+        z = prob.pack(initialize(scen, "circumnav_reach"))
+        z = z + rng.normal(0, 0.03, len(z))
+        jac = prob.endpoint_jacobian(z)
+        fd = central_differences(prob.endpoint, z)
+        scale = np.maximum(1.0, np.maximum(np.abs(jac), np.abs(fd)))
+        assert float(np.max(np.abs(jac - fd) / scale)) <= 1e-6
 
     def test_decision_vector_size_is_node_count(self):
         prob = transcribe(golden_scenario(n_nodes=37))
