@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import InfeasibleError
-from .geometry import Point2, distance, wrap_angle
+from .geometry import Point2, distance, require_number, wrap_angle
 from .trajectory import Trajectory
 from .pursuit import PursuerThreat
 
@@ -29,8 +29,7 @@ class CircumnavSpec:
     radius: float
 
     def __post_init__(self) -> None:
-        if not self.radius > 0.0:
-            raise ValueError(f"circumnavigation radius must be positive, got {self.radius}")
+        require_number("circumnavigation radius", self.radius, "positive")
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,7 @@ def percent_difference(t_ez: float, t_circ: float) -> float:
 
     Negative means the zone-based plan is faster than the baseline.
     """
-    if not t_circ > 0.0:
-        raise ValueError(f"baseline time must be positive, got {t_circ}")
+    require_number("baseline time", t_circ, "positive")
     return 100.0 * (t_ez - t_circ) / t_circ
 
 

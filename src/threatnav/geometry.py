@@ -32,11 +32,20 @@ class Point2:
         return (self.x, self.y)
 
 
-def require_finite_points(points: np.ndarray) -> None:
-    """Raise DomainError naming the first row of ``points`` (n x 2) with a non-finite component."""
+def require_number(name: str, value: float, sign: str = "") -> None:
+    """Raise DomainError naming ``name`` unless ``value`` is finite and, per ``sign``, positive or nonnegative."""
+    in_sign = {"": True, "positive": value > 0.0, "nonnegative": value >= 0.0}[sign]
+    if not (math.isfinite(value) and in_sign):
+        raise DomainError(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value}")
+
+
+def require_finite_poses(points: np.ndarray, headings: np.ndarray) -> None:
+    """Raise DomainError naming the first non-finite row of ``points`` (n x 2), else the first non-finite heading."""
     if not np.isfinite(points).all():
         x, y = points[~np.isfinite(points).all(axis=1)][0]
         raise DomainError(f"point components must be finite, got ({float(x)}, {float(y)})")
+    if not np.isfinite(headings).all():
+        raise DomainError(f"angle must be finite, got {float(headings[~np.isfinite(headings)][0])}")
 
 
 def wrap_angle(a: float) -> float:

@@ -45,7 +45,7 @@ from scipy.optimize import minimize
 
 from . import circumnav as _circ
 from .errors import DomainError, InfeasibleError
-from .geometry import Point2, distance
+from .geometry import Point2, distance, require_number
 from .oracle import pursuit_capture_possible, turret_neutralization_possible
 from .pursuit import PursuerThreat, rho, rho_derivative  # noqa: F401
 from .trajectory import Trajectory
@@ -100,8 +100,7 @@ class AgentConfig:
     speed: float
 
     def __post_init__(self) -> None:
-        if not (self.speed > 0.0 and math.isfinite(self.speed)):
-            raise DomainError(f"agent speed must be positive, got {self.speed}")
+        require_number("agent speed", self.speed, "positive")
         if self.start == self.goal:
             raise DomainError("start and goal must differ")
 
@@ -120,8 +119,8 @@ class PlannerOptions:
             raise ValueError(f"n_nodes must be at least 3, got {self.n_nodes}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if not (self.constraint_tolerance > 0.0 and self.opt_tolerance > 0.0):
-            raise ValueError("tolerances must be positive")
+        require_number("constraint_tolerance", self.constraint_tolerance, "positive")
+        require_number("opt_tolerance", self.opt_tolerance, "positive")
         if self.initialization not in ("straight_line", "circumnav_reach", "custom"):
             raise ValueError(f"unknown initialization {self.initialization!r}")
         if self.initialization == "custom" and self.custom_trajectory is None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .geometry import Point2, require_finite_points, wrap_angles
+from .geometry import Point2, require_finite_poses, require_number, wrap_angles
 
 _RADICAND_SLACK = 1e-14
 
@@ -42,12 +42,9 @@ class PursuerThreat:
     capture_radius: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.mu > 0.0 and math.isfinite(self.mu)):
-            raise DomainError(f"mu must be positive and finite, got {self.mu}")
-        if not (self.engagement_range > 0.0 and math.isfinite(self.engagement_range)):
-            raise DomainError(f"engagement_range must be positive, got {self.engagement_range}")
-        if not (self.capture_radius >= 0.0 and math.isfinite(self.capture_radius)):
-            raise DomainError(f"capture_radius must be nonnegative, got {self.capture_radius}")
+        require_number("mu", self.mu, "positive")
+        require_number("engagement_range", self.engagement_range, "positive")
+        require_number("capture_radius", self.capture_radius, "nonnegative")
         # The kernels take (R + r)^2 / (mu^2 R^2), the crossover (r / R)^2, and
         # the planner's detours reach the extent: each must stay finite.
         mu, R, r = self.mu, self.engagement_range, self.capture_radius
@@ -90,10 +87,7 @@ class PursuerThreat:
 
     def _polar(self, points: np.ndarray, headings: np.ndarray):
         """Distance, offsets to the pursuer, and aspect angles in [-pi, pi)."""
-        require_finite_points(points)
-        finite = np.isfinite(headings)
-        if not finite.all():
-            raise DomainError(f"angle must be finite, got {float(headings[~finite][0])}")
+        require_finite_poses(points, headings)
         dxv = self.position.x - points[:, 0]
         dyv = self.position.y - points[:, 1]
         xi = np.remainder(headings - np.arctan2(dyv, dxv) + math.pi, 2.0 * math.pi) - math.pi

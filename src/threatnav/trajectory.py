@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import require_number
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -36,8 +38,7 @@ class Trajectory:
             raise ValueError("one heading per segment required")
         if len(times) and (times[0] != 0.0 or np.any(np.diff(times) < 0.0)):
             raise ValueError("times must start at 0 and be nondecreasing")
-        if not self.speed > 0.0:
-            raise ValueError(f"speed must be positive, got {self.speed}")
+        require_number("speed", self.speed, "positive")
 
     @classmethod
     def from_polyline(cls, points, speed: float) -> "Trajectory":

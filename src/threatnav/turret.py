@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Point2, atan2_each, require_finite_points, wrap_angle, wrap_angles
+from .geometry import Point2, atan2_each, require_finite_poses, require_number, wrap_angle, wrap_angles
 
 _GAMMA_SLACK = 1e-9
 
@@ -48,12 +48,9 @@ class TurretThreat:
     engagement_range: float
 
     def __post_init__(self) -> None:
-        if not (self.mu > 0.0 and math.isfinite(self.mu)):
-            raise DomainError(f"mu must be positive and finite, got {self.mu}")
-        if not (self.engagement_range > 0.0 and math.isfinite(self.engagement_range)):
-            raise DomainError(f"engagement_range must be positive, got {self.engagement_range}")
-        if not math.isfinite(self.look_angle):
-            raise DomainError(f"look_angle must be finite, got {self.look_angle}")
+        require_number("mu", self.mu, "positive")
+        require_number("engagement_range", self.engagement_range, "positive")
+        require_number("look_angle", self.look_angle)
 
     @property
     def keep_out_radius(self) -> float:
@@ -93,13 +90,12 @@ class TurretThreat:
 
     def _frame(self, points: np.ndarray, headings: np.ndarray):
         """Agent-heading frame of every pose: x0 along the heading, y0 to its left, cos and sin of the heading."""
-        require_finite_points(points)
+        require_finite_poses(points, headings)
         dx = points[:, 0] - self.position.x
         dy = points[:, 1] - self.position.y
         if np.any((dx == 0.0) & (dy == 0.0)):
             raise DomainError("agent exactly at the turret position")
-        with np.errstate(invalid="ignore"):  # a non-finite heading raises in the threshold
-            ch, sh = np.cos(headings), np.sin(headings)
+        ch, sh = np.cos(headings), np.sin(headings)
         return dx * ch + dy * sh, -dx * sh + dy * ch, ch, sh
 
 
@@ -247,7 +243,7 @@ def sample_turret_boundary(threat: TurretThreat, n: int) -> list[TurretBoundaryP
     total = n + 1 if shared_join else n
     lengths = [hi - lo for lo, hi in intervals]
     n0 = min(max(2, round(total * lengths[0] / sum(lengths))), total - 2)
-    counts = [n0, total - n0]
+    counts = [n0, total - n0] if len(intervals) == 2 else [total]  # a lone interval takes every sample
 
     gammas: list[float] = []
     for (lo, hi), cnt in zip(intervals, counts):

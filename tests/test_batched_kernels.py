@@ -223,6 +223,17 @@ def test_non_finite_point_is_a_domain_error(threat, member, bad):
             getattr(threat, member)(points, np.zeros(3))
 
 
+@pytest.mark.parametrize("threat", [TURRETS[0], PURSUERS[3]], ids=["turret", "pursuer"])
+@pytest.mark.parametrize("member", ["clearance", "clearance_gradient"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_heading_is_named_as_given(threat, member, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            getattr(threat, member)(np.array([[1.0, 1.0], [2.0, 0.5]]), np.array([0.0, bad]))
+    assert str(err.value) == f"angle must be finite, got {bad}"
+
+
 def test_pursuer_batch_domain_errors():
     threat = PURSUERS[3]
     with pytest.raises(DomainError, match="angle must be finite"):

@@ -46,6 +46,16 @@ class TestEzBoundary:
         rows = read_csv(tmp_path / "ez_boundary.csv")
         assert len(rows) == 360
 
+    @pytest.mark.parametrize("theta0", ["1.5707963267948966", "-1.5707963267948966"])
+    def test_turret_boundary_with_one_traversal_interval(self, tmp_path, theta0):
+        rc = main(
+            ["ez-boundary", "--kind", "turret", "--mu", "0.5", "--R", "1", "--theta0", theta0, "--n", "360",
+             "--output-dir", str(tmp_path)]
+        )
+        assert rc == 0
+        assert len(read_csv(tmp_path / "ez_boundary.csv")) == 360
+        assert json.loads((tmp_path / "ez_boundary.json").read_text())["n"] == 360
+
     def test_small_n_is_usage_error(self, tmp_path):
         rc = main(
             ["ez-boundary", "--kind", "pursuer", "--mu", "0.7", "--R", "1",
@@ -195,6 +205,16 @@ class TestPlan:
         assert main(["plan", str(bad), "--output-dir", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "result.json").exists()
+
+    def test_infinite_tolerance_is_located(self, tmp_path, capsys):
+        data = json.loads(GOLDEN.read_text())
+        data["planner"]["opt_tolerance"] = math.inf  # written as the JSON extension Infinity
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["plan", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
+        expected = f"error: {bad}: $.planner: opt_tolerance must be positive and finite, got inf\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "out").exists()
 
     def test_output_block_used_without_flags(self, tmp_path, monkeypatch):
         data = json.loads(GOLDEN.read_text())

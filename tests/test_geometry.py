@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from threatnav.circumnav import CircumnavSpec, percent_difference
 from threatnav.errors import DomainError
 from threatnav.geometry import (
     Point2,
@@ -12,6 +13,10 @@ from threatnav.geometry import (
     distance,
     wrap_angle,
 )
+from threatnav.planner import AgentConfig, PlannerOptions
+from threatnav.pursuit import PursuerThreat
+from threatnav.trajectory import Trajectory
+from threatnav.turret import TurretThreat
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -105,3 +110,44 @@ def test_angular_separation_range():
 def test_point_rejects_nonfinite():
     with pytest.raises(DomainError):
         Point2(float("nan"), 0.0)
+
+
+# Every float a model accepts, as (id, build from the value, name in the error, sign rule).
+_O = Point2(0.0, 0.0)
+FLOAT_FIELDS = [
+    ("AgentConfig.speed", lambda v: AgentConfig(_O, Point2(1.0, 0.0), speed=v), "agent speed", "positive"),
+    ("PursuerThreat.mu", lambda v: PursuerThreat(_O, mu=v, engagement_range=1.0), "mu", "positive"),
+    ("PursuerThreat.engagement_range", lambda v: PursuerThreat(_O, mu=0.8, engagement_range=v),
+     "engagement_range", "positive"),
+    ("PursuerThreat.capture_radius", lambda v: PursuerThreat(_O, mu=0.8, engagement_range=1.0, capture_radius=v),
+     "capture_radius", "nonnegative"),
+    ("TurretThreat.mu", lambda v: TurretThreat(_O, look_angle=0.0, mu=v, engagement_range=1.0), "mu", "positive"),
+    ("TurretThreat.engagement_range", lambda v: TurretThreat(_O, look_angle=0.0, mu=0.5, engagement_range=v),
+     "engagement_range", "positive"),
+    ("TurretThreat.look_angle", lambda v: TurretThreat(_O, look_angle=v, mu=0.5, engagement_range=1.0),
+     "look_angle", ""),
+    ("PlannerOptions.constraint_tolerance", lambda v: PlannerOptions(constraint_tolerance=v),
+     "constraint_tolerance", "positive"),
+    ("PlannerOptions.opt_tolerance", lambda v: PlannerOptions(opt_tolerance=v), "opt_tolerance", "positive"),
+    ("CircumnavSpec.radius", lambda v: CircumnavSpec("Reach", v), "circumnavigation radius", "positive"),
+    ("Trajectory.speed", lambda v: Trajectory([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]], [0.0], speed=v), "speed",
+     "positive"),
+    ("percent_difference", lambda v: percent_difference(7.0, v), "baseline time", "positive"),
+]
+_OUT_OF_RANGE = {"positive": (0.0, -1.0), "nonnegative": (-0.5,), "": ()}
+
+
+@pytest.mark.parametrize(
+    "build, name, sign, value",
+    [
+        pytest.param(build, name, sign, value, id=f"{field}-{value}")
+        for field, build, name, sign in FLOAT_FIELDS
+        for value in (math.nan, math.inf, -math.inf, *_OUT_OF_RANGE[sign])
+    ],
+)
+def test_every_float_field_names_a_rejected_value(build, name, sign, value):
+    rule = f"{sign} and finite" if sign else "finite"
+    with pytest.raises(DomainError) as err:
+        build(value)
+    assert isinstance(err.value, ValueError)
+    assert str(err.value) == f"{name} must be {rule}, got {value}"

@@ -192,6 +192,15 @@ class TestSampleBoundary:
             for n in (3, 10, 137):
                 assert len(sample_turret_boundary(threat, n)) == n
 
+    @pytest.mark.parametrize("look_angle", [math.pi / 2, -math.pi / 2], ids=["left", "right"])
+    def test_lone_traversal_interval_takes_every_sample(self, look_angle):
+        # At a look angle of +/-pi/2 one traversal interval is empty.
+        threat = TurretThreat(Point2(0, 0), look_angle=look_angle, mu=0.5, engagement_range=1.0)
+        (lo, hi), = [(lo, hi) for lo, hi in gamma_range(look_angle) if hi > lo]
+        for n in (3, 10, 360):
+            gammas = sorted(s.gamma for s in sample_turret_boundary(threat, n))
+            assert gammas == list(np.linspace(lo, hi, n))
+
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             sample_turret_boundary(AWAY, 2)
