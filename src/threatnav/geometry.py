@@ -44,8 +44,13 @@ def require_finite_poses(points: np.ndarray, headings: np.ndarray) -> None:
     if not np.isfinite(points).all():
         x, y = points[~np.isfinite(points).all(axis=1)][0]
         raise DomainError(f"point components must be finite, got ({float(x)}, {float(y)})")
-    if not np.isfinite(headings).all():
-        raise DomainError(f"angle must be finite, got {float(headings[~np.isfinite(headings)][0])}")
+    require_finite_angles(headings)
+
+
+def require_finite_angles(angles: np.ndarray) -> None:
+    """Raise DomainError naming the first non-finite element of ``angles``, as given."""
+    if not np.isfinite(angles).all():
+        raise DomainError(f"angle must be finite, got {float(angles[~np.isfinite(angles)][0])}")
 
 
 def wrap_angle(a: float) -> float:

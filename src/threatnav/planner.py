@@ -46,14 +46,16 @@ from scipy.optimize import minimize
 from . import circumnav as _circ
 from .errors import DomainError, InfeasibleError
 from .geometry import Point2, distance, require_number
-from .oracle import pursuit_capture_possible, turret_neutralization_possible
-from .pursuit import PursuerThreat, rho, rho_derivative  # noqa: F401
+from .oracle import pursuit_capture_possible, turret_neutralization_possible  # noqa: F401
+from .pursuit import rho, rho_derivative  # noqa: F401
 from .trajectory import Trajectory
-from .turret import TurretThreat, turret_clearance  # noqa: F401
+from .turret import turret_clearance  # noqa: F401
 
-# rho, rho_derivative and turret_clearance are not called here any more;
-# they stay bound because benchmarks/tracing.py wraps them by name, as do
-# the oracles keyed by kind in resample_and_verify.
+# The planner knows a threat only through the Threat protocol, so none of
+# the names imported with noqa above is called here: the audit asks each
+# threat's engageable member. They stay bound because benchmarks/tracing.py
+# wraps them by name and its self-test expects every binding it names to
+# exist.
 
 _log = logging.getLogger(__name__)
 
@@ -75,7 +77,11 @@ class Threat(Protocol):
     of the disk around ``position`` that no endpoint may enter and that
     circumnav_reach rides (0 when there is none). ``extent`` bounds how
     far from ``position`` the zone reaches; the detour warm starts bow
-    out past the largest one.
+    out past the largest one. ``engageable`` is the independent referee
+    that ``resample_and_verify`` consults: it maps n poses to n booleans,
+    True where a brute-force search finds an engagement of the agent
+    holding its heading, and it must not call the closed forms behind
+    ``clearance``.
     """
 
     position: Point2
@@ -85,6 +91,8 @@ class Threat(Protocol):
     def clearance_gradient(
         self, points: np.ndarray, headings: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+
+    def engageable(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray: ...
 
     @property
     def keep_out_radius(self) -> float: ...
@@ -421,18 +429,13 @@ def resample_and_verify(result: PlanResult, scenario: Scenario, factor: int) -> 
 
     Node-only constraints can dip between nodes; this reports the worst
     densified clearance and counts points the closed forms call safe
-    (clearance above the constraint tolerance) but the oracle calls
-    capturable.
+    (clearance above the constraint tolerance) but the threat's
+    ``engageable`` referee calls engageable.
     """
     if factor < 2:
         raise ValueError(f"factor must be at least 2, got {factor}")
     traj = result.trajectory
     tol = scenario.options.constraint_tolerance
-    oracles = {PursuerThreat: pursuit_capture_possible, TurretThreat: turret_neutralization_possible}
-    for threat in scenario.threats:
-        if type(threat) not in oracles:
-            raise TypeError(f"resample_and_verify has no oracle for {type(threat).__name__}: "
-                            "it referees PursuerThreat and TurretThreat zones only")
     # factor points per segment at s = j / factor, then the goal node
     n_seg = len(traj.points) - 1
     seg = np.repeat(np.arange(n_seg), factor)
@@ -450,10 +453,8 @@ def resample_and_verify(result: PlanResult, scenario: Scenario, factor: int) -> 
         row, _ = np.unravel_index(np.argmin(clear), clear.shape)
         worst, worst_time = float(clear[row].min()), float(t[row])
         for threat, c in zip(scenario.threats, clear.T):
-            oracle = oracles[type(threat)]
-            for i in np.flatnonzero(c > tol):
-                if oracle(Point2(float(q[i, 0]), float(q[i, 1])), float(psi[i]), threat):
-                    disagreements += 1
+            safe = c > tol
+            disagreements += int(np.count_nonzero(threat.engageable(q[safe], psi[safe])))
     return VerificationReport(
         worst_clearance=worst,
         worst_time=worst_time,

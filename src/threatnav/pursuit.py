@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .geometry import Point2, require_finite_poses, require_number, wrap_angles
+from .oracle import pursuit_capture_possible_batch
 
 _RADICAND_SLACK = 1e-14
 
@@ -84,6 +85,10 @@ class PursuerThreat:
         drho = rho_derivative_batch(xi, self)
         d2 = d * d
         return -dxv / d + drho * dyv / d2, -dyv / d - drho * dxv / d2, -drho
+
+    def engageable(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray:
+        """Per pose: can this pursuer capture the agent holding its heading? The oracle's verdict."""
+        return pursuit_capture_possible_batch(points, headings, self)
 
     def _polar(self, points: np.ndarray, headings: np.ndarray):
         """Distance, offsets to the pursuer, and aspect angles in [-pi, pi)."""

@@ -43,6 +43,7 @@ class Trajectory:
     @classmethod
     def from_polyline(cls, points, speed: float) -> "Trajectory":
         """Constant-speed trajectory through ``points``; zero-length segments are dropped."""
+        require_number("speed", speed, "positive")  # before the division by it
         pts = np.asarray(points, dtype=float)
         deltas = np.diff(pts, axis=0)
         seg = np.hypot(deltas[:, 0], deltas[:, 1])

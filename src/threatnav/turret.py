@@ -29,7 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Point2, atan2_each, require_finite_poses, require_number, wrap_angle, wrap_angles
+from .geometry import (
+    Point2,
+    atan2_each,
+    require_finite_angles,
+    require_finite_poses,
+    require_number,
+    wrap_angle,
+    wrap_angles,
+)
+from .oracle import turret_neutralization_possible_batch
 
 _GAMMA_SLACK = 1e-9
 
@@ -73,6 +82,10 @@ class TurretThreat:
     def clearance_gradient(self, points: np.ndarray, headings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-pose partials of ``clearance`` in x, y and heading."""
         return self._clearance(points, headings)[1:]
+
+    def engageable(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray:
+        """Per pose: can this turret neutralize the agent holding its heading? The oracle's verdict."""
+        return turret_neutralization_possible_batch(points, headings, self)
 
     def _clearance(self, points: np.ndarray, headings: np.ndarray):
         """``clearance`` of every pose and its partials in x, y and heading, from one choice of piece.
@@ -159,8 +172,10 @@ def boundary_threshold_batch(y: np.ndarray, threat: TurretThreat, agent_headings
     """Per-chord zone threshold M(y) of every chord ``y`` with its agent heading.
 
     A start (x0, y) on the chord is neutralizable iff x0 <= M(y). Raises
-    for |y| beyond the range (the chord never enters the disk).
+    for |y| beyond the range (the chord never enters the disk) and names
+    a non-finite heading as given.
     """
+    require_finite_angles(agent_headings)
     return _threshold(y, threat, agent_headings)[0]
 
 

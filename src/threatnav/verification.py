@@ -4,11 +4,12 @@ Random poses are drawn with a guaranteed margin off the analytic zone
 boundary (poses closer than the margin are ambiguous at finite scan
 resolution), then classified by both the closed form and the brute-force
 oracle. The closed forms are the batched kernels the planner runs
-(``rho_batch``, ``boundary_threshold_batch``), one call per block of
-poses, so the referee checks the code that plans use. Any disagreement
-is a defect in one of the two routes. A corruption hook scales the
-analytic boundary so the harness can prove the sweep actually detects
-broken formulas.
+(``rho_batch``, ``boundary_threshold_batch``) and the oracle is the
+threat's ``engageable`` member, the referee the dense audit asks; each
+is one call per block of poses, so the sweep checks the code that plans
+and audits use. Any disagreement is a defect in one of the two routes. A
+corruption hook scales the analytic boundary so the harness can prove
+the sweep actually detects broken formulas.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Point2, wrap_angle
-from .oracle import pursuit_capture_possible, turret_neutralization_possible
+from .oracle import pursuit_capture_possible, turret_neutralization_possible  # noqa: F401
 from .pursuit import PursuerThreat, rho, rho_batch  # noqa: F401
 from .turret import TurretThreat, boundary_threshold, boundary_threshold_batch  # noqa: F401
 
-# rho and boundary_threshold are not called here; they stay bound because
+# rho, boundary_threshold and the two one-pose oracles are not called
+# here: the sweeps classify whole blocks with rho_batch,
+# boundary_threshold_batch and engageable. They stay bound because
 # benchmarks/tracing.py wraps them by name and its self-test expects every
 # binding it names to exist.
 
@@ -58,16 +61,16 @@ def pursuit_equivalence_sweep(
         # per pose: aspect angle, side draw, offset exponent, heading
         draws = rng.uniform([-math.pi, 0.0, -2.5, -math.pi], [math.pi, 1.0, -0.3, math.pi], size=(samples_per_mu, 4))
         boundaries = rho_batch(draws[:, 0], threat)
-        bad = 0
+        points, analytic = [], []
         for (xi, u, exponent, heading), boundary in zip(draws.tolist(), boundaries.tolist()):
             side = 1.0 if u < 0.5 else -1.0
             offset = max(_MARGIN * R * 1.0001, boundary * 10.0**exponent)
             dist = boundary + side * offset
             ang = heading - xi + math.pi
-            pos = Point2(dist * math.cos(ang), dist * math.sin(ang))
-            analytic = dist <= rho_scale * boundary
-            if analytic != pursuit_capture_possible(pos, heading, threat):
-                bad += 1
+            points.append((dist * math.cos(ang), dist * math.sin(ang)))
+            analytic.append(dist <= rho_scale * boundary)
+        oracle = threat.engageable(np.array(points).reshape(-1, 2), draws[:, 3])
+        bad = int(np.count_nonzero(oracle != np.array(analytic, dtype=bool)))
         results.append(SweepResult(label=f"pursuer mu={mu}", samples=samples_per_mu, disagreements=bad))
     return results
 
@@ -94,16 +97,18 @@ def turret_equivalence_sweep(
             draws = rng.uniform([-0.999 * R, 0.0], [0.999 * R, 1.0], size=(samples_per_angle - done, 2))
             draws = draws[~(np.abs(draws[:, 0]) < 1e-6 * R)]
             thresholds = boundary_threshold_batch(draws[:, 0], threat, np.zeros(len(draws)))
+            points, analytic = [], []
             for (y, u), threshold in zip(draws.tolist(), thresholds.tolist()):
                 lo = threshold - 3.0 * R
                 hi = min(threshold + 3.0 * R, math.sqrt(R * R - y * y))
                 x = lo + (hi - lo) * u  # rng.uniform(lo, hi), bit for bit
                 if abs(x - threshold) < _MARGIN * R:
                     continue
-                done += 1
-                analytic = x <= threshold + threshold_shift * R
-                if analytic != turret_neutralization_possible(Point2(x, y), 0.0, threat):
-                    bad += 1
+                points.append((x, y))
+                analytic.append(x <= threshold + threshold_shift * R)
+            oracle = threat.engageable(np.array(points).reshape(-1, 2), np.zeros(len(points)))
+            bad += int(np.count_nonzero(oracle != np.array(analytic, dtype=bool)))
+            done += len(points)
         results.append(
             SweepResult(
                 label=f"turret look_angle={wrap_angle(look):.4f}",

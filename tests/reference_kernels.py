@@ -1,16 +1,20 @@
-"""Frozen scalar closed forms: the reference the batched kernels must equal bit for bit.
+"""Frozen scalar closed forms and oracle scans: the reference the batched code must equal bit for bit.
 
 These are the one-pose pursuer and turret kernels as they stood before
 the library kept only its batched forms, copied unchanged. Nothing in
 ``threatnav`` calls them; the tests compare ``rho_batch``,
 ``rho_derivative_batch``, ``boundary_threshold_batch`` and both
 ``clearance`` methods against them, because SLSQP reacts to last-bit
-changes in its constraints.
+changes in its constraints. The one-pose oracle scans at the end are
+the referee as it stood before it scanned blocks of poses, and the
+tests compare both ``engageable`` members against them.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from threatnav.errors import DomainError, PreconditionError
 from threatnav.geometry import Point2, angular_separation, aspect_angle, distance, wrap_angle
@@ -175,3 +179,91 @@ def _frame_coords(agent_pos: Point2, agent_heading: float, threat: TurretThreat)
         raise DomainError("agent exactly at the turret position")
     ch, sh = math.cos(agent_heading), math.sin(agent_heading)
     return (dx * ch + dy * sh, -dx * sh + dy * ch)
+
+
+# -- oracle ---------------------------------------------------------------------
+
+
+def _golden_max(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
+    """Best point ``(t, f(t))`` of f on [lo, hi] by golden-section, assuming a local bracket."""
+    inv_gold = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_gold * (b - a)
+    d = a + inv_gold * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_gold * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_gold * (b - a)
+            fd = f(d)
+    f_best, t_best = max((f(lo), lo), (f(hi), hi), (fc, c), (fd, d))
+    return t_best, f_best
+
+
+def _first_window(margin, ts, iters: int = 60):
+    """Bracket of the first engagement on the grid ``ts``, or None; every local maximum is polished."""
+    m = margin(ts)
+    hit = np.flatnonzero(m >= 0.0)
+    if hit.size:
+        i = int(hit[0])
+        return float(ts[max(i - 1, 0)]), float(ts[i])
+
+    def f(t):
+        return float(margin(np.asarray([t]))[0])
+
+    for i in np.flatnonzero((m[1:-1] >= m[:-2]) & (m[1:-1] >= m[2:])) + 1:
+        t, f_t = _golden_max(f, ts[i - 1], ts[i + 1], iters)
+        if f_t >= 0.0:
+            return float(ts[i - 1]), float(t)
+    return None
+
+
+def pursuit_capture_possible(a0: Point2, heading: float, threat: PursuerThreat) -> bool:
+    """Capture slack t + r - |A(t) - P0| scanned over t in [0, R] on 1000 steps."""
+    if math.hypot(a0.x - threat.position.x, a0.y - threat.position.y) == 0.0:
+        raise DomainError("agent exactly at the pursuer position")
+    v = threat.mu
+
+    def slack(t):
+        ax = a0.x + v * t * math.cos(heading) - threat.position.x
+        ay = a0.y + v * t * math.sin(heading) - threat.position.y
+        return t + threat.capture_radius - np.hypot(ax, ay)
+
+    return _first_window(slack, np.linspace(0.0, threat.engagement_range, 1001)) is not None
+
+
+def turret_neutralization_possible(a0: Point2, heading: float, threat: TurretThreat) -> bool:
+    """Time minus the beam's angular gap to the agent, scanned over the time the agent is in range."""
+    dx0 = a0.x - threat.position.x
+    dy0 = a0.y - threat.position.y
+    if dx0 == 0.0 and dy0 == 0.0:
+        raise DomainError("agent exactly at the turret position")
+    v = threat.mu
+    R = threat.engagement_range
+    ux, uy = math.cos(heading), math.sin(heading)
+    b = 2.0 * v * (dx0 * ux + dy0 * uy)
+    c = dx0 * dx0 + dy0 * dy0 - R * R
+    disc = b * b - 4.0 * v * v * c
+    if disc < 0.0:
+        return False
+    sq = math.sqrt(disc)
+    t_lo = (-b - sq) / (2.0 * v * v)
+    t_hi = (-b + sq) / (2.0 * v * v)
+    if t_hi < 0.0:
+        return False
+    t_lo = max(t_lo, 0.0)
+    look = wrap_angle(threat.look_angle)
+
+    def margin(ts):
+        px = a0.x + v * ts * ux - threat.position.x
+        py = a0.y + v * ts * uy - threat.position.y
+        sep = np.abs(np.remainder(look - np.arctan2(py, px) + math.pi, 2.0 * math.pi) - math.pi)
+        return ts - sep
+
+    step = 1e-4 * R / v
+    n = int(min(max(math.ceil((t_hi - t_lo) / step), 64), 400_000))
+    return _first_window(margin, np.linspace(t_lo, t_hi, n + 1)) is not None

@@ -26,7 +26,7 @@ from threatnav.pursuit import (
     sample_boundary,
     xi_crossover,
 )
-from threatnav.turret import TurretThreat, boundary_threshold_batch, sample_turret_boundary
+from threatnav.turret import TurretThreat, boundary_threshold, boundary_threshold_batch, sample_turret_boundary
 
 import reference_kernels as ref
 
@@ -213,7 +213,7 @@ def test_pursuer_clearance_batch_is_bit_exact(threat):
 
 
 @pytest.mark.parametrize("threat", [TURRETS[0], PURSUERS[3]], ids=["turret", "pursuer"])
-@pytest.mark.parametrize("member", ["clearance", "clearance_gradient"])
+@pytest.mark.parametrize("member", ["clearance", "clearance_gradient", "engageable"])
 @pytest.mark.parametrize("bad", [(math.nan, 0.5), (2.0, math.inf), (-math.inf, math.nan)], ids=["nan", "inf", "both"])
 def test_non_finite_point_is_a_domain_error(threat, member, bad):
     points = np.array([[1.0, 1.0], bad, [2.0, 2.0]])
@@ -224,7 +224,7 @@ def test_non_finite_point_is_a_domain_error(threat, member, bad):
 
 
 @pytest.mark.parametrize("threat", [TURRETS[0], PURSUERS[3]], ids=["turret", "pursuer"])
-@pytest.mark.parametrize("member", ["clearance", "clearance_gradient"])
+@pytest.mark.parametrize("member", ["clearance", "clearance_gradient", "engageable"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_heading_is_named_as_given(threat, member, bad):
     with warnings.catch_warnings():
@@ -232,6 +232,20 @@ def test_non_finite_heading_is_named_as_given(threat, member, bad):
         with pytest.raises(DomainError) as err:
             getattr(threat, member)(np.array([[1.0, 1.0], [2.0, 0.5]]), np.array([0.0, bad]))
     assert str(err.value) == f"angle must be finite, got {bad}"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_boundary_threshold_names_a_non_finite_heading_as_given(bad):
+    threat = TurretThreat(Point2(0.0, 0.0), look_angle=0.5, mu=0.5, engagement_range=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: boundary_threshold(0.2, threat, bad),
+            lambda: boundary_threshold_batch(np.array([0.2, 0.1]), threat, np.array([0.0, bad])),
+        ):
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == f"angle must be finite, got {bad}"
 
 
 def test_pursuer_batch_domain_errors():

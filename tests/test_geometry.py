@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -151,3 +152,12 @@ def test_every_float_field_names_a_rejected_value(build, name, sign, value):
         build(value)
     assert isinstance(err.value, ValueError)
     assert str(err.value) == f"{name} must be {rule}, got {value}"
+
+
+@pytest.mark.parametrize("speed", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_from_polyline_checks_speed_before_dividing(speed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a division by the speed would warn first
+        with pytest.raises(DomainError) as err:
+            Trajectory.from_polyline([[0.0, 0.0], [1.0, 0.0]], speed)
+    assert str(err.value) == f"speed must be positive and finite, got {speed}"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from threatnav import oracle, pursuit, turret, verification
 from threatnav.errors import DomainError
 from threatnav.geometry import Point2
 from threatnav.oracle import (
@@ -13,6 +14,9 @@ from threatnav.oracle import (
 )
 from threatnav.pursuit import PursuerThreat, rho, xi_crossover
 from threatnav.turret import TurretThreat
+from threatnav.verification import pursuit_equivalence_sweep
+
+import reference_kernels as ref
 
 FAST = PursuerThreat(Point2(0, 0), mu=0.7, engagement_range=1.0, capture_radius=0.25)
 SLOW = PursuerThreat(Point2(0, 0), mu=1.5, engagement_range=1.0, capture_radius=0.25)
@@ -200,3 +204,107 @@ class TestWindowBetweenGridPoints:
         assert np.all(ts - sep < 0.0)
         assert turret_neutralization_possible(a0, 0.0, threat, self.COARSE)
         assert turret_neutralization_possible(a0, 0.0, threat)
+
+
+TURRET = TurretThreat(Point2(0, 0), look_angle=0.0, mu=0.5, engagement_range=1.0)
+ROWS_PER_BLOCK = oracle._BLOCK // 1001  # pursuer poses per scan block on the default grid
+
+
+class TestEngageable:
+    """``engageable`` is the oracle over a block of poses: the frozen one-pose scan's verdicts, pose by pose."""
+
+    @pytest.mark.parametrize("mu", verification._MUS)
+    def test_pursuer_blocks_match_one_pose_calls(self, mu):
+        threat = PursuerThreat(Point2(0.3, -0.2), mu=mu, engagement_range=1.0, capture_radius=0.25)
+        rng = np.random.default_rng(11)
+        n = 3 * ROWS_PER_BLOCK + 7  # four blocks, the last one short
+        xi, headings, scale = rng.uniform(-math.pi, math.pi, (3, n))
+        points = []
+        for x, h, u in zip(xi.tolist(), headings.tolist(), scale.tolist()):
+            p = pose_at(rho(x, threat) * (1.0 + 0.3 * (u / math.pi)), x, h, threat)
+            points.append((p.x, p.y))
+        points = np.array(points)
+        got = threat.engageable(points, headings)
+        poses = [(Point2(*p), h) for p, h in zip(points.tolist(), headings.tolist())]
+        want = [ref.pursuit_capture_possible(p, h, threat) for p, h in poses]
+        assert got.dtype == bool and got.tolist() == want
+        assert [pursuit_capture_possible(p, h, threat) for p, h in poses] == want
+        assert 0 < sum(want) < n
+
+    @pytest.mark.parametrize("look", verification._LOOKS)
+    def test_turret_blocks_match_one_pose_calls(self, look):
+        threat = TurretThreat(Point2(0.1, 0.2), look_angle=look, mu=0.5, engagement_range=1.0)
+        rng = np.random.default_rng(12)
+        points = threat.position.as_tuple() + rng.uniform(-1.2, 1.2, (60, 2))
+        headings = rng.uniform(-math.pi, math.pi, 60)
+        got = threat.engageable(points, headings)
+        poses = [(Point2(*p), h) for p, h in zip(points.tolist(), headings.tolist())]
+        want = [ref.turret_neutralization_possible(p, h, threat) for p, h in poses]
+        assert got.dtype == bool and got.tolist() == want
+        assert [turret_neutralization_possible(p, h, threat) for p, h in poses] == want
+        assert 0 < sum(want) < 60
+
+    @pytest.mark.parametrize("threat", [FAST, TURRET])
+    def test_no_poses(self, threat):
+        got = threat.engageable(np.zeros((0, 2)), np.zeros(0))
+        assert got.shape == (0,) and got.dtype == bool
+
+    @pytest.mark.parametrize(
+        "threat, text", [(FAST, "agent exactly at the pursuer position"), (TURRET, "agent exactly at the turret position")]
+    )
+    def test_pose_on_the_threat(self, threat, text):
+        with pytest.raises(DomainError) as err:
+            threat.engageable(np.array([[1.0, 1.0], [0.0, 0.0]]), np.zeros(2))
+        assert str(err.value) == text
+
+    def test_reads_no_closed_form(self, monkeypatch):
+        def closed_form(*args, **kwargs):
+            raise AssertionError("the oracle called a closed form")
+
+        monkeypatch.setattr(pursuit, "_rho", closed_form)
+        monkeypatch.setattr(turret, "_threshold", closed_form)
+        for kind in (PursuerThreat, TurretThreat):
+            monkeypatch.setattr(kind, "clearance", closed_form)
+            monkeypatch.setattr(kind, "clearance_gradient", closed_form)
+        held_beam = TurretThreat(Point2(0, 0), look_angle=math.pi / 2, mu=1.5, engagement_range=1.0)
+        points, headings = np.array([[0.2, 0.1], [-3.0, 0.0]]), np.array([2.0, 0.0])
+        assert FAST.engageable(points, headings).tolist() == [True, False]
+        points = np.array([[-0.3, 0.5], [-3.0, 1.5]])
+        assert held_beam.engageable(points, np.zeros(2)).tolist() == [True, False]
+
+
+def test_no_pursuit_polish_starts_below_the_rise_bound(monkeypatch):
+    # Between grid points h apart the slack t + r - |A(t) - P| climbs at most
+    # (1 + mu) h, so a local maximum below -(1 + mu) h is never polished.
+    ts = np.linspace(0.0, 1.0, 1001)  # the sweep's grid: R = 1, default config
+    h = float(np.max(np.diff(ts)))
+    threats, starts = [], []
+    slack, golden_max = oracle._pursuit_slack, oracle._golden_max
+
+    def recording_slack(threat):
+        threats.append(threat)
+        return slack(threat)
+
+    def recording_golden_max(f, lo, hi, iters):
+        peak = ts[int(np.searchsorted(ts, lo)) + 1]
+        starts.append((f(peak), threats[-1].mu))
+        return golden_max(f, lo, hi, iters)
+
+    monkeypatch.setattr(oracle, "_pursuit_slack", recording_slack)
+    monkeypatch.setattr(oracle, "_golden_max", recording_golden_max)
+    results = pursuit_equivalence_sweep(200, seed=3)
+    assert [r.disagreements for r in results] == [0] * len(verification._MUS)
+    assert starts  # some maxima were polished
+    assert all(peak >= -(1.0 + mu) * h for peak, mu in starts)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_one_pose_oracles_name_a_non_finite_heading(bad):
+    for call in (
+        lambda: pursuit_capture_possible(Point2(1.0, 1.0), bad, FAST),
+        lambda: pursuit_capture_certificate(Point2(1.0, 1.0), bad, FAST),
+        lambda: turret_neutralization_possible(Point2(1.0, 1.0), bad, TURRET),
+    ):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == f"angle must be finite, got {bad}"

@@ -390,6 +390,9 @@ class DiskThreat:
         d = np.hypot(dx, dy)
         return dx / d, dy / d, np.zeros(len(d))
 
+    def engageable(self, points, headings):
+        return (points[:, 0] - self.position.x) ** 2 + (points[:, 1] - self.position.y) ** 2 <= self.radius**2
+
     @property
     def keep_out_radius(self):
         return self.radius
@@ -425,10 +428,20 @@ class TestThreatProtocol:
         with pytest.raises(InfeasibleError):
             plan(scen)
 
-    def test_audit_names_a_kind_without_an_oracle(self):
+    def test_audits_a_new_zone_kind(self, monkeypatch):
         scen = self.disk_scenario()
-        with pytest.raises(TypeError, match="no oracle for DiskThreat"):
-            resample_and_verify(plan(scen), scen, 10)
+        rep = resample_and_verify(plan(scen), scen, 10)
+        assert rep.points_checked == 391
+        assert rep.oracle_disagreements == 0
+
+        # the audit asks the kind's own referee: with every clearance called safe, it flags the points inside
+        chord = initialize(scen, "straight_line")
+        blocked = PlanResult(chord, float(chord.times[-1]), False, -math.inf, 0)
+        dense = np.column_stack([np.linspace(-3.0, 3.0, 391), np.zeros(391)])
+        inside = int(np.count_nonzero(self.DISK.engageable(dense, np.zeros(391))))
+        monkeypatch.setattr(DiskThreat, "clearance", lambda self, q, psi: np.full(len(q), 10.0))
+        assert inside > 0
+        assert resample_and_verify(blocked, scen, 10).oracle_disagreements == inside
 
 
 def central_differences(f, z):
