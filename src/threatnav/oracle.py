@@ -3,16 +3,16 @@
 These are the ground truth the closed-form zone boundaries are tested
 against, and each zone kind's ``engageable`` member answers with them.
 Both oracles evaluate their raw capture/neutralization margin on a dense
-time grid and share one scan (``_first_windows``) over a (poses x time
-grid) block: a pose's first grid point where the margin is >= 0 ends its
-scan, and without one each local maximum that can still reach 0 is
-polished by golden-section search. Pursuer poses share one grid and are
-scanned in blocks of at most ``_BLOCK`` values; each turret pose has its
-own in-range grid, a block of one row. Feasibility stops at the first
-witnessed engagement; only the pursuit certificate bisects the window it
-returns. The oracles read only threat parameters and never call the
-analytic boundary formulas. The one-pose functions are one-element views
-of the batched ones.
+time grid and share one scan (``_first_windows``) over blocks of poses:
+a pose's first grid point where the margin is >= 0 ends its scan, and
+without one each local maximum that can still reach 0 is rescanned on a
+finer grid across its bracket, a batch's maxima together. Pursuer poses
+share one grid and are scanned in blocks of at most ``_BLOCK`` values;
+each turret pose has its own in-range grid, a block of one row.
+Feasibility stops at the first witnessed engagement; only the pursuit
+certificate bisects the window it returns. The oracles read only threat
+parameters and never call the analytic boundary formulas. The one-pose
+functions are one-element views of the batched ones.
 
 Normalization matches the zone modules: unit pursuer speed / unit slew
 rate, agent speed ``mu``. Feasibility is invariant to a common time
@@ -34,8 +34,8 @@ if TYPE_CHECKING:  # the zone modules import this one for their engageable membe
     from .pursuit import PursuerThreat
     from .turret import TurretThreat
 
-_INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-_BLOCK = 1 << 16  # most margin values in one scan block: about 0.5 MB per temporary
+_BLOCK = 1 << 16  # most margin values in one scan or refinement array: about 0.5 MB per temporary
+_SPREAD = np.linspace(0.0, 1.0, 64)  # where a refinement level samples a bracket
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,10 @@ class OracleConfig:
 
     pursuit_step_fraction: grid step as a fraction of the scan horizon.
     turret_step_fraction: grid step as a fraction of range / agent speed.
-    refine_iterations: bisection / golden-section iterations per bracket.
+    refine_iterations: bisection iterations per certificate bracket. A
+    local maximum is rescanned until its bracket is no wider than this
+    many golden-section steps would leave it: each level keeps 2 of the
+    63 gaps between its 64 points, so 60 iterations take 9 levels.
     """
 
     pursuit_step_fraction: float = 1e-3
@@ -55,72 +58,69 @@ class OracleConfig:
 _DEFAULT = OracleConfig()
 
 
-def _golden_max(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Best point ``(t, f(t))`` of f on [lo, hi] by golden-section, assuming a local bracket."""
-    a, b = lo, hi
-    c = b - _INV_GOLD * (b - a)
-    d = a + _INV_GOLD * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLD * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLD * (b - a)
-            fd = f(d)
-    f_best, t_best = max((f(lo), lo), (f(hi), hi), (fc, c), (fd, d))
-    return t_best, f_best
+def _first_windows(margin, poses: tuple, blocks, iters: int, rise: float = math.inf) -> list:
+    """Bracket ``(lo, hi)`` of the first engagement of each pose, or None.
 
-
-def _scalar(margin, poses: tuple, k: int):
-    """Pose ``k``'s margin at one time: the pose as floats, the time as a one-element array."""
-    pose = tuple(float(column[k, 0]) for column in poses)
-    return lambda t: float(margin(pose, np.asarray([t]))[0])
-
-
-def _rows(poses: tuple, start: int, stop: int) -> tuple:
-    """Poses ``start`` to ``stop`` of the columns ``poses``."""
-    return tuple(column[start:stop] for column in poses)
-
-
-def _first_windows(margin, poses: tuple, ts: np.ndarray, iters: int, rise: float = math.inf) -> list:
-    """Bracket ``(lo, hi)`` of the first engagement of each pose on the grid ``ts``, or None.
-
-    ``poses`` are columns with one row per pose. ``margin(poses, t)`` maps
-    rows of them and an array of times to the (poses x times) engagement
-    margin, feasible where >= 0; given one pose as floats, it maps the
-    times to that pose's margin. The poses are scanned in blocks of at
-    most ``_BLOCK`` values. At a pose's first grid point with
-    margin >= 0 the bracket runs from the grid point before it. With no
-    grid hit, every interior local maximum of the pose's margin is
-    polished by golden-section search, in case a short window fell
-    between grid points; the first one that reaches 0 gives
-    ``(ts[i - 1], t)`` with ``t`` its best point. A maximum below
-    ``-rise``, where ``rise`` bounds how far the margin can climb within
-    one grid step, cannot reach 0 and is not polished. Either way
-    ``margin(hi) >= 0``.
+    ``poses`` are columns with one row per pose; ``blocks`` yields
+    ``(start, stop, ts)``, poses ``start`` to ``stop`` on the time grid
+    ``ts``. ``margin(rows, t)`` maps pose columns and times that broadcast
+    against them to the engagement margin, feasible where >= 0. At a
+    pose's first grid point with margin >= 0 the bracket runs from the
+    grid point before it. Without one, each interior local maximum of the
+    pose's grid margin is refined (``_refine``), in case a short window
+    fell between grid points: the first that reaches 0 gives
+    ``(ts[i - 1], t)``, ``t`` its best point. A maximum below ``-rise``,
+    where ``rise`` bounds the margin's climb within one grid step, cannot
+    reach 0 and is not refined. Either way ``margin(hi) >= 0``.
     """
     windows: list[Optional[tuple[float, float]]] = [None] * len(poses[0])
-    per_block = max(_BLOCK // len(ts), 1)
-    for start in range(0, len(windows), per_block):
-        m = margin(_rows(poses, start, start + per_block), ts)
-        hit = m >= 0.0
-        found = hit.any(axis=1)
-        for j, i in zip(np.flatnonzero(found).tolist(), hit.argmax(axis=1)[found].tolist()):
+    peaks = []  # per block: each candidate maximum's pose and bracket
+    for start, stop, ts in blocks:
+        m = margin(tuple(column[start:stop] for column in poses), ts)
+        found, inner = m.max(axis=1) >= 0.0, m[:, 1:-1]
+        for j in np.flatnonzero(found).tolist():
+            i = int((m[j] >= 0.0).argmax())
             windows[start + j] = float(ts[max(i - 1, 0)]), float(ts[i])
-        if found.all():
-            continue
-        inner = m[:, 1:-1]
-        peaks = (inner >= m[:, :-2]) & (inner >= m[:, 2:])
-        for j, i in (divmod(flat, len(ts) - 2) for flat in np.flatnonzero(peaks).tolist()):
-            k = start + j
-            if windows[k] is None and inner[j, i] >= -rise:
-                t, f_t = _golden_max(_scalar(margin, poses, k), ts[i], ts[i + 2], iters)
-                if f_t >= 0.0:
-                    windows[k] = float(ts[i]), float(t)
+        if not found.all():  # this guard and the next spare a one-row turret block a dozen small array calls
+            flat = np.flatnonzero((inner >= m[:, :-2]) & (inner >= m[:, 2:]))
+            if len(flat):
+                j, i = np.divmod(flat, len(ts) - 2)
+                keep = (inner[j, i] >= -rise) & ~found[j]
+                peaks.append((j[keep] + start, ts[i[keep]], ts[i[keep] + 2]))
+        del m, inner  # free this block before the next is computed: with both held, large blocks land on fresh pages
+    if peaks:
+        k, lo, hi = (np.concatenate(parts) for parts in zip(*peaks))
+        t, f_t = _refine(margin, poses, k, lo, hi, iters)
+        for pose, a, b in zip(*(column[f_t >= 0.0].tolist() for column in (k, lo, t))):
+            if windows[pose] is None:  # a pose's maxima come in time order: keep its first
+                windows[pose] = a, b
     return windows
+
+
+def _refine(margin, poses: tuple, k: np.ndarray, lo: np.ndarray, hi: np.ndarray, iters: int):
+    """Best point ``t`` and margin ``f(t)`` of pose ``k[c]``'s margin on its bracket ``[lo[c], hi[c]]``.
+
+    Each level samples the brackets at the 64 points of ``_SPREAD``, one
+    margin call per chunk of at most ``_BLOCK`` values, and narrows each
+    to the neighbours of its best point: by 2/63, where a golden-section
+    step narrows by 1/phi. Enough levels run to leave a bracket no wider
+    than ``iters`` golden-section steps would: 9 for 60.
+    """
+    levels = math.ceil(iters * math.log((1.0 + math.sqrt(5.0)) / 2.0) / math.log(31.5))
+    best_t, best_f = lo.copy(), np.full(len(k), -math.inf)
+    per_chunk = _BLOCK // len(_SPREAD)
+    for c in range(0, len(k), per_chunk):
+        part = slice(c, c + per_chunk)
+        rows, a, b = tuple(column[k[part]] for column in poses), lo[part], hi[part]
+        top_t, top_f, every = best_t[part], best_f[part], np.arange(len(a))  # views: writes land in best_t, best_f
+        for _ in range(levels):
+            t = a[:, None] + (b - a)[:, None] * _SPREAD
+            f = margin(rows, t)
+            i = f.argmax(axis=1)
+            better = f[every, i] > top_f
+            top_t[better], top_f[better] = t[every, i][better], f[every, i][better]
+            a, b = t[every, np.maximum(i - 1, 0)], t[every, np.minimum(i + 1, len(_SPREAD) - 1)]
+    return best_t, best_f
 
 
 def _bisect_first(f, lo: float, hi: float, iters: int) -> float:
@@ -158,8 +158,8 @@ def _poses(points, headings, position: Point2, kind: str) -> tuple[np.ndarray, .
 def _track(threat, poses: tuple, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Offsets from the threat of the straight-running agents ``poses`` at times t."""
     x, y, c, s = poses
-    v = threat.mu
-    return x + v * t * c - threat.position.x, y + v * t * s - threat.position.y
+    vt = threat.mu * t
+    return x + vt * c - threat.position.x, y + vt * s - threat.position.y
 
 
 def _pursuit_slack(threat: PursuerThreat):
@@ -180,14 +180,17 @@ def _pursuit_slack(threat: PursuerThreat):
 def _pursuit_windows(poses: tuple, threat: PursuerThreat, config: OracleConfig) -> list:
     """Each pose's first capture window, or None.
 
-    The slack rises at most 1 + mu per unit time (the agent closes at mu,
-    the balloon grows at 1), so a local maximum below -(1 + mu) h on a
-    grid of step h cannot reach 0 between grid points.
+    The poses share one grid, scanned in blocks of at most ``_BLOCK``
+    values. The slack rises at most 1 + mu per unit time (the agent
+    closes at mu, the balloon grows at 1), so a local maximum below
+    -(1 + mu) h on a grid of step h cannot reach 0 between grid points.
     """
     n = max(int(round(1.0 / config.pursuit_step_fraction)), 8)
     ts = np.linspace(0.0, threat.engagement_range, n + 1)  # unit pursuer speed: life ends at t = R
     rise = (1.0 + threat.mu) * float(np.max(np.diff(ts)))
-    return _first_windows(_pursuit_slack(threat), poses, ts, config.refine_iterations, rise)
+    per_block = max(_BLOCK // len(ts), 1)
+    blocks = ((start, start + per_block, ts) for start in range(0, len(poses[0]), per_block))
+    return _first_windows(_pursuit_slack(threat), poses, blocks, config.refine_iterations, rise)
 
 
 def _one(a0: Point2, heading: float) -> tuple[np.ndarray, np.ndarray]:
@@ -228,31 +231,28 @@ def pursuit_capture_certificate(
     (window,) = _pursuit_windows(pose, threat, config)
     if window is None:
         return None
-    t_cap = _bisect_first(_scalar(_pursuit_slack(threat), pose, 0), *window, config.refine_iterations)
+    slack = _pursuit_slack(threat)
+    t_cap = _bisect_first(lambda t: float(slack(pose, np.array([t]))[0, 0]), *window, config.refine_iterations)
     return t_cap, t_cap
 
 
-def _turret_grid(dx0: float, dy0: float, ux: float, uy: float, threat: TurretThreat, config: OracleConfig):
-    """Scan grid over the times t >= 0 that one agent spends in range, or None if it never is.
+def _turret_blocks(poses: tuple, threat: TurretThreat, config: OracleConfig):
+    """Yield ``(j, j + 1, ts)`` for each pose j ever in range, ts spanning its times t >= 0 there.
 
-    The agent starts at offset (dx0, dy0) from the turret and runs along (ux, uy).
+    The bounds come from one array evaluation; each grid is built when the scan reaches its pose.
     """
-    v, R = threat.mu, threat.engagement_range
+    dx0, dy0 = poses[0][:, 0] - threat.position.x, poses[1][:, 0] - threat.position.y
+    ux, uy, v, R = poses[2][:, 0], poses[3][:, 0], threat.mu, threat.engagement_range
     # |a0 + v t u - T|^2 = R^2, with the leading coefficient v^2
     b = 2.0 * v * (dx0 * ux + dy0 * uy)
-    c = dx0 * dx0 + dy0 * dy0 - R * R
-    disc = b * b - 4.0 * v * v * c
-    if disc < 0.0:
-        return None
-    sq = math.sqrt(disc)
-    t_lo = (-b - sq) / (2.0 * v * v)
+    disc = b * b - 4.0 * v * v * (dx0 * dx0 + dy0 * dy0 - R * R)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    t_lo = np.maximum((-b - sq) / (2.0 * v * v), 0.0)
     t_hi = (-b + sq) / (2.0 * v * v)
-    if t_hi < 0.0:
-        return None
-    t_lo = max(t_lo, 0.0)
-    step = config.turret_step_fraction * R / v
-    n = int(min(max(math.ceil((t_hi - t_lo) / step), 64), 400_000))
-    return np.linspace(t_lo, t_hi, n + 1)
+    ever = np.flatnonzero((disc >= 0.0) & (t_hi >= 0.0))
+    steps = np.ceil((t_hi[ever] - t_lo[ever]) / (config.turret_step_fraction * R / v))
+    for j, n in zip(ever.tolist(), np.minimum(np.maximum(steps, 64), 400_000).astype(int).tolist()):
+        yield j, j + 1, np.linspace(t_lo[j], t_hi[j], n + 1)
 
 
 def turret_neutralization_possible_batch(
@@ -270,13 +270,8 @@ def turret_neutralization_possible_batch(
         sep = np.abs(np.remainder(look - np.arctan2(py, px) + math.pi, 2.0 * math.pi) - math.pi)
         return t - sep
 
-    x, y, c, s = (column[:, 0].tolist() for column in poses)
-    out = np.zeros(len(x), dtype=bool)
-    for j in range(len(x)):
-        ts = _turret_grid(x[j] - threat.position.x, y[j] - threat.position.y, c[j], s[j], threat, config)
-        if ts is not None:
-            out[j] = _first_windows(margin, _rows(poses, j, j + 1), ts, config.refine_iterations)[0] is not None
-    return out
+    windows = _first_windows(margin, poses, _turret_blocks(poses, threat, config), config.refine_iterations)
+    return np.array([w is not None for w in windows], dtype=bool)
 
 
 def turret_neutralization_possible(

@@ -60,6 +60,10 @@ class TurretThreat:
         require_number("mu", self.mu, "positive")
         require_number("engagement_range", self.engagement_range, "positive")
         require_number("look_angle", self.look_angle)
+        # The oracle's in-range quadratic divides by mu^2 and takes R^2 and (mu R)^2.
+        mu, R = self.mu, self.engagement_range
+        if not all(0.0 < q < math.inf for q in (mu * mu, R * R, (mu * R) * (mu * R))):
+            raise DomainError(f"mu {mu} and engagement_range {R} overflow the oracle's in-range quadratic")
 
     @property
     def keep_out_radius(self) -> float:

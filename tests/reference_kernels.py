@@ -222,8 +222,8 @@ def _first_window(margin, ts, iters: int = 60):
     return None
 
 
-def pursuit_capture_possible(a0: Point2, heading: float, threat: PursuerThreat) -> bool:
-    """Capture slack t + r - |A(t) - P0| scanned over t in [0, R] on 1000 steps."""
+def pursuit_capture_possible(a0: Point2, heading: float, threat: PursuerThreat, steps: int = 1000) -> bool:
+    """Capture slack t + r - |A(t) - P0| scanned over t in [0, R] on ``steps`` steps."""
     if math.hypot(a0.x - threat.position.x, a0.y - threat.position.y) == 0.0:
         raise DomainError("agent exactly at the pursuer position")
     v = threat.mu
@@ -233,11 +233,16 @@ def pursuit_capture_possible(a0: Point2, heading: float, threat: PursuerThreat) 
         ay = a0.y + v * t * math.sin(heading) - threat.position.y
         return t + threat.capture_radius - np.hypot(ax, ay)
 
-    return _first_window(slack, np.linspace(0.0, threat.engagement_range, 1001)) is not None
+    return _first_window(slack, np.linspace(0.0, threat.engagement_range, steps + 1)) is not None
 
 
-def turret_neutralization_possible(a0: Point2, heading: float, threat: TurretThreat) -> bool:
-    """Time minus the beam's angular gap to the agent, scanned over the time the agent is in range."""
+def turret_neutralization_possible(
+    a0: Point2, heading: float, threat: TurretThreat, step_fraction: float = 1e-4
+) -> bool:
+    """Time minus the beam's angular gap to the agent, scanned over the time the agent is in range.
+
+    The grid step is ``step_fraction`` R / mu, and the grid has at least 64 steps.
+    """
     dx0 = a0.x - threat.position.x
     dy0 = a0.y - threat.position.y
     if dx0 == 0.0 and dy0 == 0.0:
@@ -264,6 +269,6 @@ def turret_neutralization_possible(a0: Point2, heading: float, threat: TurretThr
         sep = np.abs(np.remainder(look - np.arctan2(py, px) + math.pi, 2.0 * math.pi) - math.pi)
         return ts - sep
 
-    step = 1e-4 * R / v
+    step = step_fraction * R / v
     n = int(min(max(math.ceil((t_hi - t_lo) / step), 64), 400_000))
     return _first_window(margin, np.linspace(t_lo, t_hi, n + 1)) is not None

@@ -10,6 +10,7 @@ from threatnav.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios" / "golden.json"
 TURRET = GOLDEN.with_name("turret.json")
+_TURRET = {"kind": "turret", "position": [0.0, 3.0], "mu": 0.5, "range": 1.0, "look_angle": 0.0}  # off the golden route
 
 
 def read_csv(path):
@@ -168,11 +169,15 @@ class TestPlan:
             (lambda d: d["output"].update(formats=None), "$.output.formats"),
             (lambda d: d["planner"].update(max_iterations=-5), "$.planner"),
             (lambda d: d["threats"][0].update(mu=1e308), "$.threats[0]"),
+            (lambda d: d["threats"].append({**_TURRET, "mu": 1e-170}), "$.threats[1]"),
+            (lambda d: d["threats"].append({**_TURRET, "mu": 1e155}), "$.threats[1]"),
+            (lambda d: d["threats"].append({**_TURRET, "range": 1e170}), "$.threats[1]"),
         ],
         ids=[
             "custom", "circumnav_reach_no_pursuer", "bool_tolerance", "float_n_nodes", "threats_object",
             "goal_is_start", "negative_mu", "negative_speed", "zero_range", "infinite_start",
-            "null_formats", "negative_max_iterations", "huge_mu",
+            "null_formats", "negative_max_iterations", "huge_mu", "turret_mu_squared_underflows",
+            "turret_huge_mu", "turret_huge_range",
         ],
     )
     def test_bad_scenario_values_exit_code(self, tmp_path, capsys, edit, location):

@@ -162,7 +162,7 @@ class TestTurretNeutralization:
 
 
 class TestWindowBetweenGridPoints:
-    """Engagement windows narrower than one grid step: only the golden-section polish finds them."""
+    """Engagement windows narrower than one grid step: only the refinement of a grid maximum finds them."""
 
     COARSE = OracleConfig(pursuit_step_fraction=0.125, turret_step_fraction=1.0)  # 8 and 64 grid steps
 
@@ -275,27 +275,97 @@ class TestEngageable:
 
 def test_no_pursuit_polish_starts_below_the_rise_bound(monkeypatch):
     # Between grid points h apart the slack t + r - |A(t) - P| climbs at most
-    # (1 + mu) h, so a local maximum below -(1 + mu) h is never polished.
+    # (1 + mu) h, so a local maximum below -(1 + mu) h is never refined.
     ts = np.linspace(0.0, 1.0, 1001)  # the sweep's grid: R = 1, default config
     h = float(np.max(np.diff(ts)))
     threats, starts = [], []
-    slack, golden_max = oracle._pursuit_slack, oracle._golden_max
+    slack, refine = oracle._pursuit_slack, oracle._refine
 
     def recording_slack(threat):
         threats.append(threat)
         return slack(threat)
 
-    def recording_golden_max(f, lo, hi, iters):
-        peak = ts[int(np.searchsorted(ts, lo)) + 1]
-        starts.append((f(peak), threats[-1].mu))
-        return golden_max(f, lo, hi, iters)
+    def recording_refine(margin, poses, k, lo, hi, iters):
+        peaks = ts[np.searchsorted(ts, lo) + 1]  # each bracket is the two grid steps around its maximum
+        values = margin(tuple(column[k] for column in poses), peaks[:, None])[:, 0]
+        starts.extend((value, threats[-1].mu) for value in values.tolist())
+        return refine(margin, poses, k, lo, hi, iters)
 
     monkeypatch.setattr(oracle, "_pursuit_slack", recording_slack)
-    monkeypatch.setattr(oracle, "_golden_max", recording_golden_max)
+    monkeypatch.setattr(oracle, "_refine", recording_refine)
     results = pursuit_equivalence_sweep(200, seed=3)
     assert [r.disagreements for r in results] == [0] * len(verification._MUS)
-    assert starts  # some maxima were polished
+    assert starts  # some maxima were refined
     assert all(peak >= -(1.0 + mu) * h for peak, mu in starts)
+
+
+def test_coarse_grid_verdicts_match_the_golden_section_scan(monkeypatch):
+    # On a coarse grid many windows fall between grid points, so the
+    # refinement decides many verdicts; each must be the frozen
+    # golden-section scan's on the same grid.
+    decided = []  # per zone kind: verdicts the reference's polish decided
+    golden_max = ref._golden_max
+    coarse = TestWindowBetweenGridPoints.COARSE
+
+    def recording_golden_max(f, lo, hi, iters):
+        t, f_t = golden_max(f, lo, hi, iters)
+        if f_t >= 0.0:  # the scan stops here: a window between grid points
+            decided[-1] += 1
+        return t, f_t
+
+    monkeypatch.setattr(ref, "_golden_max", recording_golden_max)
+    rng = np.random.default_rng(21)
+    decided.append(0)
+    for _ in range(10):
+        mu, R = rng.uniform(0.3, 2.5), rng.uniform(0.3, 2.0)
+        r = rng.uniform(0.0, 0.6) * R
+        threat = PursuerThreat(Point2(*rng.uniform(-1, 1, 2)), mu=mu, engagement_range=R, capture_radius=r)
+        xi, headings = rng.uniform(-math.pi, math.pi, (2, 200))
+        offsets = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-4.0, -0.5, 200) * R
+        poses = [(pose_at(max(rho(x, threat) + o, 1e-3), x, h, threat), h)
+                 for x, h, o in zip(xi.tolist(), headings.tolist(), offsets.tolist())]
+        points = np.array([p.as_tuple() for p, _ in poses])
+        got = oracle.pursuit_capture_possible_batch(points, headings, threat, coarse)
+        assert got.tolist() == [ref.pursuit_capture_possible(p, h, threat, steps=8) for p, h in poses]
+    decided.append(0)
+    for _ in range(10):
+        mu, R = rng.uniform(0.5, 8.0), rng.uniform(0.5, 2.0)
+        threat = TurretThreat(Point2(*rng.uniform(-1, 1, 2)), look_angle=rng.uniform(-4, 4), mu=mu, engagement_range=R)
+        # near the turret a fast agent's bearing outruns the beam: short windows
+        radius = 0.4 * R * np.sqrt(rng.uniform(size=200))
+        bearing, headings = rng.uniform(-math.pi, math.pi, (2, 200))
+        points = threat.position.as_tuple() + radius[:, None] * np.c_[np.cos(bearing), np.sin(bearing)]
+        got = oracle.turret_neutralization_possible_batch(points, headings, threat, coarse)
+        want = [ref.turret_neutralization_possible(Point2(*p), h, threat, step_fraction=1.0)
+                for p, h in zip(points.tolist(), headings.tolist())]
+        assert got.tolist() == want
+    assert min(decided) >= 20, decided
+
+
+def test_refinement_memory_is_bounded(monkeypatch):
+    # Running straight away from a pursuer as fast as it is, just outside
+    # the capture radius, the slack is flat just below 0: hundreds of grid
+    # maxima per pose, all refined, none reaching 0.
+    threat = PursuerThreat(Point2(0, 0), mu=1.0, engagement_range=1.0, capture_radius=0.25)
+    headings = np.linspace(-3.0, 3.0, 8)
+    points = (0.25 + 1e-7) * np.c_[np.cos(headings), np.sin(headings)]
+    sizes = []
+    slack = oracle._pursuit_slack
+
+    def recording_slack(threat):
+        margin = slack(threat)
+
+        def recorded(poses, t):
+            m = margin(poses, t)
+            sizes.append(m.size)
+            return m
+
+        return recorded
+
+    monkeypatch.setattr(oracle, "_pursuit_slack", recording_slack)
+    assert threat.engageable(points, headings).tolist() == [False] * 8
+    assert len(sizes) > 1 + 9 * 2  # the grid scan, then nine levels over more than two chunks of maxima
+    assert max(sizes) <= oracle._BLOCK
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

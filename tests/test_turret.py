@@ -152,6 +152,21 @@ class TestMembership:
             assert base == turned
 
 
+class TestParameters:
+    @pytest.mark.parametrize(
+        "mu, R", [(1e-170, 1.0), (1e155, 1.0), (0.5, 1e170)], ids=["mu_squared_underflows", "huge_mu", "huge_range"]
+    )
+    def test_rejects_parameters_that_overflow_the_oracle(self, mu, R):
+        with pytest.raises(DomainError) as err:
+            TurretThreat(Point2(0, 0), look_angle=0.3, mu=mu, engagement_range=R)
+        assert str(err.value) == f"mu {mu} and engagement_range {R} overflow the oracle's in-range quadratic"
+
+    def test_accepts_extreme_parameters_the_oracle_can_scan(self):
+        threat = TurretThreat(Point2(0, 0), look_angle=0.0, mu=1e-100, engagement_range=1e100)
+        points = np.array([[-0.5e100, 0.1e100], [-3e100, 0.0]])  # in range; out of range and leaving
+        assert threat.engageable(points, np.array([0.0, math.pi])).tolist() == [True, False]
+
+
 class TestSampleBoundary:
     def test_three_sample_endpoints_and_join(self):
         samples = sample_turret_boundary(AWAY, 3)
