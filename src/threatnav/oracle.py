@@ -8,11 +8,13 @@ a pose's first grid point where the margin is >= 0 ends its scan, and
 without one each local maximum that can still reach 0 is rescanned on a
 finer grid across its bracket, a batch's maxima together. Pursuer poses
 share one grid and are scanned in blocks of at most ``_BLOCK`` values;
-each turret pose has its own in-range grid, a block of one row.
-Feasibility stops at the first witnessed engagement; only the pursuit
-certificate bisects the window it returns. The oracles read only threat
-parameters and never call the analytic boundary formulas. The one-pose
-functions are one-element views of the batched ones.
+each turret pose has its own in-range grid, scanned in one-row blocks
+of at most ``_CHUNK`` times, so its scan ends with the block that holds
+its first grid hit. Feasibility stops at the first witnessed engagement;
+only the pursuit certificate bisects the window it returns. The oracles
+read only threat parameters and never call the analytic boundary
+formulas. The one-pose functions are one-element views of the batched
+ones.
 
 Normalization matches the zone modules: unit pursuer speed / unit slew
 rate, agent speed ``mu``. Feasibility is invariant to a common time
@@ -28,13 +30,14 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Point2, require_finite_poses, wrap_angle
+from .geometry import TWO_PI, Point2, require_finite_poses, wrap_angle
 
 if TYPE_CHECKING:  # the zone modules import this one for their engageable member
     from .pursuit import PursuerThreat
     from .turret import TurretThreat
 
 _BLOCK = 1 << 16  # most margin values in one scan or refinement array: about 0.5 MB per temporary
+_CHUNK = 8192  # most times of one turret scan block: 64 KiB per temporary; a block costs as much as ~2,500 times
 _SPREAD = np.linspace(0.0, 1.0, 64)  # where a refinement level samples a bracket
 
 
@@ -62,26 +65,34 @@ def _first_windows(margin, poses: tuple, blocks, iters: int, rise: float = math.
     """Bracket ``(lo, hi)`` of the first engagement of each pose, or None.
 
     ``poses`` are columns with one row per pose; ``blocks`` yields
-    ``(start, stop, ts)``, poses ``start`` to ``stop`` on the time grid
-    ``ts``. ``margin(rows, t)`` maps pose columns and times that broadcast
-    against them to the engagement margin, feasible where >= 0. At a
-    pose's first grid point with margin >= 0 the bracket runs from the
-    grid point before it. Without one, each interior local maximum of the
-    pose's grid margin is refined (``_refine``), in case a short window
-    fell between grid points: the first that reaches 0 gives
+    ``(start, stop, ts)``, poses ``start`` to ``stop`` on the times
+    ``ts``, in time order per pose. A pose may come in several blocks,
+    each a slice of its grid that shares its first two times with the end
+    of the slice before it, so each grid point but the ends is interior
+    to exactly one block. A block whose poses all have a window is
+    skipped unevaluated. ``margin(rows, t)`` maps pose columns and times
+    that broadcast against them to the engagement margin, feasible where
+    >= 0. At a pose's first grid point with margin >= 0 the bracket runs
+    from the grid point before it. Without one, each interior local
+    maximum of the pose's grid margin is refined (``_refine``), in case a
+    short window fell between grid points: the first that reaches 0 gives
     ``(ts[i - 1], t)``, ``t`` its best point. A maximum below ``-rise``,
     where ``rise`` bounds the margin's climb within one grid step, cannot
-    reach 0 and is not refined. Either way ``margin(hi) >= 0``.
+    reach 0 and is not refined, nor is one of a pose that has a grid hit.
+    Either way ``margin(hi) >= 0``.
     """
     windows: list[Optional[tuple[float, float]]] = [None] * len(poses[0])
     peaks = []  # per block: each candidate maximum's pose and bracket
     for start, stop, ts in blocks:
+        if None not in windows[start:stop]:
+            continue
         m = margin(tuple(column[start:stop] for column in poses), ts)
         found, inner = m.max(axis=1) >= 0.0, m[:, 1:-1]
-        for j in np.flatnonzero(found).tolist():
+        hits = found.nonzero()[0].tolist()
+        for j in hits:  # a later slice's hit is past its first two times: ts[i - 1] is in it
             i = int((m[j] >= 0.0).argmax())
             windows[start + j] = float(ts[max(i - 1, 0)]), float(ts[i])
-        if not found.all():  # this guard and the next spare a one-row turret block a dozen small array calls
+        if len(hits) < len(found):  # this guard and the next spare a one-row turret block a dozen small array calls
             flat = np.flatnonzero((inner >= m[:, :-2]) & (inner >= m[:, 2:]))
             if len(flat):
                 j, i = np.divmod(flat, len(ts) - 2)
@@ -90,6 +101,8 @@ def _first_windows(margin, poses: tuple, blocks, iters: int, rise: float = math.
         del m, inner  # free this block before the next is computed: with both held, large blocks land on fresh pages
     if peaks:
         k, lo, hi = (np.concatenate(parts) for parts in zip(*peaks))
+        keep = np.array([windows[pose] is None for pose in k.tolist()], dtype=bool)  # a hit in a later slice wins
+        k, lo, hi = k[keep], lo[keep], hi[keep]
         t, f_t = _refine(margin, poses, k, lo, hi, iters)
         for pose, a, b in zip(*(column[f_t >= 0.0].tolist() for column in (k, lo, t))):
             if windows[pose] is None:  # a pose's maxima come in time order: keep its first
@@ -239,20 +252,60 @@ def pursuit_capture_certificate(
 def _turret_blocks(poses: tuple, threat: TurretThreat, config: OracleConfig):
     """Yield ``(j, j + 1, ts)`` for each pose j ever in range, ts spanning its times t >= 0 there.
 
-    The bounds come from one array evaluation; each grid is built when the scan reaches its pose.
+    The bounds come from one array evaluation, which raises for a pose so
+    far out that its in-range quadratic overflows. Each pose's grid is
+    built when the scan reaches it and yielded in slices of at most
+    ``_CHUNK`` times, each sharing its first two times with the end of
+    the slice before it (see ``_first_windows``).
     """
     dx0, dy0 = poses[0][:, 0] - threat.position.x, poses[1][:, 0] - threat.position.y
     ux, uy, v, R = poses[2][:, 0], poses[3][:, 0], threat.mu, threat.engagement_range
     # |a0 + v t u - T|^2 = R^2, with the leading coefficient v^2
-    b = 2.0 * v * (dx0 * ux + dy0 * uy)
-    disc = b * b - 4.0 * v * v * (dx0 * dx0 + dy0 * dy0 - R * R)
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    t_lo = np.maximum((-b - sq) / (2.0 * v * v), 0.0)
-    t_hi = (-b + sq) / (2.0 * v * v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = 2.0 * v * (dx0 * ux + dy0 * uy)
+        disc = b * b - 4.0 * v * v * (dx0 * dx0 + dy0 * dy0 - R * R)
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        t_lo, t_hi = (-b - sq) / (2.0 * v * v), (-b + sq) / (2.0 * v * v)
+    bad = ~(np.isfinite(disc) & np.isfinite(t_lo) & np.isfinite(t_hi))
+    if bad.any():
+        j = int(bad.argmax())
+        raise DomainError(f"agent at ({poses[0][j, 0]}, {poses[1][j, 0]}) overflows the oracle's in-range quadratic")
+    t_lo = np.maximum(t_lo, 0.0)
     ever = np.flatnonzero((disc >= 0.0) & (t_hi >= 0.0))
     steps = np.ceil((t_hi[ever] - t_lo[ever]) / (config.turret_step_fraction * R / v))
     for j, n in zip(ever.tolist(), np.minimum(np.maximum(steps, 64), 400_000).astype(int).tolist()):
-        yield j, j + 1, np.linspace(t_lo[j], t_hi[j], n + 1)
+        ts = np.linspace(t_lo[j], t_hi[j], n + 1)
+        for c in range(0, n - 1, _CHUNK - 2):  # slices of at least 3 times, the last ending at ts[n]
+            yield j, j + 1, ts[c : c + _CHUNK]
+
+
+def _separation(x: np.ndarray) -> np.ndarray:
+    """``abs(np.remainder(x, 2 pi) - pi)`` for x in [-2 pi, 4 pi), bit for bit, without the remainder.
+
+    From 2 pi up ``np.remainder`` returns ``fmod``, which is exact, and so
+    is x - 2 pi there (Sterbenz's lemma); below 0 both add 2 pi once and
+    round the same way. At x = -0 both give pi.
+    """
+    y = x - TWO_PI * (x >= TWO_PI)
+    y += TWO_PI * (x < 0.0)
+    y -= math.pi
+    return np.abs(y, out=y)
+
+
+def _turret_margin(threat: TurretThreat):
+    """Neutralization margin t - |look - bearing| of poses at times t; feasible where >= 0.
+
+    The look angle is wrapped into (-pi, pi] and the bearing is in
+    [-pi, pi], so ``look - bearing + pi`` is in [-pi, 3 pi], inside
+    ``_separation``'s domain.
+    """
+    look = wrap_angle(threat.look_angle)
+
+    def margin(poses: tuple, t: np.ndarray) -> np.ndarray:
+        px, py = _track(threat, poses, t)
+        return t - _separation(look - np.arctan2(py, px) + math.pi)
+
+    return margin
 
 
 def turret_neutralization_possible_batch(
@@ -260,17 +313,12 @@ def turret_neutralization_possible_batch(
 ) -> np.ndarray:
     """``turret_neutralization_possible`` of every pose: rows of ``points`` (n x 2) with ``headings``.
 
-    Each pose is scanned over its own in-range grid, a block of one row.
+    Each pose is scanned over its own in-range grid, in one-row blocks of
+    at most ``_CHUNK`` times, up to the block that holds its first hit.
     """
     poses = _poses(points, headings, threat.position, "turret")
-    look = wrap_angle(threat.look_angle)
-
-    def margin(poses: tuple, t: np.ndarray) -> np.ndarray:
-        px, py = _track(threat, poses, t)
-        sep = np.abs(np.remainder(look - np.arctan2(py, px) + math.pi, 2.0 * math.pi) - math.pi)
-        return t - sep
-
-    windows = _first_windows(margin, poses, _turret_blocks(poses, threat, config), config.refine_iterations)
+    blocks = _turret_blocks(poses, threat, config)
+    windows = _first_windows(_turret_margin(threat), poses, blocks, config.refine_iterations)
     return np.array([w is not None for w in windows], dtype=bool)
 
 

@@ -239,7 +239,12 @@ def pursuit_capture_possible(a0: Point2, heading: float, threat: PursuerThreat, 
 def turret_neutralization_possible(
     a0: Point2, heading: float, threat: TurretThreat, step_fraction: float = 1e-4
 ) -> bool:
-    """Time minus the beam's angular gap to the agent, scanned over the time the agent is in range.
+    """Time minus the beam's angular gap to the agent, scanned over the time the agent is in range."""
+    return turret_window(a0, heading, threat, step_fraction) is not None
+
+
+def turret_window(a0: Point2, heading: float, threat: TurretThreat, step_fraction: float = 1e-4):
+    """``turret_neutralization_possible``'s first window ``(lo, hi)``, or None.
 
     The grid step is ``step_fraction`` R / mu, and the grid has at least 64 steps.
     """
@@ -254,12 +259,12 @@ def turret_neutralization_possible(
     c = dx0 * dx0 + dy0 * dy0 - R * R
     disc = b * b - 4.0 * v * v * c
     if disc < 0.0:
-        return False
+        return None
     sq = math.sqrt(disc)
     t_lo = (-b - sq) / (2.0 * v * v)
     t_hi = (-b + sq) / (2.0 * v * v)
     if t_hi < 0.0:
-        return False
+        return None
     t_lo = max(t_lo, 0.0)
     look = wrap_angle(threat.look_angle)
 
@@ -271,4 +276,4 @@ def turret_neutralization_possible(
 
     step = step_fraction * R / v
     n = int(min(max(math.ceil((t_hi - t_lo) / step), 64), 400_000))
-    return _first_window(margin, np.linspace(t_lo, t_hi, n + 1)) is not None
+    return _first_window(margin, np.linspace(t_lo, t_hi, n + 1))

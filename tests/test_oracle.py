@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,18 @@ class TestEngageable:
             threat.engageable(np.array([[1.0, 1.0], [0.0, 0.0]]), np.zeros(2))
         assert str(err.value) == text
 
+    def test_pose_that_overflows_the_in_range_quadratic(self):
+        threat = TurretThreat(Point2(0, 0), look_angle=0.3, mu=0.5, engagement_range=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                threat.engageable(np.array([[0.5, 0.0], [1e200, 0.0]]), np.array([0.0, 3.0]))
+            assert str(err.value) == "agent at (1e+200, 0.0) overflows the oracle's in-range quadratic"
+            # 1e150 squares to 1e300: still a verdict, out of range here and in range of a huge turret
+            assert threat.engageable(np.array([[1e150, 0.0]]), np.array([3.0])).tolist() == [False]
+            huge = TurretThreat(Point2(0, 0), look_angle=0.3, mu=1.0, engagement_range=2e150)
+            assert huge.engageable(np.array([[1e150, 0.0]]), np.array([3.0])).tolist() == [True]
+
     def test_reads_no_closed_form(self, monkeypatch):
         def closed_form(*args, **kwargs):
             raise AssertionError("the oracle called a closed form")
@@ -271,6 +284,124 @@ class TestEngageable:
         assert FAST.engageable(points, headings).tolist() == [True, False]
         points = np.array([[-0.3, 0.5], [-3.0, 1.5]])
         assert held_beam.engageable(points, np.zeros(2)).tolist() == [True, False]
+
+
+CHUNK = oracle._CHUNK
+FINE = OracleConfig(turret_step_fraction=2.5e-5)  # turret grids of up to 80,001 times
+
+
+def turret_grid(point, heading, threat):
+    """A pose's whole turret grid on ``FINE`` and its scan blocks' times, rebuilt from the overlapping slices."""
+    poses = oracle._poses(np.array([point]), np.array([heading]), threat.position, "turret")
+    chunks = [ts for _, _, ts in oracle._turret_blocks(poses, threat, FINE)]
+    return np.concatenate([chunks[0]] + [ts[2:] for ts in chunks[1:]]), chunks
+
+
+def turret_windows(points, headings, threat):
+    poses = oracle._poses(points, headings, threat.position, "turret")
+    blocks = oracle._turret_blocks(poses, threat, FINE)
+    return oracle._first_windows(oracle._turret_margin(threat), poses, blocks, FINE.refine_iterations)
+
+
+class TestChunkedTurretScan:
+    """Each turret grid is scanned in slices of at most ``_CHUNK`` times that overlap by two."""
+
+    def test_windows_match_the_frozen_scan_across_chunks(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        threat = TurretThreat(Point2(0.1, -0.2), look_angle=2.0, mu=0.5, engagement_range=1.0)
+        radius = np.sqrt(rng.uniform(size=200))  # inside range
+        bearing, headings = rng.uniform(-math.pi, math.pi, (2, 200))
+        points = threat.position.as_tuple() + radius[:, None] * np.c_[np.cos(bearing), np.sin(bearing)]
+        refined, refine = [], oracle._refine
+
+        def recording_refine(margin, poses, k, lo, hi, iters):
+            refined.extend(k.tolist())
+            return refine(margin, poses, k, lo, hi, iters)
+
+        monkeypatch.setattr(oracle, "_refine", recording_refine)
+        got = turret_windows(points, headings, threat)
+        late_hits = misses = 0
+        for pose, ((x, y), h, window) in enumerate(zip(points.tolist(), headings.tolist(), got)):
+            want = ref.turret_window(Point2(x, y), h, threat, FINE.turret_step_fraction)
+            ts, chunks = turret_grid((x, y), h, threat)
+            grid_hit = window is not None and window[1] in ts
+            if window is None or grid_hit:
+                assert window == want
+            else:  # refined: the frozen scan's golden-section point differs within the same bracket
+                assert want is not None and window[0] == want[0]
+            assert not (grid_hit and pose in refined)  # a grid hit in any slice spares the pose's maxima
+            if len(chunks) >= 3:
+                late_hits += window is not None and window[1] > chunks[1][0]
+                misses += window is None
+        assert late_hits >= 20 and misses >= 20 and refined, (late_hits, misses, refined)
+
+    @pytest.mark.parametrize("i", [CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 4])
+    def test_first_hit_near_a_chunk_boundary(self, monkeypatch, i):
+        # Running straight away from the turret the bearing stays 0, so the
+        # margin t - |look| first reaches 0 at the first grid time >= look:
+        # put look between grid times i - 1 and i.
+        point, heading = (0.01, 0.0), 0.0
+        ts, chunks = turret_grid(point, heading, TURRET)
+        assert len(chunks) >= 3
+        threat = TurretThreat(Point2(0, 0), look_angle=0.5 * (ts[i - 1] + ts[i]), mu=0.5, engagement_range=1.0)
+        evaluated = []
+        margin = oracle._turret_margin
+
+        def recording_margin(threat):
+            inner = margin(threat)
+
+            def recorded(poses, t):
+                evaluated.append(np.array(t, copy=True).ravel())
+                return inner(poses, t)
+
+            return recorded
+
+        monkeypatch.setattr(oracle, "_turret_margin", recording_margin)
+        (window,) = turret_windows(np.array([point]), np.array([heading]), threat)
+        assert window == (ts[i - 1], ts[i]) == ref.turret_window(Point2(*point), heading, threat, FINE.turret_step_fraction)
+        holding = next(k for k, chunk in enumerate(chunks) if ts[i] in chunk)  # the first slice holding the hit
+        assert np.concatenate(evaluated).tolist() == np.concatenate(chunks[: holding + 1]).tolist()
+
+    @pytest.mark.parametrize("i", [CHUNK - 2, CHUNK - 1])  # the last interior time of a slice, the first of the next
+    def test_maximum_on_the_overlap_is_refined(self, i):
+        # An agent crossing in front of the turret at speed 10: the margin
+        # peaks where the bearing turns at the beam's rate 1. Start it so
+        # the peak sits about 0.3 steps past grid time i, and aim the beam so the
+        # peak margin is 1e-11: every grid time is below 0 and only the
+        # refinement of the maximum at i finds the window.
+        v, R, x0 = 10.0, 2.5, 0.1
+        y_peak = math.sqrt(v * x0 - x0 * x0)  # where the bearing rate v x0 / (x0^2 + y^2) is 1
+        reach = math.sqrt(R * R - x0 * x0)
+        step = FINE.turret_step_fraction * R  # the grid step as a distance along the track
+
+        def steps_to_peak(y0):  # the grid has ceil(distance in range / step) steps from t = 0
+            return (y0 - y_peak) / ((reach + y0) / math.ceil((reach + y0) / step))
+
+        starts = y_peak + (i + 0.3 + np.linspace(-2.0, 2.0, 401)) * step
+        y0 = float(min(starts, key=lambda y0: abs(steps_to_peak(y0) - (i + 0.3))))
+        t_peak = (y0 - y_peak) / v
+        look = math.atan2(-y_peak, x0) - t_peak + 1e-11
+        threat = TurretThreat(Point2(0, 0), look_angle=look, mu=v, engagement_range=R)
+        point, heading = (x0, -y0), math.pi / 2
+        ts, chunks = turret_grid(point, heading, threat)
+        assert len(chunks) >= 3 and ts[i] in chunks[0] and ts[i] in chunks[1]
+        poses = oracle._poses(np.array([point]), np.array([heading]), threat.position, "turret")
+        m = oracle._turret_margin(threat)(poses, ts)[0]
+        assert m.max() < 0.0 and np.flatnonzero((m[1:-1] >= m[:-2]) & (m[1:-1] >= m[2:])).tolist() == [i - 1]
+        (window,) = turret_windows(np.array([point]), np.array([heading]), threat)
+        assert window[0] == ts[i - 1] and ts[i] < window[1] < ts[i + 1]
+        assert ref.turret_window(Point2(*point), heading, threat, FINE.turret_step_fraction)[0] == ts[i - 1]
+
+
+def test_separation_is_the_remainder_bit_for_bit():
+    rng = np.random.default_rng(41)
+    two_pi = 2.0 * math.pi
+    # the turret's arguments lie in (-pi, 3 pi]; the rewrite holds on [-2 pi, 4 pi)
+    edges = [-math.pi, -0.0, 0.0, math.nextafter(two_pi, 0.0), two_pi, 3.0 * math.pi]
+    edges += [-two_pi, math.nextafter(2.0 * two_pi, 0.0)]
+    x = np.concatenate([edges, rng.uniform(-math.pi, 3.0 * math.pi, 100_000), -math.pi + rng.uniform(0.0, 1e-12, 100)])
+    want = np.abs(np.remainder(x, two_pi) - math.pi)
+    assert np.array_equal(oracle._separation(x).view(np.int64), want.view(np.int64))
 
 
 def test_no_pursuit_polish_starts_below_the_rise_bound(monkeypatch):
