@@ -9,12 +9,7 @@ baselines.
 from .circumnav import CircumnavResult, CircumnavSpec, circumnavigate, percent_difference, standard_specs
 from .errors import DomainError, InfeasibleError, PreconditionError
 from .geometry import Point2, angular_separation, aspect_angle, bearing, distance, wrap_angle
-from .oracle import (
-    OracleConfig,
-    pursuit_capture_certificate,
-    pursuit_capture_possible,
-    turret_neutralization_possible,
-)
+from .oracle import pursuit_capture_certificate, pursuit_capture_possible, turret_neutralization_possible
 from .planner import (
     AgentConfig,
     PlannerOptions,
@@ -70,7 +65,6 @@ __all__ = [
     "DomainError",
     "EzBoundarySample",
     "InfeasibleError",
-    "OracleConfig",
     "OutputConfig",
     "PlanResult",
     "PlannerOptions",

@@ -6,7 +6,9 @@ Both oracles evaluate their raw capture/neutralization margin on a dense
 time grid and share one scan (``_first_windows``) over blocks of poses:
 a pose's first grid point where the margin is >= 0 ends its scan, and
 without one each local maximum that can still reach 0 is rescanned on a
-finer grid across its bracket, a batch's maxima together. Pursuer poses
+finer grid across its bracket, a batch's maxima together. The resolution
+is fixed: the module constants ``_PURSUIT_STEPS``, ``_TURRET_STEP``,
+``_LEVELS`` and ``_BISECTIONS``, not options. Pursuer poses
 share one grid and are scanned in blocks of at most ``_BLOCK`` values;
 each turret pose has its own in-range grid, scanned in one-row blocks
 of at most ``_CHUNK`` times, so its scan ends with the block that holds
@@ -24,7 +26,6 @@ scaling, so the normalization does not restrict generality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -39,29 +40,13 @@ if TYPE_CHECKING:  # the zone modules import this one for their engageable membe
 _BLOCK = 1 << 16  # most margin values in one scan or refinement array: about 0.5 MB per temporary
 _CHUNK = 8192  # most times of one turret scan block: 64 KiB per temporary; a block costs as much as ~2,500 times
 _SPREAD = np.linspace(0.0, 1.0, 64)  # where a refinement level samples a bracket
+_PURSUIT_STEPS = 1000  # pursuit grid steps over the pursuer's life
+_TURRET_STEP = 1e-4  # turret grid step at most, in range / agent speed: 2 / _TURRET_STEP steps span any exact chord
+_LEVELS = 9  # refinement levels: the least L with (2/63)^L <= phi^-60, what 60 golden-section steps leave
+_BISECTIONS = 60  # halvings of the pursuit certificate's window
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Scan resolution knobs.
-
-    pursuit_step_fraction: grid step as a fraction of the scan horizon.
-    turret_step_fraction: grid step as a fraction of range / agent speed.
-    refine_iterations: bisection iterations per certificate bracket. A
-    local maximum is rescanned until its bracket is no wider than this
-    many golden-section steps would leave it: each level keeps 2 of the
-    63 gaps between its 64 points, so 60 iterations take 9 levels.
-    """
-
-    pursuit_step_fraction: float = 1e-3
-    turret_step_fraction: float = 1e-4
-    refine_iterations: int = 60
-
-
-_DEFAULT = OracleConfig()
-
-
-def _first_windows(margin, poses: tuple, blocks, iters: int, rise: float = math.inf) -> list:
+def _first_windows(margin, poses: tuple, blocks, rise: float = math.inf) -> list:
     """Bracket ``(lo, hi)`` of the first engagement of each pose, or None.
 
     ``poses`` are columns with one row per pose; ``blocks`` yields
@@ -103,30 +88,27 @@ def _first_windows(margin, poses: tuple, blocks, iters: int, rise: float = math.
         k, lo, hi = (np.concatenate(parts) for parts in zip(*peaks))
         keep = np.array([windows[pose] is None for pose in k.tolist()], dtype=bool)  # a hit in a later slice wins
         k, lo, hi = k[keep], lo[keep], hi[keep]
-        t, f_t = _refine(margin, poses, k, lo, hi, iters)
+        t, f_t = _refine(margin, poses, k, lo, hi)
         for pose, a, b in zip(*(column[f_t >= 0.0].tolist() for column in (k, lo, t))):
             if windows[pose] is None:  # a pose's maxima come in time order: keep its first
                 windows[pose] = a, b
     return windows
 
 
-def _refine(margin, poses: tuple, k: np.ndarray, lo: np.ndarray, hi: np.ndarray, iters: int):
+def _refine(margin, poses: tuple, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Best point ``t`` and margin ``f(t)`` of pose ``k[c]``'s margin on its bracket ``[lo[c], hi[c]]``.
 
     Each level samples the brackets at the 64 points of ``_SPREAD``, one
     margin call per chunk of at most ``_BLOCK`` values, and narrows each
-    to the neighbours of its best point: by 2/63, where a golden-section
-    step narrows by 1/phi. Enough levels run to leave a bracket no wider
-    than ``iters`` golden-section steps would: 9 for 60.
+    to the neighbours of its best point, for ``_LEVELS`` levels.
     """
-    levels = math.ceil(iters * math.log((1.0 + math.sqrt(5.0)) / 2.0) / math.log(31.5))
     best_t, best_f = lo.copy(), np.full(len(k), -math.inf)
     per_chunk = _BLOCK // len(_SPREAD)
     for c in range(0, len(k), per_chunk):
         part = slice(c, c + per_chunk)
         rows, a, b = tuple(column[k[part]] for column in poses), lo[part], hi[part]
         top_t, top_f, every = best_t[part], best_f[part], np.arange(len(a))  # views: writes land in best_t, best_f
-        for _ in range(levels):
+        for _ in range(_LEVELS):
             t = a[:, None] + (b - a)[:, None] * _SPREAD
             f = margin(rows, t)
             i = f.argmax(axis=1)
@@ -136,12 +118,12 @@ def _refine(margin, poses: tuple, k: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return best_t, best_f
 
 
-def _bisect_first(f, lo: float, hi: float, iters: int) -> float:
+def _bisect_first(f, lo: float, hi: float) -> float:
     """First root of f crossing from negative to nonnegative on [lo, hi]."""
     if f(lo) >= 0.0:
         return lo
     a, b = lo, hi
-    for _ in range(iters):
+    for _ in range(_BISECTIONS):
         m = 0.5 * (a + b)
         if f(m) >= 0.0:
             b = m
@@ -190,7 +172,7 @@ def _pursuit_slack(threat: PursuerThreat):
     return slack
 
 
-def _pursuit_windows(poses: tuple, threat: PursuerThreat, config: OracleConfig) -> list:
+def _pursuit_windows(poses: tuple, threat: PursuerThreat) -> list:
     """Each pose's first capture window, or None.
 
     The poses share one grid, scanned in blocks of at most ``_BLOCK``
@@ -198,12 +180,11 @@ def _pursuit_windows(poses: tuple, threat: PursuerThreat, config: OracleConfig) 
     closes at mu, the balloon grows at 1), so a local maximum below
     -(1 + mu) h on a grid of step h cannot reach 0 between grid points.
     """
-    n = max(int(round(1.0 / config.pursuit_step_fraction)), 8)
-    ts = np.linspace(0.0, threat.engagement_range, n + 1)  # unit pursuer speed: life ends at t = R
+    ts = np.linspace(0.0, threat.engagement_range, _PURSUIT_STEPS + 1)  # unit pursuer speed: life ends at t = R
     rise = (1.0 + threat.mu) * float(np.max(np.diff(ts)))
     per_block = max(_BLOCK // len(ts), 1)
     blocks = ((start, start + per_block, ts) for start in range(0, len(poses[0]), per_block))
-    return _first_windows(_pursuit_slack(threat), poses, blocks, config.refine_iterations, rise)
+    return _first_windows(_pursuit_slack(threat), poses, blocks, rise)
 
 
 def _one(a0: Point2, heading: float) -> tuple[np.ndarray, np.ndarray]:
@@ -211,29 +192,23 @@ def _one(a0: Point2, heading: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array([a0.as_tuple()]), np.array([heading], dtype=float)
 
 
-def pursuit_capture_possible_batch(
-    points: np.ndarray, headings: np.ndarray, threat: PursuerThreat, config: OracleConfig = _DEFAULT
-) -> np.ndarray:
+def pursuit_capture_possible_batch(points: np.ndarray, headings: np.ndarray, threat: PursuerThreat) -> np.ndarray:
     """``pursuit_capture_possible`` of every pose: rows of ``points`` (n x 2) with ``headings``."""
-    windows = _pursuit_windows(_poses(points, headings, threat.position, "pursuer"), threat, config)
+    windows = _pursuit_windows(_poses(points, headings, threat.position, "pursuer"), threat)
     return np.array([w is not None for w in windows], dtype=bool)
 
 
-def pursuit_capture_possible(
-    a0: Point2, heading: float, threat: PursuerThreat, config: OracleConfig = _DEFAULT
-) -> bool:
+def pursuit_capture_possible(a0: Point2, heading: float, threat: PursuerThreat) -> bool:
     """Can a straight-running pursuer close to capture distance in time?
 
     Scans capture slack over the pursuer's whole life t in [0, R] and
     stops at the first time the slack is witnessed >= 0. One-element
     ``pursuit_capture_possible_batch``.
     """
-    return bool(pursuit_capture_possible_batch(*_one(a0, heading), threat, config)[0])
+    return bool(pursuit_capture_possible_batch(*_one(a0, heading), threat)[0])
 
 
-def pursuit_capture_certificate(
-    a0: Point2, heading: float, threat: PursuerThreat, config: OracleConfig = _DEFAULT
-) -> Optional[tuple[float, float]]:
+def pursuit_capture_certificate(a0: Point2, heading: float, threat: PursuerThreat) -> Optional[tuple[float, float]]:
     """Minimal capture time and pursuer distance traveled, or None.
 
     Bisects the first capture window for its start. At unit pursuer speed
@@ -241,19 +216,23 @@ def pursuit_capture_certificate(
     zone boundary it equals the full range budget.
     """
     pose = _poses(*_one(a0, heading), threat.position, "pursuer")
-    (window,) = _pursuit_windows(pose, threat, config)
+    (window,) = _pursuit_windows(pose, threat)
     if window is None:
         return None
     slack = _pursuit_slack(threat)
-    t_cap = _bisect_first(lambda t: float(slack(pose, np.array([t]))[0, 0]), *window, config.refine_iterations)
+    t_cap = _bisect_first(lambda t: float(slack(pose, np.array([t]))[0, 0]), *window)
     return t_cap, t_cap
 
 
-def _turret_blocks(poses: tuple, threat: TurretThreat, config: OracleConfig):
+def _turret_blocks(poses: tuple, threat: TurretThreat):
     """Yield ``(j, j + 1, ts)`` for each pose j ever in range, ts spanning its times t >= 0 there.
 
     The bounds come from one array evaluation, which raises for a pose so
-    far out that its in-range quadratic overflows. Each pose's grid is
+    far out that its in-range quadratic overflows. Each pose's grid has
+    steps of at most ``_TURRET_STEP`` R / mu, at least 64 of them, and at
+    most one more than any exact chord needs. That cap binds only in
+    floats: for a pose far away and aimed at the turret, cancellation in
+    the discriminant can stretch the chord to 1e146 steps. The grid is
     built when the scan reaches it and yielded in slices of at most
     ``_CHUNK`` times, each sharing its first two times with the end of
     the slice before it (see ``_first_windows``).
@@ -272,8 +251,9 @@ def _turret_blocks(poses: tuple, threat: TurretThreat, config: OracleConfig):
         raise DomainError(f"agent at ({poses[0][j, 0]}, {poses[1][j, 0]}) overflows the oracle's in-range quadratic")
     t_lo = np.maximum(t_lo, 0.0)
     ever = np.flatnonzero((disc >= 0.0) & (t_hi >= 0.0))
-    steps = np.ceil((t_hi[ever] - t_lo[ever]) / (config.turret_step_fraction * R / v))
-    for j, n in zip(ever.tolist(), np.minimum(np.maximum(steps, 64), 400_000).astype(int).tolist()):
+    steps = np.ceil((t_hi[ever] - t_lo[ever]) / (_TURRET_STEP * R / v))
+    steps = np.maximum(np.minimum(steps, math.ceil(2.0 / _TURRET_STEP) + 1), 64)
+    for j, n in zip(ever.tolist(), steps.astype(int).tolist()):
         ts = np.linspace(t_lo[j], t_hi[j], n + 1)
         for c in range(0, n - 1, _CHUNK - 2):  # slices of at least 3 times, the last ending at ts[n]
             yield j, j + 1, ts[c : c + _CHUNK]
@@ -308,23 +288,19 @@ def _turret_margin(threat: TurretThreat):
     return margin
 
 
-def turret_neutralization_possible_batch(
-    points: np.ndarray, headings: np.ndarray, threat: TurretThreat, config: OracleConfig = _DEFAULT
-) -> np.ndarray:
+def turret_neutralization_possible_batch(points: np.ndarray, headings: np.ndarray, threat: TurretThreat) -> np.ndarray:
     """``turret_neutralization_possible`` of every pose: rows of ``points`` (n x 2) with ``headings``.
 
     Each pose is scanned over its own in-range grid, in one-row blocks of
     at most ``_CHUNK`` times, up to the block that holds its first hit.
     """
     poses = _poses(points, headings, threat.position, "turret")
-    blocks = _turret_blocks(poses, threat, config)
-    windows = _first_windows(_turret_margin(threat), poses, blocks, config.refine_iterations)
+    blocks = _turret_blocks(poses, threat)
+    windows = _first_windows(_turret_margin(threat), poses, blocks)
     return np.array([w is not None for w in windows], dtype=bool)
 
 
-def turret_neutralization_possible(
-    a0: Point2, heading: float, threat: TurretThreat, config: OracleConfig = _DEFAULT
-) -> bool:
+def turret_neutralization_possible(a0: Point2, heading: float, threat: TurretThreat) -> bool:
     """Can the turret's beam meet the straight-running agent within range?
 
     The beam covers an angle of at most t by time t (unit slew rate), so
@@ -334,4 +310,4 @@ def turret_neutralization_possible(
     in-range window, the same way as the pursuit oracle. One-element
     ``turret_neutralization_possible_batch``.
     """
-    return bool(turret_neutralization_possible_batch(*_one(a0, heading), threat, config)[0])
+    return bool(turret_neutralization_possible_batch(*_one(a0, heading), threat)[0])

@@ -328,9 +328,10 @@ def plan(scenario: Scenario) -> PlanResult:
     solve, the coarse grid's included.
 
     Raises InfeasibleError when an endpoint sits strictly inside a
-    threat's keep-out disk (a pursuer's capturability disk). Returns the
-    best feasible iterate with converged=False when the solver stalls
-    before full convergence.
+    threat's keep-out disk (a pursuer's capturability disk), and
+    DomainError when it sits exactly on a threat with no keep-out disk (a
+    turret), both before any solve. Returns the best feasible iterate
+    with converged=False when the solver stalls before full convergence.
     """
     opts = scenario.options
     _screen_endpoints(scenario)
@@ -467,9 +468,16 @@ def resample_and_verify(result: PlanResult, scenario: Scenario, factor: int) -> 
 
 
 def _screen_endpoints(scenario: Scenario) -> None:
-    for threat in scenario.threats:
+    """Reject an endpoint inside a threat's keep-out disk, or exactly on a threat that has none.
+
+    A zone without a keep-out disk (a turret's) is undefined at the
+    threat's own position, so such an endpoint is a domain error.
+    """
+    for i, threat in enumerate(scenario.threats):
         disk = threat.keep_out_radius
         for name, point in (("start", scenario.agent.start), ("goal", scenario.agent.goal)):
+            if disk == 0.0 and point == threat.position:
+                raise DomainError(f"{name} {point.as_tuple()} lies exactly on threats[{i}], where its zone is undefined")
             if distance(point, threat.position) < disk:
                 raise InfeasibleError(
                     f"{name} lies inside a capturability disk "

@@ -197,10 +197,16 @@ class TestPlan:
                 lambda d: d["threats"].append(
                     {"kind": "turret", "position": [-3.0, 0.0], "mu": 0.5, "range": 1.0, "look_angle": 0.0}
                 ),
-                "agent exactly at the turret position",
+                "error: start (-3.0, 0.0) lies exactly on threats[1], where its zone is undefined\n",
+            ),
+            (
+                lambda d: d["threats"].append(
+                    {"kind": "turret", "position": [3.0, 0.0], "mu": 0.5, "range": 1.0, "look_angle": 0.0}
+                ),
+                "error: goal (3.0, 0.0) lies exactly on threats[1], where its zone is undefined\n",
             ),
         ],
-        ids=["turret_at_start"],
+        ids=["turret_at_start", "turret_at_goal"],
     )
     def test_plan_domain_error_exit_code(self, tmp_path, capsys, edit, message):
         data = json.loads(GOLDEN.read_text())

@@ -7,12 +7,7 @@ import pytest
 from threatnav import oracle, pursuit, turret, verification
 from threatnav.errors import DomainError
 from threatnav.geometry import Point2
-from threatnav.oracle import (
-    OracleConfig,
-    pursuit_capture_certificate,
-    pursuit_capture_possible,
-    turret_neutralization_possible,
-)
+from threatnav.oracle import pursuit_capture_certificate, pursuit_capture_possible, turret_neutralization_possible
 from threatnav.pursuit import PursuerThreat, rho, xi_crossover
 from threatnav.turret import TurretThreat
 from threatnav.verification import pursuit_equivalence_sweep
@@ -21,6 +16,17 @@ import reference_kernels as ref
 
 FAST = PursuerThreat(Point2(0, 0), mu=0.7, engagement_range=1.0, capture_radius=0.25)
 SLOW = PursuerThreat(Point2(0, 0), mu=1.5, engagement_range=1.0, capture_radius=0.25)
+
+
+@pytest.fixture
+def grid(monkeypatch):
+    """``grid(pursuit_steps, turret_step)`` scans on that resolution for the rest of the test; ``grid()`` restores it."""
+
+    def use(pursuit_steps=oracle._PURSUIT_STEPS, turret_step=oracle._TURRET_STEP):
+        monkeypatch.setattr(oracle, "_PURSUIT_STEPS", pursuit_steps)
+        monkeypatch.setattr(oracle, "_TURRET_STEP", turret_step)
+
+    return use
 
 
 def pose_at(dist, xi, heading, threat):
@@ -69,11 +75,9 @@ class TestPursuitCapture:
                 assert pursuit_capture_possible(p, heading, bigger_R)
                 assert pursuit_capture_possible(p, heading, bigger_r)
 
-    def test_scan_resolution_convergence(self):
+    def test_scan_resolution_convergence(self, grid):
         # Halving the step changes no classification away from the boundary.
         rng = np.random.default_rng(5)
-        coarse = OracleConfig(pursuit_step_fraction=2e-3)
-        fine = OracleConfig(pursuit_step_fraction=1e-3)
         for _ in range(200):
             mu = rng.uniform(0.3, 2.0)
             threat = PursuerThreat(
@@ -86,9 +90,10 @@ class TestPursuitCapture:
                 continue
             heading = rng.uniform(-math.pi, math.pi)
             p = pose_at(d, xi, heading, threat)
-            assert pursuit_capture_possible(p, heading, threat, coarse) == (
-                pursuit_capture_possible(p, heading, threat, fine)
-            )
+            grid(pursuit_steps=500)
+            coarse = pursuit_capture_possible(p, heading, threat)
+            grid(pursuit_steps=1000)
+            assert coarse == pursuit_capture_possible(p, heading, threat)
 
 
 class TestPursuitCertificate:
@@ -165,10 +170,10 @@ class TestTurretNeutralization:
 class TestWindowBetweenGridPoints:
     """Engagement windows narrower than one grid step: only the refinement of a grid maximum finds them."""
 
-    COARSE = OracleConfig(pursuit_step_fraction=0.125, turret_step_fraction=1.0)  # 8 and 64 grid steps
+    COARSE = {"pursuit_steps": 8, "turret_step": 1.0}  # 8 and 64 grid steps
 
     @pytest.mark.parametrize("t_peak", [0.31, 0.5625, 0.81])
-    def test_pursuit_window(self, t_peak):
+    def test_pursuit_window(self, grid, t_peak):
         # The agent runs along +x past a slow pursuer at the origin. The
         # capture slack t + r - |A(t)| peaks where the bearing's cosine is
         # 1/mu; place that at t_peak with a peak slack of 1e-4.
@@ -182,13 +187,15 @@ class TestWindowBetweenGridPoints:
         root = math.sqrt(qb * qb - 4.0 * qa * qc)
         lo, hi = (-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa)
         assert math.floor(8 * lo) == math.floor(8 * hi)  # no grid point k/8 inside
-        assert pursuit_capture_possible(a0, 0.0, threat, self.COARSE)
-        t_cap, path = pursuit_capture_certificate(a0, 0.0, threat, self.COARSE)
+        grid(**self.COARSE)
+        assert pursuit_capture_possible(a0, 0.0, threat)
+        t_cap, path = pursuit_capture_certificate(a0, 0.0, threat)
         assert lo - 1e-9 <= t_cap <= hi and path == t_cap
+        grid()
         assert t_cap == pytest.approx(pursuit_capture_certificate(a0, 0.0, threat)[0], abs=1e-9)
 
     @pytest.mark.parametrize("y0", [0.1, -0.1])
-    def test_turret_window(self, y0):
+    def test_turret_window(self, grid, y0):
         # A fast agent crosses just in front of a turret looking back at
         # it. Its bearing turns faster than the beam near the closest
         # approach, so the margin t - separation peaks at 1e-6 where the
@@ -203,7 +210,9 @@ class TestWindowBetweenGridPoints:
         ts = np.linspace(0.0, (math.sqrt(R * R - y0 * y0) - x0) / v, 65)
         sep = np.abs(np.remainder(-np.arctan2(y0, x0 + v * ts), 2.0 * math.pi) - math.pi)
         assert np.all(ts - sep < 0.0)
-        assert turret_neutralization_possible(a0, 0.0, threat, self.COARSE)
+        grid(**self.COARSE)
+        assert turret_neutralization_possible(a0, 0.0, threat)
+        grid()
         assert turret_neutralization_possible(a0, 0.0, threat)
 
 
@@ -287,24 +296,28 @@ class TestEngageable:
 
 
 CHUNK = oracle._CHUNK
-FINE = OracleConfig(turret_step_fraction=2.5e-5)  # turret grids of up to 80,001 times
+FINE_STEP = 2.5e-5  # turret grids of up to 80,001 times
 
 
 def turret_grid(point, heading, threat):
-    """A pose's whole turret grid on ``FINE`` and its scan blocks' times, rebuilt from the overlapping slices."""
+    """A pose's whole turret grid and its scan blocks' times, rebuilt from the overlapping slices."""
     poses = oracle._poses(np.array([point]), np.array([heading]), threat.position, "turret")
-    chunks = [ts for _, _, ts in oracle._turret_blocks(poses, threat, FINE)]
+    chunks = [ts for _, _, ts in oracle._turret_blocks(poses, threat)]
     return np.concatenate([chunks[0]] + [ts[2:] for ts in chunks[1:]]), chunks
 
 
 def turret_windows(points, headings, threat):
     poses = oracle._poses(points, headings, threat.position, "turret")
-    blocks = oracle._turret_blocks(poses, threat, FINE)
-    return oracle._first_windows(oracle._turret_margin(threat), poses, blocks, FINE.refine_iterations)
+    blocks = oracle._turret_blocks(poses, threat)
+    return oracle._first_windows(oracle._turret_margin(threat), poses, blocks)
 
 
 class TestChunkedTurretScan:
-    """Each turret grid is scanned in slices of at most ``_CHUNK`` times that overlap by two."""
+    """Each turret grid is scanned in slices of at most ``_CHUNK`` times that overlap by two, here on a 4x finer grid."""
+
+    @pytest.fixture(autouse=True)
+    def fine(self, grid):
+        grid(turret_step=FINE_STEP)
 
     def test_windows_match_the_frozen_scan_across_chunks(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -314,15 +327,15 @@ class TestChunkedTurretScan:
         points = threat.position.as_tuple() + radius[:, None] * np.c_[np.cos(bearing), np.sin(bearing)]
         refined, refine = [], oracle._refine
 
-        def recording_refine(margin, poses, k, lo, hi, iters):
+        def recording_refine(margin, poses, k, lo, hi):
             refined.extend(k.tolist())
-            return refine(margin, poses, k, lo, hi, iters)
+            return refine(margin, poses, k, lo, hi)
 
         monkeypatch.setattr(oracle, "_refine", recording_refine)
         got = turret_windows(points, headings, threat)
         late_hits = misses = 0
         for pose, ((x, y), h, window) in enumerate(zip(points.tolist(), headings.tolist(), got)):
-            want = ref.turret_window(Point2(x, y), h, threat, FINE.turret_step_fraction)
+            want = ref.turret_window(Point2(x, y), h, threat, FINE_STEP)
             ts, chunks = turret_grid((x, y), h, threat)
             grid_hit = window is not None and window[1] in ts
             if window is None or grid_hit:
@@ -358,7 +371,7 @@ class TestChunkedTurretScan:
 
         monkeypatch.setattr(oracle, "_turret_margin", recording_margin)
         (window,) = turret_windows(np.array([point]), np.array([heading]), threat)
-        assert window == (ts[i - 1], ts[i]) == ref.turret_window(Point2(*point), heading, threat, FINE.turret_step_fraction)
+        assert window == (ts[i - 1], ts[i]) == ref.turret_window(Point2(*point), heading, threat, FINE_STEP)
         holding = next(k for k, chunk in enumerate(chunks) if ts[i] in chunk)  # the first slice holding the hit
         assert np.concatenate(evaluated).tolist() == np.concatenate(chunks[: holding + 1]).tolist()
 
@@ -372,7 +385,7 @@ class TestChunkedTurretScan:
         v, R, x0 = 10.0, 2.5, 0.1
         y_peak = math.sqrt(v * x0 - x0 * x0)  # where the bearing rate v x0 / (x0^2 + y^2) is 1
         reach = math.sqrt(R * R - x0 * x0)
-        step = FINE.turret_step_fraction * R  # the grid step as a distance along the track
+        step = FINE_STEP * R  # the grid step as a distance along the track
 
         def steps_to_peak(y0):  # the grid has ceil(distance in range / step) steps from t = 0
             return (y0 - y_peak) / ((reach + y0) / math.ceil((reach + y0) / step))
@@ -390,7 +403,7 @@ class TestChunkedTurretScan:
         assert m.max() < 0.0 and np.flatnonzero((m[1:-1] >= m[:-2]) & (m[1:-1] >= m[2:])).tolist() == [i - 1]
         (window,) = turret_windows(np.array([point]), np.array([heading]), threat)
         assert window[0] == ts[i - 1] and ts[i] < window[1] < ts[i + 1]
-        assert ref.turret_window(Point2(*point), heading, threat, FINE.turret_step_fraction)[0] == ts[i - 1]
+        assert ref.turret_window(Point2(*point), heading, threat, FINE_STEP)[0] == ts[i - 1]
 
 
 def test_separation_is_the_remainder_bit_for_bit():
@@ -404,10 +417,62 @@ def test_separation_is_the_remainder_bit_for_bit():
     assert np.array_equal(oracle._separation(x).view(np.int64), want.view(np.int64))
 
 
+def grid_lengths(points, headings, threat):
+    """Times in each turret pose's whole grid, by pose."""
+    times = {}
+    poses = oracle._poses(points, headings, threat.position, "turret")
+    for j, _, ts in oracle._turret_blocks(poses, threat):  # each slice after a pose's first repeats two times
+        times[j] = times[j] + len(ts) - 2 if j in times else len(ts)
+    return times
+
+
+def test_turret_grids_hold_65_to_20002_times():
+    # A chord of the range disk lasts at most 2 R / mu, so at the fixed step of
+    # 1e-4 R / mu a grid has at most 20,001 steps (20,000 but for rounding), and
+    # the 64-step floor binds on short chords.
+    rng = np.random.default_rng(51)
+    lengths = []
+    for _ in range(10):
+        R, mu = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+        threat = TurretThreat(Point2(*rng.uniform(-2, 2, 2)), look_angle=rng.uniform(-4, 4), mu=mu, engagement_range=R)
+        headings = rng.uniform(-math.pi, math.pi, 300)
+        u = np.c_[np.cos(headings), np.sin(headings)]
+        normal = np.c_[-u[:, 1], u[:, 0]]
+        back = R * rng.uniform(0.0, 3.0, (300, 1))  # how far before its closest approach each pose starts
+        offset = R * rng.uniform(-1.0, 1.0, (300, 1))  # random chords, some missing the disk
+        offset[:100] = R * (1.0 - rng.uniform(0.0, 1e-12, (100, 1))) * rng.choice([-1.0, 1.0], (100, 1))  # tangent
+        offset[100:200] = 0.0  # through the turret
+        back[100:200] += R * 1e-3  # never on it
+        points = threat.position.as_tuple() - back * u + offset * normal
+        lengths.extend(grid_lengths(points, headings, threat).values())
+    assert min(lengths) == 65 and 20_001 <= max(lengths) <= 20_002, (min(lengths), max(lengths))
+
+
+def test_far_turret_grids_stop_at_the_cap():
+    # Aimed at the turret from far away, the in-range discriminant cancels to
+    # rounding noise: 0 at 1e10, but at 3e14, 3e15 and 1e150 the chord comes
+    # out 7e10, 8e11 and 3e146 steps long. Each grid stops at 20,002 times, and
+    # the agent, in range after a very long time, can be met.
+    threat = TurretThreat(Point2(0, 0), look_angle=0.0, mu=0.3, engagement_range=1.0)
+    points, headings = np.array([[-1e10, 0.0], [-3e14, 0.0], [-3e15, 0.0], [-1e150, 0.0]]), np.zeros(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert grid_lengths(points, headings, threat) == {0: 65, 1: 20_002, 2: 20_002, 3: 20_002}
+        assert threat.engageable(points, headings).tolist() == [True] * 4
+
+
+def test_refinement_levels_match_sixty_golden_section_steps():
+    # Each level keeps 2 of the 63 gaps of its bracket; 60 golden-section steps,
+    # the frozen reference scan's, shrink one to phi^-60. _LEVELS is the
+    # fewest levels that shrink it at least as far.
+    keep, golden = 2.0 / (len(oracle._SPREAD) - 1), ((1.0 + math.sqrt(5.0)) / 2.0) ** -60
+    assert keep**oracle._LEVELS <= golden < keep ** (oracle._LEVELS - 1)
+
+
 def test_no_pursuit_polish_starts_below_the_rise_bound(monkeypatch):
     # Between grid points h apart the slack t + r - |A(t) - P| climbs at most
     # (1 + mu) h, so a local maximum below -(1 + mu) h is never refined.
-    ts = np.linspace(0.0, 1.0, 1001)  # the sweep's grid: R = 1, default config
+    ts = np.linspace(0.0, 1.0, 1001)  # the sweep's grid: R = 1, default resolution
     h = float(np.max(np.diff(ts)))
     threats, starts = [], []
     slack, refine = oracle._pursuit_slack, oracle._refine
@@ -416,11 +481,11 @@ def test_no_pursuit_polish_starts_below_the_rise_bound(monkeypatch):
         threats.append(threat)
         return slack(threat)
 
-    def recording_refine(margin, poses, k, lo, hi, iters):
+    def recording_refine(margin, poses, k, lo, hi):
         peaks = ts[np.searchsorted(ts, lo) + 1]  # each bracket is the two grid steps around its maximum
         values = margin(tuple(column[k] for column in poses), peaks[:, None])[:, 0]
         starts.extend((value, threats[-1].mu) for value in values.tolist())
-        return refine(margin, poses, k, lo, hi, iters)
+        return refine(margin, poses, k, lo, hi)
 
     monkeypatch.setattr(oracle, "_pursuit_slack", recording_slack)
     monkeypatch.setattr(oracle, "_refine", recording_refine)
@@ -430,13 +495,12 @@ def test_no_pursuit_polish_starts_below_the_rise_bound(monkeypatch):
     assert all(peak >= -(1.0 + mu) * h for peak, mu in starts)
 
 
-def test_coarse_grid_verdicts_match_the_golden_section_scan(monkeypatch):
+def test_coarse_grid_verdicts_match_the_golden_section_scan(monkeypatch, grid):
     # On a coarse grid many windows fall between grid points, so the
     # refinement decides many verdicts; each must be the frozen
     # golden-section scan's on the same grid.
     decided = []  # per zone kind: verdicts the reference's polish decided
     golden_max = ref._golden_max
-    coarse = TestWindowBetweenGridPoints.COARSE
 
     def recording_golden_max(f, lo, hi, iters):
         t, f_t = golden_max(f, lo, hi, iters)
@@ -445,6 +509,7 @@ def test_coarse_grid_verdicts_match_the_golden_section_scan(monkeypatch):
         return t, f_t
 
     monkeypatch.setattr(ref, "_golden_max", recording_golden_max)
+    grid(**TestWindowBetweenGridPoints.COARSE)
     rng = np.random.default_rng(21)
     decided.append(0)
     for _ in range(10):
@@ -456,7 +521,7 @@ def test_coarse_grid_verdicts_match_the_golden_section_scan(monkeypatch):
         poses = [(pose_at(max(rho(x, threat) + o, 1e-3), x, h, threat), h)
                  for x, h, o in zip(xi.tolist(), headings.tolist(), offsets.tolist())]
         points = np.array([p.as_tuple() for p, _ in poses])
-        got = oracle.pursuit_capture_possible_batch(points, headings, threat, coarse)
+        got = oracle.pursuit_capture_possible_batch(points, headings, threat)
         assert got.tolist() == [ref.pursuit_capture_possible(p, h, threat, steps=8) for p, h in poses]
     decided.append(0)
     for _ in range(10):
@@ -466,7 +531,7 @@ def test_coarse_grid_verdicts_match_the_golden_section_scan(monkeypatch):
         radius = 0.4 * R * np.sqrt(rng.uniform(size=200))
         bearing, headings = rng.uniform(-math.pi, math.pi, (2, 200))
         points = threat.position.as_tuple() + radius[:, None] * np.c_[np.cos(bearing), np.sin(bearing)]
-        got = oracle.turret_neutralization_possible_batch(points, headings, threat, coarse)
+        got = oracle.turret_neutralization_possible_batch(points, headings, threat)
         want = [ref.turret_neutralization_possible(Point2(*p), h, threat, step_fraction=1.0)
                 for p, h in zip(points.tolist(), headings.tolist())]
         assert got.tolist() == want

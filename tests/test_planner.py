@@ -8,7 +8,7 @@ import pytest
 
 from threatnav import planner
 from threatnav.circumnav import CircumnavSpec, circumnavigate, standard_specs
-from threatnav.errors import InfeasibleError
+from threatnav.errors import DomainError, InfeasibleError
 from threatnav.geometry import Point2, distance
 from threatnav.planner import (
     AgentConfig,
@@ -349,6 +349,26 @@ class TestFeasibilityScreen:
         )
         with pytest.raises(InfeasibleError):
             plan(scen)
+
+    @pytest.mark.parametrize("end", ["start", "goal"])
+    def test_endpoint_on_a_turret(self, solves, end):
+        # a turret has no keep-out disk and its zone is undefined at its position: a located domain error, no solve
+        agent = AgentConfig(Point2(-3, -0.4), Point2(3, -0.4), speed=0.5)
+        point = getattr(agent, end)
+        turret = TurretThreat(point, look_angle=math.pi / 6, mu=0.5, engagement_range=1.0)
+        scen = Scenario(agent, (GOLDEN_THREAT, turret), PlannerOptions(n_nodes=60, constraint_tolerance=1e-4))
+        with pytest.raises(DomainError) as err:
+            plan(scen)
+        assert str(err.value) == f"{end} {point.as_tuple()} lies exactly on threats[1], where its zone is undefined"
+        assert solves == []
+
+    @pytest.mark.parametrize("end", ["start", "goal"])
+    def test_endpoint_on_a_pursuer_stays_infeasible(self, solves, end):
+        point = getattr(GOLDEN_AGENT, end)
+        pursuer = PursuerThreat(point, mu=MU, engagement_range=RANGE, capture_radius=CAPTURE)
+        with pytest.raises(InfeasibleError):
+            plan(Scenario(GOLDEN_AGENT, (pursuer,)))
+        assert solves == []
 
 
 class TestTurretPlanning:
