@@ -10,13 +10,13 @@ finer grid across its bracket, a batch's maxima together. The resolution
 is fixed: the module constants ``_PURSUIT_STEPS``, ``_TURRET_STEP``,
 ``_LEVELS`` and ``_BISECTIONS``, not options. Pursuer poses
 share one grid and are scanned in blocks of at most ``_BLOCK`` values;
-each turret pose has its own in-range grid, scanned in one-row blocks
-of at most ``_CHUNK`` times, so its scan ends with the block that holds
-its first grid hit. Feasibility stops at the first witnessed engagement;
-only the pursuit certificate bisects the window it returns. The oracles
-read only threat parameters and never call the analytic boundary
-formulas. The one-pose functions are one-element views of the batched
-ones.
+each turret pose has its own in-range grid, built and scanned in
+one-row blocks of at most ``_CHUNK`` times, so its scan ends with the
+block that holds its first grid hit. Feasibility stops at the first
+witnessed engagement; only the pursuit certificate bisects the window
+it returns. The oracles read only threat parameters and never call the
+analytic boundary formulas. The one-pose functions are one-element
+views of the batched ones.
 
 Normalization matches the zone modules: unit pursuer speed / unit slew
 rate, agent speed ``mu``. Feasibility is invariant to a common time
@@ -233,9 +233,10 @@ def _turret_blocks(poses: tuple, threat: TurretThreat):
     most one more than any exact chord needs. That cap binds only in
     floats: for a pose far away and aimed at the turret, cancellation in
     the discriminant can stretch the chord to 1e146 steps. The grid is
-    built when the scan reaches it and yielded in slices of at most
-    ``_CHUNK`` times, each sharing its first two times with the end of
-    the slice before it (see ``_first_windows``).
+    yielded in slices of at most ``_CHUNK`` times, each sharing its first
+    two times with the end of the slice before it (see
+    ``_first_windows``), and a slice is built only when the scan reaches
+    it (``_grid_slice``).
     """
     dx0, dy0 = poses[0][:, 0] - threat.position.x, poses[1][:, 0] - threat.position.y
     ux, uy, v, R = poses[2][:, 0], poses[3][:, 0], threat.mu, threat.engagement_range
@@ -254,9 +255,29 @@ def _turret_blocks(poses: tuple, threat: TurretThreat):
     steps = np.ceil((t_hi[ever] - t_lo[ever]) / (_TURRET_STEP * R / v))
     steps = np.maximum(np.minimum(steps, math.ceil(2.0 / _TURRET_STEP) + 1), 64)
     for j, n in zip(ever.tolist(), steps.astype(int).tolist()):
-        ts = np.linspace(t_lo[j], t_hi[j], n + 1)
-        for c in range(0, n - 1, _CHUNK - 2):  # slices of at least 3 times, the last ending at ts[n]
-            yield j, j + 1, ts[c : c + _CHUNK]
+        for c in range(0, n - 1, _CHUNK - 2):  # slices of at least 3 times, the last ending at time n
+            yield j, j + 1, _grid_slice(t_lo[j], t_hi[j], n, c, min(c + _CHUNK, n + 1))
+
+
+def _grid_slice(start: float, stop: float, n: int, c: int, e: int) -> np.ndarray:
+    """``np.linspace(start, stop, n + 1)[c:e]`` bit for bit, without building the rest of the grid.
+
+    Times are ``start + k * step`` with the grid's last time set to
+    ``stop``, computed as numpy's ``linspace`` computes them, its path for
+    a step that underflows to 0 included.
+    """
+    delta = stop - start
+    step = delta / n
+    ts = np.arange(c, e, dtype=float)
+    if step == 0.0:
+        ts /= n
+        ts *= delta
+    else:
+        ts *= step
+    ts += start
+    if e == n + 1:
+        ts[-1] = stop
+    return ts
 
 
 def _separation(x: np.ndarray) -> np.ndarray:

@@ -6,11 +6,15 @@ are chained forward from the start, so the decision vector is exactly
 n_nodes long (n_nodes - 1 headings plus the terminal time). The zone
 constraint has one row per node pose and threat: pursuer zones via the
 aspect-angle clearance with the node's segment heading, turret zones via
-the chord-threshold ray test. Each threat computes its own clearance and
-its pose gradient for a batch of poses, and SLSQP solves the program
-with analytic Jacobians: every row, the endpoint's included, is chained
-through ``_chain`` from its pose partials. The planner knows a threat
-only through the ``Threat`` protocol, so a new zone kind needs no code.
+the chord-threshold ray test. Each threat computes its clearance and
+its pose gradient for a batch of poses in one call, and SLSQP solves
+the program with analytic Jacobians: every row, the endpoint's
+included, is chained through ``_chain`` from its pose partials. SLSQP
+asks for the constraints and then their Jacobian at the same iterate;
+``TranscribedProblem`` keeps the node positions, clearances and pose
+partials of the last decision vector, so each iterate runs each
+threat's kernel once. The planner knows a threat only through the
+``Threat`` protocol, so a new zone kind needs no code.
 
 Only warm starts that can win are solved. A straight chord whose node
 poses all clear every zone is optimal: its t_f is the lower bound
@@ -72,8 +76,10 @@ class Threat(Protocol):
 
     ``clearance`` maps n poses (an n x 2 array of points and n headings)
     to n signed clearances, positive outside the zone, and
-    ``clearance_gradient`` maps them to three arrays of n partials of
-    the clearance, in x, y and heading. ``keep_out_radius`` is the radius
+    ``clearance_and_gradient`` maps them, in one kernel call, to those
+    clearances and three arrays of n partials of them, in x, y and
+    heading; the planner asks it once per iterate and the callers that
+    need only values ask ``clearance``. ``keep_out_radius`` is the radius
     of the disk around ``position`` that no endpoint may enter and that
     circumnav_reach rides (0 when there is none). ``extent`` bounds how
     far from ``position`` the zone reaches; the detour warm starts bow
@@ -88,9 +94,9 @@ class Threat(Protocol):
 
     def clearance(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray: ...
 
-    def clearance_gradient(
+    def clearance_and_gradient(
         self, points: np.ndarray, headings: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]: ...
 
     def engageable(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray: ...
 
@@ -170,7 +176,11 @@ class TranscribedProblem:
     """NLP view of a scenario: objective, constraints, and Jacobians.
 
     The decision vector z holds the n_nodes - 1 segment headings followed
-    by the terminal time.
+    by the terminal time. SLSQP asks for the constraints and their
+    Jacobians at one iterate in separate callbacks, so the problem keeps
+    one entry: the last z it was asked about, compared by value (SLSQP
+    rewrites its array in place), with its node positions and, for the
+    last rows asked for there, each threat's clearances and pose partials.
     """
 
     def __init__(self, scenario: Scenario):
@@ -189,6 +199,10 @@ class TranscribedProblem:
         n = self.n
         self._node_idx = np.concatenate([np.arange(n), np.arange(1, n - 1)])
         self._head_idx = np.concatenate([np.minimum(np.arange(n), n - 2), np.arange(0, n - 2)])
+        self._after = np.arange(n - 1) >= np.arange(n)[:, None]  # heading j is at or after node k: no effect on it
+        self._z: Optional[bytes] = None  # the memo: the last z, its node positions, its rows and their blocks
+        self._points = np.empty((0, 2))
+        self._evaluated: Optional[tuple[Optional[bytes], list]] = None
 
     # -- kinematics -------------------------------------------------------
 
@@ -212,14 +226,14 @@ class TranscribedProblem:
     # -- endpoint equality -------------------------------------------------
 
     def endpoint(self, z: np.ndarray) -> np.ndarray:
-        return self.positions(z)[-1] - self.af
+        return self._positions(z)[-1] - self.af
 
     def endpoint_jacobian(self, z: np.ndarray) -> np.ndarray:
         """``_chain`` at the goal node, whose x and y have pose partials (1, 0, 0) and (0, 1, 0)."""
         goal = np.full(2, self.n - 1)
         # a zero partial is -0.0, which leaves each term it is added to as it was, a signed zero included
         gx, gy, gpsi = np.array([1.0, -0.0]), np.array([-0.0, 1.0]), np.array([-0.0, -0.0])
-        return self._chain(z, goal, goal - 1, self.positions(z)[goal], gx, gy, gpsi)
+        return self._chain(z, goal, goal - 1, self._positions(z)[goal], gx, gy, gpsi)
 
     # -- zone clearances ----------------------------------------------------
 
@@ -236,18 +250,43 @@ class TranscribedProblem:
 
     def clearances(self, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """Stacked per-pose clearance, one block of 2n-2 values per threat (only ``rows`` if given)."""
-        points, psi = self.positions(z), z[:-1]
-        blocks = [t.clearance(points[nodes], psi[heads]) for t, (nodes, heads) in zip(self.threats, self._rows(rows))]
+        blocks = [c for _, _, _, c, *_ in self._evaluate(z, rows)]
         return np.concatenate(blocks) if blocks else np.zeros(0)
 
+    def every_clearance(self, z: np.ndarray) -> np.ndarray:
+        """``clearances(z)`` for a check that needs no partials: the memo's when it holds every row at z."""
+        if self._evaluated is not None and self._evaluated[0] is None and z.tobytes() == self._z:
+            return self.clearances(z)
+        points, psi = self._positions(z)[self._node_idx], z[:-1][self._head_idx]
+        return np.concatenate([t.clearance(points, psi) for t in self.threats]) if self.threats else np.zeros(0)
+
     def clearance_jacobian(self, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        points, psi = self.positions(z), z[:-1]
-        blocks = []
-        for t, (nodes, heads) in zip(self.threats, self._rows(rows)):
-            pose_points = points[nodes]
-            gradient = t.clearance_gradient(pose_points, psi[heads])
-            blocks.append(self._chain(z, nodes, heads, pose_points, *gradient))
+        evaluated = self._evaluate(z, rows)
+        blocks = [self._chain(z, nodes, heads, points, *grad) for nodes, heads, points, _, *grad in evaluated]
         return np.vstack(blocks) if blocks else np.zeros((0, len(z)))
+
+    def _positions(self, z: np.ndarray) -> np.ndarray:
+        """``positions(z)``, kept for the next call at the same z; a new z drops the memo's rows."""
+        key = z.tobytes()
+        if key != self._z:
+            self._z, self._points, self._evaluated = key, self.positions(z), None
+        return self._points
+
+    def _evaluate(self, z: np.ndarray, rows: Optional[np.ndarray]) -> list:
+        """Per threat, (nodes, heads, points, clearance, gx, gy, gpsi) of the poses it keeps at z.
+
+        One ``clearance_and_gradient`` call per threat for each new z or
+        new ``rows``; the answer is kept for the next call at both.
+        """
+        points = self._positions(z)
+        key = None if rows is None or rows.all() else rows.tobytes()
+        if self._evaluated is None or self._evaluated[0] != key:
+            psi, blocks = z[:-1], []
+            for t, (nodes, heads) in zip(self.threats, self._rows(rows)):
+                pose_points = points[nodes]
+                blocks.append((nodes, heads, pose_points, *t.clearance_and_gradient(pose_points, psi[heads])))
+            self._evaluated = key, blocks
+        return self._evaluated[1]
 
     def _chain(self, z, nodes, heads, points, gx, gy, gpsi) -> np.ndarray:
         """Jacobian rows of the pose clearances from their pose gradients."""
@@ -255,12 +294,13 @@ class TranscribedProblem:
         psi, t_f = z[:-1], z[-1]
         dt = t_f / (n - 1)
         m = len(nodes)
-        jac = np.zeros((m, n))
-        # position chain: node k depends on headings 0..k-1
-        sens = self.speed * dt * np.stack([-np.sin(psi), np.cos(psi)], axis=1)
-        full = gx[:, None] * sens[None, :, 0] + gy[:, None] * sens[None, :, 1]
-        mask = np.arange(n - 1)[None, :] < nodes[:, None]
-        jac[:, : n - 1] = np.where(mask, full, 0.0)
+        jac = np.empty((m, n))
+        # position chain: node k depends on headings 0..k-1, so each row is zeroed from its node on
+        sens = self.speed * dt * np.stack([-np.sin(psi), np.cos(psi)])
+        chain = jac[:, : n - 1]
+        np.multiply(gx[:, None], sens[0], out=chain)
+        chain += gy[:, None] * sens[1]
+        np.copyto(chain, 0.0, where=self._after[nodes])
         # direct dependence on the pose's own heading
         jac[np.arange(m), heads] += gpsi
         # terminal-time column through the node positions
@@ -343,7 +383,7 @@ def plan(scenario: Scenario) -> PlanResult:
     if opts.initialization != "straight_line":
         seeds.append((opts.initialization, problem.pack(initialize(scenario, opts.initialization))))
 
-    clear = problem.clearances(chord)
+    clear = problem.every_clearance(chord)
     if np.all(clear >= 0.0):  # a NaN clearance counts as blocked
         min_clear = float(np.min(clear)) if clear.size else math.inf
         _log.debug("chord clear: returned unsolved, t_f %.12g, min clearance %.6g", chord_time, min_clear)
@@ -358,8 +398,8 @@ def plan(scenario: Scenario) -> PlanResult:
     if coarse is not None and coarse.converged and coarse.iterations > 0:
         z0 = problem.pack(coarse.trajectory)
         extents = np.repeat([t.extent for t in scenario.threats], clear.size // len(scenario.threats))
-        seeds, rows = [("coarse", z0)], problem.clearances(z0) < _SCREEN_FRACTION * extents
-    elif not seeds or not np.all(problem.clearances(seeds[0][1]) >= 0.0):
+        seeds, rows = [("coarse", z0)], problem.every_clearance(z0) < _SCREEN_FRACTION * extents
+    elif not seeds or not np.all(problem.every_clearance(seeds[0][1]) >= 0.0):
         seeds.extend(zip(("detour+", "detour-"), (problem.pack(t) for t in _detour_seeds(scenario))))
 
     n_vars = opts.n_nodes
@@ -367,7 +407,7 @@ def plan(scenario: Scenario) -> PlanResult:
     grad[-1] = 1.0
     bounds = [(None, None)] * (n_vars - 1) + [(chord_time * (1.0 - 1e-12), None)]
 
-    best = None  # (key, z, success, feasible)
+    best = None  # (key, z, success, feasible, every clearance row of z)
     for name, z0 in seeds:
         keep = rows.copy()
         while True:
@@ -389,7 +429,7 @@ def plan(scenario: Scenario) -> PlanResult:
             )
             total_nit += int(res.nit)
             z = res.x
-            clear = problem.clearances(z)
+            clear = problem.every_clearance(z)
             viol = _max_violation(problem, z, clear)
             _log.debug(
                 "seed %s: n %d, rows %d/%d, nit %d, status %d (%s), t_f %.12g, violation %.3g",
@@ -404,14 +444,14 @@ def plan(scenario: Scenario) -> PlanResult:
         feasible = viol <= opts.constraint_tolerance
         key = (0, float(z[-1])) if feasible else (1, viol)
         if best is None or key < best[0]:
-            best = (key, z, bool(res.success), feasible)
+            best = (key, z, bool(res.success), feasible, clear)
 
-    _, z, success, feasible = best
+    _, z, success, feasible, clear = best
     return PlanResult(
         trajectory=problem.unpack(z),
         t_f=float(z[-1]),
         converged=bool(success and feasible),
-        min_clearance=float(np.min(problem.clearances(z))),
+        min_clearance=float(np.min(clear)),
         iterations=total_nit,
     )
 

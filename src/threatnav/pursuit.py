@@ -77,14 +77,14 @@ class PursuerThreat:
         d, _, _, xi = self._polar(points, headings)
         return d - rho_batch(xi, self)
 
-    def clearance_gradient(
+    def clearance_and_gradient(
         self, points: np.ndarray, headings: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-pose partial derivatives of ``clearance`` in x, y and heading."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``clearance`` of every pose and its partials in x, y and heading, from one ``_rho`` call."""
         d, dxv, dyv, xi = self._polar(points, headings)
-        drho = rho_derivative_batch(xi, self)
+        radius, drho = _rho(xi, self)
         d2 = d * d
-        return -dxv / d + drho * dyv / d2, -dyv / d - drho * dxv / d2, -drho
+        return d - radius, -dxv / d + drho * dyv / d2, -dyv / d - drho * dxv / d2, -drho
 
     def engageable(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray:
         """Per pose: can this pursuer capture the agent holding its heading? The oracle's verdict."""

@@ -81,17 +81,15 @@ class TurretThreat:
         gap to the range disk. Continuous across the band edge, piecewise
         smooth elsewhere.
         """
-        return self._clearance(points, headings)[0]
-
-    def clearance_gradient(self, points: np.ndarray, headings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-pose partials of ``clearance`` in x, y and heading."""
-        return self._clearance(points, headings)[1:]
+        return self.clearance_and_gradient(points, headings)[0]
 
     def engageable(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray:
         """Per pose: can this turret neutralize the agent holding its heading? The oracle's verdict."""
         return turret_neutralization_possible_batch(points, headings, self)
 
-    def _clearance(self, points: np.ndarray, headings: np.ndarray):
+    def clearance_and_gradient(
+        self, points: np.ndarray, headings: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``clearance`` of every pose and its partials in x, y and heading, from one choice of piece.
 
         Each pose takes the larger of ``|y0| - R`` and ``x0 - M(y0, look_angle - heading)`` (on a tie,

@@ -123,7 +123,9 @@ def test_turret_gradient_matches_central_differences(threat):
     R, h = threat.engagement_range, 1e-6
     points = np.array(threat.position.as_tuple()) + rng.uniform(-3.0 * R, 3.0 * R, size=(2000, 2))
     headings = rng.uniform(-4.0, 4.0, 2000)
-    gradient = np.stack(threat.clearance_gradient(points, headings), axis=1)
+    value, *partials = threat.clearance_and_gradient(points, headings)
+    assert bit_equal(value, threat.clearance(points, headings))
+    gradient = np.stack(partials, axis=1)
 
     def clear(pose):
         return ref.turret_clearance(Point2(pose[0], pose[1]), pose[2], threat)
@@ -207,13 +209,18 @@ def test_pursuer_clearance_batch_is_bit_exact(threat):
     points[2] = centre  # distance 0: on the pursuer
     with np.errstate(divide="ignore", invalid="ignore"):
         assert bit_equal(threat.clearance(points, headings), scalar_pursuer_clearance(threat, points, headings))
-        batched = threat.clearance_gradient(points, headings)
-        for got, want in zip(batched, scalar_pursuer_gradient(threat, points, headings)):
+        batched = threat.clearance_and_gradient(points, headings)
+        for got, want in zip(batched, scalar_pursuer_clearance_and_gradient(threat, points, headings)):
             assert bit_equal(got, want)
 
 
+# Every member that takes poses. The partials' member keeps the test id "clearance_gradient" it was
+# first listed under, so these tests keep their ids.
+MEMBERS = ["clearance", pytest.param("clearance_and_gradient", id="clearance_gradient"), "engageable"]
+
+
 @pytest.mark.parametrize("threat", [TURRETS[0], PURSUERS[3]], ids=["turret", "pursuer"])
-@pytest.mark.parametrize("member", ["clearance", "clearance_gradient", "engageable"])
+@pytest.mark.parametrize("member", MEMBERS)
 @pytest.mark.parametrize("bad", [(math.nan, 0.5), (2.0, math.inf), (-math.inf, math.nan)], ids=["nan", "inf", "both"])
 def test_non_finite_point_is_a_domain_error(threat, member, bad):
     points = np.array([[1.0, 1.0], bad, [2.0, 2.0]])
@@ -224,7 +231,7 @@ def test_non_finite_point_is_a_domain_error(threat, member, bad):
 
 
 @pytest.mark.parametrize("threat", [TURRETS[0], PURSUERS[3]], ids=["turret", "pursuer"])
-@pytest.mark.parametrize("member", ["clearance", "clearance_gradient", "engageable"])
+@pytest.mark.parametrize("member", MEMBERS)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_heading_is_named_as_given(threat, member, bad):
     with warnings.catch_warnings():
@@ -328,17 +335,28 @@ def scalar_pursuer_clearance(self, points, headings):
     return d - np.array([ref.rho(x, self) for x in xi])
 
 
-def scalar_pursuer_gradient(self, points, headings):
+def scalar_pursuer_clearance_and_gradient(self, points, headings):
     d, dxv, dyv, xi = self._polar(points, headings)
     drho = np.array([ref.rho_derivative(x, self) for x in xi])
     d2 = d * d
-    return -dxv / d + drho * dyv / d2, -dyv / d - drho * dxv / d2, -drho
+    clearance = scalar_pursuer_clearance(self, points, headings)
+    return clearance, -dxv / d + drho * dyv / d2, -dyv / d - drho * dxv / d2, -drho
+
+
+BATCHED_TURRET = TurretThreat.clearance_and_gradient
+
+
+def scalar_turret_clearance_and_gradient(self, points, headings):
+    """The reference clearance with the batched partials, which have no frozen scalar form."""
+    return scalar_turret_clearance(self, points, headings), *BATCHED_TURRET(self, points, headings)[1:]
 
 
 def install_reference(monkeypatch):
+    """Make every clearance value, the planner's included, come from the scalar reference kernels."""
     monkeypatch.setattr(TurretThreat, "clearance", scalar_turret_clearance)
+    monkeypatch.setattr(TurretThreat, "clearance_and_gradient", scalar_turret_clearance_and_gradient)
     monkeypatch.setattr(PursuerThreat, "clearance", scalar_pursuer_clearance)
-    monkeypatch.setattr(PursuerThreat, "clearance_gradient", scalar_pursuer_gradient)
+    monkeypatch.setattr(PursuerThreat, "clearance_and_gradient", scalar_pursuer_clearance_and_gradient)
 
 
 @pytest.mark.parametrize("make", [turret_scenario, mixed_scenario], ids=["turret", "mixed"])
@@ -353,7 +371,7 @@ def test_jacobian_matches_column_by_column_reference(make, monkeypatch):
         batched = problem.clearances(z)
         with monkeypatch.context() as m:
             install_reference(m)
-            assert bit_equal(batched, problem.clearances(z))
+            assert bit_equal(batched, transcribe(make(n)).clearances(z))  # a fresh problem: no memo of z
 
 
 @pytest.mark.parametrize("make", [turret_scenario, mixed_scenario], ids=["turret", "mixed"])
@@ -361,7 +379,15 @@ def test_plan_matches_reference(make, monkeypatch):
     scenario = make(20)
     batched = plan(scenario)
     install_reference(monkeypatch)
+    planned = set()
+    for kind in (TurretThreat, PursuerThreat):
+        def spy(self, points, headings, reference=kind.clearance_and_gradient):
+            planned.add(type(self))
+            return reference(self, points, headings)
+
+        monkeypatch.setattr(kind, "clearance_and_gradient", spy)
     reference = plan(scenario)
+    assert planned == {type(t) for t in scenario.threats}  # every threat's SLSQP rows came from the reference
     assert batched.iterations == reference.iterations
     assert batched.t_f == reference.t_f
     assert bit_equal(batched.trajectory.points, reference.trajectory.points)

@@ -287,7 +287,7 @@ class TestEngageable:
         monkeypatch.setattr(turret, "_threshold", closed_form)
         for kind in (PursuerThreat, TurretThreat):
             monkeypatch.setattr(kind, "clearance", closed_form)
-            monkeypatch.setattr(kind, "clearance_gradient", closed_form)
+            monkeypatch.setattr(kind, "clearance_and_gradient", closed_form)
         held_beam = TurretThreat(Point2(0, 0), look_angle=math.pi / 2, mu=1.5, engagement_range=1.0)
         points, headings = np.array([[0.2, 0.1], [-3.0, 0.0]]), np.array([2.0, 0.0])
         assert FAST.engageable(points, headings).tolist() == [True, False]
@@ -459,6 +459,24 @@ def test_far_turret_grids_stop_at_the_cap():
         warnings.simplefilter("error")
         assert grid_lengths(points, headings, threat) == {0: 65, 1: 20_002, 2: 20_002, 3: 20_002}
         assert threat.engageable(points, headings).tolist() == [True] * 4
+
+
+def test_grid_slices_are_linspace_bit_for_bit():
+    rng = np.random.default_rng(61)
+    tiny = 5e-324  # a span whose step underflows to 0: numpy's other path
+    bounds = [(0.0, 1.0), (0.0, 0.0), (2.5, 2.5), (0.0, tiny), (1e-310, 1e-310 + 3 * tiny), (3.0, 3.0 + 1e-15)]
+    bounds += [(0.0, 1e150), (1e10, 1e10 + 7.0)] + [tuple(np.sort(10.0 ** rng.uniform(-6, 6, 2))) for _ in range(12)]
+    counts = [64, 65, CHUNK - 3, CHUNK - 2, CHUNK - 1, CHUNK, 2 * CHUNK - 4, 2 * CHUNK - 3, 20_001]
+    counts += rng.integers(64, 20_002, 6).tolist()
+    for lo, hi in bounds:
+        for n in counts:
+            whole = np.linspace(lo, hi, n + 1)
+            starts = range(0, n - 1, CHUNK - 2)
+            for c in starts:
+                e = min(c + CHUNK, n + 1)
+                got = oracle._grid_slice(np.float64(lo), np.float64(hi), n, c, e)
+                assert np.array_equal(got.view(np.int64), whole[c:e].view(np.int64)), (lo, hi, n, c)
+            assert e == n + 1 and got[-1] == hi  # the last slice ends at the grid's last time
 
 
 def test_refinement_levels_match_sixty_golden_section_steps():

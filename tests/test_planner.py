@@ -2,11 +2,12 @@ import logging
 import math
 import statistics
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from threatnav import planner
+from threatnav import planner, pursuit
 from threatnav.circumnav import CircumnavSpec, circumnavigate, standard_specs
 from threatnav.errors import DomainError, InfeasibleError
 from threatnav.geometry import Point2, distance
@@ -23,10 +24,12 @@ from threatnav.planner import (
     transcribe,
 )
 from threatnav.pursuit import PursuerThreat, signed_clearance
+from threatnav.scenario_io import load_scenario
 from threatnav.turret import TurretThreat
 
 from test_batched_kernels import bit_equal
 
+GOLDEN_FILE = Path(__file__).resolve().parent.parent / "scenarios" / "golden.json"
 MU, CAPTURE = 0.9, 0.2
 RANGE = (2 - CAPTURE) / (MU + 1)
 GOLDEN_THREAT = PursuerThreat(Point2(0, 0), mu=MU, engagement_range=RANGE, capture_radius=CAPTURE)
@@ -405,10 +408,10 @@ class DiskThreat:
     def clearance(self, points, headings):
         return np.hypot(points[:, 0] - self.position.x, points[:, 1] - self.position.y) - self.radius
 
-    def clearance_gradient(self, points, headings):
+    def clearance_and_gradient(self, points, headings):
         dx, dy = points[:, 0] - self.position.x, points[:, 1] - self.position.y
         d = np.hypot(dx, dy)
-        return dx / d, dy / d, np.zeros(len(d))
+        return d - self.radius, dx / d, dy / d, np.zeros(len(d))
 
     def engageable(self, points, headings):
         return (points[:, 0] - self.position.x) ** 2 + (points[:, 1] - self.position.y) ** 2 <= self.radius**2
@@ -474,6 +477,54 @@ def central_differences(f, z):
         zm[j] -= h
         columns.append((f(zp) - f(zm)) / (2 * h))
     return np.stack(columns, axis=1)
+
+
+class TestMemo:
+    """SLSQP's callbacks share one evaluation per decision vector, compared by value."""
+
+    @staticmethod
+    def mixed_problem():
+        pursuer = PursuerThreat(Point2(-1.0, 0), mu=0.8, engagement_range=0.5, capture_radius=0.1)
+        turret = TurretThreat(Point2(1.2, 0.2), look_angle=2.0, mu=0.4, engagement_range=0.6)
+        agent = AgentConfig(Point2(-3, -1), Point2(3, -1), speed=0.8)
+        return transcribe(Scenario(agent, (pursuer, turret), PlannerOptions(n_nodes=20)))
+
+    def test_a_z_changed_in_place_is_evaluated_again(self):
+        prob = self.mixed_problem()
+        rng = np.random.default_rng(5)
+        keep = rng.random(2 * (2 * 20 - 2)) < 0.7
+        z = np.append(rng.uniform(-0.5, 0.5, 19), 9.0)
+        first = prob.clearances(z, keep)
+        prob.endpoint(z)
+        z[:] = np.append(rng.uniform(-0.5, 0.5, 19), 10.0)  # as SLSQP moves its iterate
+        fresh = self.mixed_problem()
+        assert bit_equal(prob.clearance_jacobian(z, keep), fresh.clearance_jacobian(z.copy(), keep))
+        assert bit_equal(prob.endpoint_jacobian(z), fresh.endpoint_jacobian(z.copy()))
+        assert bit_equal(prob.clearances(z, keep), fresh.clearances(z.copy(), keep))
+        assert not bit_equal(first, prob.clearances(z, keep))
+
+    def test_other_rows_at_the_same_z_are_evaluated_again(self):
+        prob = self.mixed_problem()
+        z = np.append(np.linspace(-0.4, 0.4, 19), 9.0)
+        keep = np.arange(2 * (2 * 20 - 2)) % 3 > 0
+        prob.clearances(z, keep)
+        fresh = self.mixed_problem()
+        assert bit_equal(prob.clearances(z), fresh.clearances(z))
+        assert bit_equal(prob.every_clearance(z), fresh.clearances(z))
+        assert bit_equal(prob.clearance_jacobian(z, ~keep), fresh.clearance_jacobian(z, ~keep))
+
+    def test_golden_plan_evaluates_each_aspect_array_once(self, monkeypatch):
+        seen = []
+        rho = pursuit._rho
+
+        def spy(xi, threat):
+            seen.append(xi.tobytes())
+            return rho(xi, threat)
+
+        monkeypatch.setattr(pursuit, "_rho", spy)
+        plan(load_scenario(GOLDEN_FILE).scenario)
+        assert not any(a == b for a, b in zip(seen, seen[1:]))  # no input twice in a row
+        assert len(seen) <= len(set(seen)) + 1
 
 
 class TestTranscription:
