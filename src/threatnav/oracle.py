@@ -3,20 +3,24 @@
 These are the ground truth the closed-form zone boundaries are tested
 against, and each zone kind's ``engageable`` member answers with them.
 Both oracles evaluate their raw capture/neutralization margin on a dense
-time grid and share one scan (``_first_windows``) over blocks of poses:
-a pose's first grid point where the margin is >= 0 ends its scan, and
-without one each local maximum that can still reach 0 is rescanned on a
-finer grid across its bracket, a batch's maxima together. The resolution
-is fixed: the module constants ``_PURSUIT_STEPS``, ``_TURRET_STEP``,
-``_LEVELS`` and ``_BISECTIONS``, not options. Pursuer poses
-share one grid and are scanned in blocks of at most ``_BLOCK`` values;
-each turret pose has its own in-range grid, built and scanned in
-one-row blocks of at most ``_CHUNK`` times, so its scan ends with the
-block that holds its first grid hit. Feasibility stops at the first
-witnessed engagement; only the pursuit certificate bisects the window
-it returns. The oracles read only threat parameters and never call the
-analytic boundary formulas. The one-pose functions are one-element
-views of the batched ones.
+time grid: a pose's first grid point where the margin is >= 0 gives its
+window, and without one each local maximum that can still reach 0 is
+rescanned on a finer grid across its bracket, a batch's maxima together
+(``_settle``). The resolution is fixed: the module constants
+``_PURSUIT_STEPS``, ``_TURRET_STEP``, ``_LEVELS`` and ``_BISECTIONS``,
+not options. Pursuer poses share one grid and are scanned in blocks of
+at most ``_BLOCK`` values (``_first_windows``). Each turret pose has its
+own in-range grid, scanned in two passes (``_turret_windows``): a coarse
+pass reads every ``_CELL``-th time, and the margin's rate bound
+``1 + mu |miss| / d^2`` (``_clear_cells``) proves most cells between
+those times free of grid hits and of maxima that could reach 0, with
+``_SLACK`` to spare for rounding. A fine pass reads every time of the
+other cells up to the first coarse hit. Skipping a proven cell changes
+no verdict and no window, so both are the ones a scan of every grid time
+gives. Feasibility stops at the first witnessed engagement; only the
+pursuit certificate bisects the window it returns. The oracles read only
+threat parameters and never call the analytic boundary formulas. The
+one-pose functions are one-element views of the batched ones.
 
 Normalization matches the zone modules: unit pursuer speed / unit slew
 rate, agent speed ``mu``. Feasibility is invariant to a common time
@@ -38,55 +42,58 @@ if TYPE_CHECKING:  # the zone modules import this one for their engageable membe
     from .turret import TurretThreat
 
 _BLOCK = 1 << 16  # most margin values in one scan or refinement array: about 0.5 MB per temporary
-_CHUNK = 8192  # most times of one turret scan block: 64 KiB per temporary; a block costs as much as ~2,500 times
 _SPREAD = np.linspace(0.0, 1.0, 64)  # where a refinement level samples a bracket
 _PURSUIT_STEPS = 1000  # pursuit grid steps over the pursuer's life
 _TURRET_STEP = 1e-4  # turret grid step at most, in range / agent speed: 2 / _TURRET_STEP steps span any exact chord
+_CELL = 128  # turret grid steps per coarse cell: 64 measured the same; fewer leave more cells, more widen the bound
+_SLACK = 1e-9  # a clear cell's bound sits this far below 0 per unit of 1 + t: room for the margin's rounding, ~1e-15
 _LEVELS = 9  # refinement levels: the least L with (2/63)^L <= phi^-60, what 60 golden-section steps leave
 _BISECTIONS = 60  # halvings of the pursuit certificate's window
 
 
-def _first_windows(margin, poses: tuple, blocks, rise: float = math.inf) -> list:
-    """Bracket ``(lo, hi)`` of the first engagement of each pose, or None.
+def _first_windows(margin, poses: tuple, ts: np.ndarray, rise: float) -> list:
+    """Bracket ``(lo, hi)`` of the first engagement of each pose on the shared grid ``ts``, or None.
 
-    ``poses`` are columns with one row per pose; ``blocks`` yields
-    ``(start, stop, ts)``, poses ``start`` to ``stop`` on the times
-    ``ts``, in time order per pose. A pose may come in several blocks,
-    each a slice of its grid that shares its first two times with the end
-    of the slice before it, so each grid point but the ends is interior
-    to exactly one block. A block whose poses all have a window is
-    skipped unevaluated. ``margin(rows, t)`` maps pose columns and times
+    ``poses`` are columns with one row per pose, scanned in blocks of at
+    most ``_BLOCK`` values. ``margin(rows, t)`` maps pose columns and times
     that broadcast against them to the engagement margin, feasible where
     >= 0. At a pose's first grid point with margin >= 0 the bracket runs
     from the grid point before it. Without one, each interior local
-    maximum of the pose's grid margin is refined (``_refine``), in case a
-    short window fell between grid points: the first that reaches 0 gives
-    ``(ts[i - 1], t)``, ``t`` its best point. A maximum below ``-rise``,
-    where ``rise`` bounds the margin's climb within one grid step, cannot
-    reach 0 and is not refined, nor is one of a pose that has a grid hit.
-    Either way ``margin(hi) >= 0``.
+    maximum of the pose's grid margin that is at least ``-rise``, where
+    ``rise`` bounds the margin's climb within one grid step, is refined
+    (``_settle``), in case a short window fell between grid points.
     """
     windows: list[Optional[tuple[float, float]]] = [None] * len(poses[0])
     peaks = []  # per block: each candidate maximum's pose and bracket
-    for start, stop, ts in blocks:
-        if None not in windows[start:stop]:
-            continue
-        m = margin(tuple(column[start:stop] for column in poses), ts)
+    per_block = max(_BLOCK // len(ts), 1)
+    for start in range(0, len(windows), per_block):
+        m = margin(tuple(column[start : start + per_block] for column in poses), ts)
         found, inner = m.max(axis=1) >= 0.0, m[:, 1:-1]
         hits = found.nonzero()[0].tolist()
-        for j in hits:  # a later slice's hit is past its first two times: ts[i - 1] is in it
+        for j in hits:
             i = int((m[j] >= 0.0).argmax())
             windows[start + j] = float(ts[max(i - 1, 0)]), float(ts[i])
-        if len(hits) < len(found):  # this guard and the next spare a one-row turret block a dozen small array calls
+        if len(hits) < len(found):  # this guard and the next spare a small block a dozen array calls
             flat = np.flatnonzero((inner >= m[:, :-2]) & (inner >= m[:, 2:]))
             if len(flat):
                 j, i = np.divmod(flat, len(ts) - 2)
                 keep = (inner[j, i] >= -rise) & ~found[j]
                 peaks.append((j[keep] + start, ts[i[keep]], ts[i[keep] + 2]))
         del m, inner  # free this block before the next is computed: with both held, large blocks land on fresh pages
+    return _settle(margin, poses, windows, peaks)
+
+
+def _settle(margin, poses: tuple, windows: list, peaks: list) -> list:
+    """Give each pose of ``windows`` still without one the first of its ``peaks`` whose refinement reaches 0.
+
+    ``peaks`` holds arrays ``(k, lo, hi)``: pose ``k`` has a grid maximum
+    bracketed by ``[lo, hi]``, each pose's in time order. A pose with a
+    grid hit keeps it, unrefined. A refined maximum ``t`` that reaches 0
+    gives ``(lo, t)``, so ``margin(hi) >= 0`` for every window.
+    """
     if peaks:
         k, lo, hi = (np.concatenate(parts) for parts in zip(*peaks))
-        keep = np.array([windows[pose] is None for pose in k.tolist()], dtype=bool)  # a hit in a later slice wins
+        keep = np.array([windows[pose] is None for pose in k.tolist()], dtype=bool)
         k, lo, hi = k[keep], lo[keep], hi[keep]
         t, f_t = _refine(margin, poses, k, lo, hi)
         for pose, a, b in zip(*(column[f_t >= 0.0].tolist() for column in (k, lo, t))):
@@ -182,9 +189,7 @@ def _pursuit_windows(poses: tuple, threat: PursuerThreat) -> list:
     """
     ts = np.linspace(0.0, threat.engagement_range, _PURSUIT_STEPS + 1)  # unit pursuer speed: life ends at t = R
     rise = (1.0 + threat.mu) * float(np.max(np.diff(ts)))
-    per_block = max(_BLOCK // len(ts), 1)
-    blocks = ((start, start + per_block, ts) for start in range(0, len(poses[0]), per_block))
-    return _first_windows(_pursuit_slack(threat), poses, blocks, rise)
+    return _first_windows(_pursuit_slack(threat), poses, ts, rise)
 
 
 def _one(a0: Point2, heading: float) -> tuple[np.ndarray, np.ndarray]:
@@ -224,60 +229,139 @@ def pursuit_capture_certificate(a0: Point2, heading: float, threat: PursuerThrea
     return t_cap, t_cap
 
 
-def _turret_blocks(poses: tuple, threat: TurretThreat):
-    """Yield ``(j, j + 1, ts)`` for each pose j ever in range, ts spanning its times t >= 0 there.
+def _turret_grids(poses: tuple, threat: TurretThreat):
+    """Grid of each pose ever in range at t >= 0: ``(rows, t_lo, t_hi, n, miss, along)``.
 
-    The bounds come from one array evaluation, which raises for a pose so
-    far out that its in-range quadratic overflows. Each pose's grid has
-    steps of at most ``_TURRET_STEP`` R / mu, at least 64 of them, and at
-    most one more than any exact chord needs. That cap binds only in
-    floats: for a pose far away and aimed at the turret, cancellation in
-    the discriminant can stretch the chord to 1e146 steps. The grid is
-    yielded in slices of at most ``_CHUNK`` times, each sharing its first
-    two times with the end of the slice before it (see
-    ``_first_windows``), and a slice is built only when the scan reaches
-    it (``_grid_slice``).
+    ``rows`` indexes those poses, and the other arrays hold one value per
+    row: its grid is ``np.linspace(t_lo, t_hi, n + 1)``, and with d the
+    offset from the turret to the agent and u its heading, ``miss`` is
+    ``d x u``, the signed miss distance, and ``along`` is ``d . u``. The
+    bounds come from one array evaluation, which raises for a pose so far
+    out that its in-range quadratic overflows. A grid has steps of at most
+    ``_TURRET_STEP`` R / mu, at least 64 of them, and at most one more
+    than any exact chord needs. That cap binds only where t_lo and t_hi
+    round apart by more than the chord, far out along the track.
     """
     dx0, dy0 = poses[0][:, 0] - threat.position.x, poses[1][:, 0] - threat.position.y
     ux, uy, v, R = poses[2][:, 0], poses[3][:, 0], threat.mu, threat.engagement_range
-    # |a0 + v t u - T|^2 = R^2, with the leading coefficient v^2
+    # |d + v t u|^2 = R^2, with the leading coefficient v^2. Its discriminant
+    # b^2 - 4 v^2 (|d|^2 - R^2) is 4 v^2 (R^2 - (d x u)^2), which does not cancel far out.
     with np.errstate(over="ignore", invalid="ignore"):
-        b = 2.0 * v * (dx0 * ux + dy0 * uy)
-        disc = b * b - 4.0 * v * v * (dx0 * dx0 + dy0 * dy0 - R * R)
+        along, miss = dx0 * ux + dy0 * uy, dx0 * uy - dy0 * ux
+        b = 2.0 * v * along
+        disc = 4.0 * v * v * (R * R - miss * miss)
         sq = np.sqrt(np.maximum(disc, 0.0))
         t_lo, t_hi = (-b - sq) / (2.0 * v * v), (-b + sq) / (2.0 * v * v)
     bad = ~(np.isfinite(disc) & np.isfinite(t_lo) & np.isfinite(t_hi))
     if bad.any():
         j = int(bad.argmax())
         raise DomainError(f"agent at ({poses[0][j, 0]}, {poses[1][j, 0]}) overflows the oracle's in-range quadratic")
-    t_lo = np.maximum(t_lo, 0.0)
-    ever = np.flatnonzero((disc >= 0.0) & (t_hi >= 0.0))
-    steps = np.ceil((t_hi[ever] - t_lo[ever]) / (_TURRET_STEP * R / v))
-    steps = np.maximum(np.minimum(steps, math.ceil(2.0 / _TURRET_STEP) + 1), 64)
-    for j, n in zip(ever.tolist(), steps.astype(int).tolist()):
-        for c in range(0, n - 1, _CHUNK - 2):  # slices of at least 3 times, the last ending at time n
-            yield j, j + 1, _grid_slice(t_lo[j], t_hi[j], n, c, min(c + _CHUNK, n + 1))
+    rows = np.flatnonzero((disc >= 0.0) & (t_hi >= 0.0))
+    t_lo, t_hi = np.maximum(t_lo[rows], 0.0), t_hi[rows]
+    steps = np.ceil((t_hi - t_lo) / (_TURRET_STEP * R / v))
+    n = np.maximum(np.minimum(steps, math.ceil(2.0 / _TURRET_STEP) + 1), 64).astype(int)
+    return rows, t_lo, t_hi, n, miss[rows], along[rows]
 
 
-def _grid_slice(start: float, stop: float, n: int, c: int, e: int) -> np.ndarray:
-    """``np.linspace(start, stop, n + 1)[c:e]`` bit for bit, without building the rest of the grid.
+def _grid_times(start: np.ndarray, stop: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Times ``k`` of row i's ``np.linspace(start[i], stop[i], n[i] + 1)``, bit for bit, without the rest of it.
 
-    Times are ``start + k * step`` with the grid's last time set to
-    ``stop``, computed as numpy's ``linspace`` computes them, its path for
-    a step that underflows to 0 included.
+    ``k`` holds indices in ``[0, n[i]]``, one row per grid. Times are
+    ``start + k * step`` with the grid's last time set to ``stop``,
+    computed as numpy's ``linspace`` computes them, its path for a step
+    that underflows to 0 included.
     """
     delta = stop - start
     step = delta / n
-    ts = np.arange(c, e, dtype=float)
-    if step == 0.0:
-        ts /= n
-        ts *= delta
-    else:
-        ts *= step
-    ts += start
-    if e == n + 1:
-        ts[-1] = stop
+    ts = k * step[:, None]
+    zero = step == 0.0
+    if zero.any():
+        ts[zero] = k[zero] / n[zero, None] * delta[zero, None]
+    ts += start[:, None]
+    np.copyto(ts, stop[:, None], where=k == n[:, None])
     return ts
+
+
+def _clear_cells(f: np.ndarray, ts: np.ndarray, h: np.ndarray, miss: np.ndarray, along: np.ndarray, v: float):
+    """Per pose and cell ``[ts[:, c], ts[:, c + 1]]``: is the margin there provably below 0?
+
+    ``f`` is the margin at ``ts``, and ``h``, ``miss`` and ``along`` are
+    per pose as ``_turret_grids`` gives them (``h`` the grid step). The
+    margin t - |look - bearing| climbs at most L = 1 + v |miss| / d^2 per
+    unit time, with d the distance to the turret, so on a cell [a, b]
+    widened by s on either side it stays at most
+    ``(f(a) + f(b)) / 2 + L ((b - a) / 2 + s)``. With s = 2 h that covers
+    every grid time of the cell and every time its refinement samples,
+    which lie within one step of the cell, with a step to spare for the
+    grid's rounding. L takes the least d over the widened cell, and is
+    infinite where that d is 0. A cell is clear when the bound is below
+    ``-_SLACK (1 + t_hi)``.
+    """
+    h = h[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        near = along[:, None] + v * (ts[:, :-1] - h)  # d . u at the widened cell's ends
+        far = along[:, None] + v * (ts[:, 1:] + h)
+        d = np.hypot(miss[:, None], np.maximum(near, 0.0) - np.minimum(far, 0.0))
+        climb = np.where(d > 0.0, 1.0 + v * (np.abs(miss)[:, None] / d) / d, np.inf)
+        top = 0.5 * (f[:, :-1] + f[:, 1:]) + climb * (0.5 * (ts[:, 1:] - ts[:, :-1]) + 2.0 * h)
+    return top < -_SLACK * (1.0 + ts[:, -1:])  # the last coarse time is t_hi
+
+
+def _turret_windows(poses: tuple, threat: TurretThreat) -> list:
+    """Each pose's first neutralization window on its own grid, or None, in two passes.
+
+    The windows are the ones a scan of every grid time would give (see
+    ``_first_windows``). The coarse pass evaluates the margin at every
+    ``_CELL``-th time of each grid and at its last, as padded (poses x
+    coarse times) blocks of at most ``_BLOCK`` values. ``_clear_cells``
+    then proves most cells between them free of grid hits and of maxima
+    whose refinement could reach 0. The fine pass evaluates the other
+    cells of each pose before its first coarse hit, each with one grid
+    time on either side, in (cells x ``_CELL + 3``) blocks of at most
+    ``_BLOCK`` values. A pose's first grid hit gives its window; without
+    one, the interior maxima of its open cells go to ``_settle``, each
+    cell taking those from its first time to the one before its last.
+    """
+    windows: list[Optional[tuple[float, float]]] = [None] * len(poses[0])
+    rows, t_lo, t_hi, n, miss, along = _turret_grids(poses, threat)
+    if not len(rows):
+        return windows
+    margin, h = _turret_margin(threat), (t_hi - t_lo) / n
+    width = (int(n.max()) - 1) // _CELL + 2  # coarse times of the longest grid
+    cell = np.arange(width - 1)
+    scan = []  # per coarse block: pose and cell of each cell to fine-scan
+    per_block = max(_BLOCK // width, 1)
+    for start in range(0, len(rows), per_block):
+        part = slice(start, start + per_block)
+        k = np.minimum(np.arange(width) * _CELL, n[part, None])  # padded with the last time
+        ts = _grid_times(t_lo[part], t_hi[part], n[part], k)
+        f = margin(tuple(column[rows[part]] for column in poses), ts)
+        hit = f >= 0.0
+        first = np.where(hit.any(axis=1), hit.argmax(axis=1), width)[:, None]
+        for j in np.flatnonzero(first == 0).tolist():
+            windows[rows[start + j]] = float(ts[j, 0]), float(ts[j, 0])
+        clear = _clear_cells(f, ts, h[part], miss[part], along[part], threat.mu)
+        j, c = np.nonzero((cell < first) & (cell * _CELL < n[part, None]) & ~clear)
+        scan.append((j + start, c))
+    j, c = (np.concatenate(parts) for parts in zip(*scan))
+    offsets = np.arange(-1, _CELL + 2)
+    peaks = []  # per fine block: each candidate maximum's pose and bracket
+    per_block = _BLOCK // len(offsets)
+    for start in range(0, len(j), per_block):
+        jj, k = j[start : start + per_block], c[start : start + per_block, None] * _CELL + offsets
+        last = n[jj, None]
+        ts = _grid_times(t_lo[jj], t_hi[jj], n[jj], np.clip(k, 0, last))  # a grid's ends stand in past them
+        m = margin(tuple(column[rows[jj]] for column in poses), ts)
+        hit = m[:, 1:-1] >= 0.0
+        for r in np.flatnonzero(hit.any(axis=1)).tolist():
+            if windows[rows[jj[r]]] is None:  # a pose's cells come in time order: keep its first hit
+                i = int(hit[r].argmax()) + 1
+                windows[rows[jj[r]]] = float(ts[r, i - 1]), float(ts[r, i])
+        inner, at = m[:, 1:-1], k[:, 1:-1]
+        claimed = (at >= 1) & (at < np.minimum(k[:, 1:2] + _CELL, last))  # interior, and not the next cell's first
+        r, i = np.nonzero((inner >= m[:, :-2]) & (inner >= m[:, 2:]) & claimed)
+        peaks.append((rows[jj[r]], ts[r, i], ts[r, i + 2]))
+    return _settle(margin, poses, windows, peaks)
 
 
 def _separation(x: np.ndarray) -> np.ndarray:
@@ -312,12 +396,9 @@ def _turret_margin(threat: TurretThreat):
 def turret_neutralization_possible_batch(points: np.ndarray, headings: np.ndarray, threat: TurretThreat) -> np.ndarray:
     """``turret_neutralization_possible`` of every pose: rows of ``points`` (n x 2) with ``headings``.
 
-    Each pose is scanned over its own in-range grid, in one-row blocks of
-    at most ``_CHUNK`` times, up to the block that holds its first hit.
+    Each pose is scanned over its own in-range grid (``_turret_windows``).
     """
-    poses = _poses(points, headings, threat.position, "turret")
-    blocks = _turret_blocks(poses, threat)
-    windows = _first_windows(_turret_margin(threat), poses, blocks)
+    windows = _turret_windows(_poses(points, headings, threat.position, "turret"), threat)
     return np.array([w is not None for w in windows], dtype=bool)
 
 

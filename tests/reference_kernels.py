@@ -256,8 +256,8 @@ def turret_window(a0: Point2, heading: float, threat: TurretThreat, step_fractio
     R = threat.engagement_range
     ux, uy = math.cos(heading), math.sin(heading)
     b = 2.0 * v * (dx0 * ux + dy0 * uy)
-    c = dx0 * dx0 + dy0 * dy0 - R * R
-    disc = b * b - 4.0 * v * v * c
+    miss = dx0 * uy - dy0 * ux
+    disc = 4.0 * v * v * (R * R - miss * miss)  # b^2 - 4 v^2 (|d|^2 - R^2), without its cancellation far out
     if disc < 0.0:
         return None
     sq = math.sqrt(disc)

@@ -295,25 +295,46 @@ class TestEngageable:
         assert held_beam.engageable(points, np.zeros(2)).tolist() == [True, False]
 
 
-CHUNK = oracle._CHUNK
+CELL = oracle._CELL
+EDGE = 64 * CELL  # a coarse time far into the grid
 FINE_STEP = 2.5e-5  # turret grids of up to 80,001 times
 
 
 def turret_grid(point, heading, threat):
-    """A pose's whole turret grid and its scan blocks' times, rebuilt from the overlapping slices."""
+    """A pose's whole turret grid."""
     poses = oracle._poses(np.array([point]), np.array([heading]), threat.position, "turret")
-    chunks = [ts for _, _, ts in oracle._turret_blocks(poses, threat)]
-    return np.concatenate([chunks[0]] + [ts[2:] for ts in chunks[1:]]), chunks
+    _, t_lo, t_hi, n, _, _ = oracle._turret_grids(poses, threat)
+    return oracle._grid_times(t_lo, t_hi, n, np.arange(n[0] + 1)[None, :])[0]
 
 
 def turret_windows(points, headings, threat):
-    poses = oracle._poses(points, headings, threat.position, "turret")
-    blocks = oracle._turret_blocks(poses, threat)
-    return oracle._first_windows(oracle._turret_margin(threat), poses, blocks)
+    return oracle._turret_windows(oracle._poses(points, headings, threat.position, "turret"), threat)
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The times of each turret margin call from here on, in call order."""
+    calls = []
+    margin = oracle._turret_margin
+
+    def recording_margin(threat):
+        inner = margin(threat)
+
+        def recorded(poses, t):
+            calls.append(np.array(t, copy=True))
+            return inner(poses, t)
+
+        return recorded
+
+    monkeypatch.setattr(oracle, "_turret_margin", recording_margin)
+    return calls
 
 
 class TestChunkedTurretScan:
-    """Each turret grid is scanned in slices of at most ``_CHUNK`` times that overlap by two, here on a 4x finer grid."""
+    """Each turret grid is read at every ``_CELL``-th time, then fine-scanned in the cells the bound leaves open.
+
+    Here on a 4x finer grid.
+    """
 
     @pytest.fixture(autouse=True)
     def fine(self, grid):
@@ -336,52 +357,48 @@ class TestChunkedTurretScan:
         late_hits = misses = 0
         for pose, ((x, y), h, window) in enumerate(zip(points.tolist(), headings.tolist(), got)):
             want = ref.turret_window(Point2(x, y), h, threat, FINE_STEP)
-            ts, chunks = turret_grid((x, y), h, threat)
+            ts = turret_grid((x, y), h, threat)
             grid_hit = window is not None and window[1] in ts
             if window is None or grid_hit:
                 assert window == want
             else:  # refined: the frozen scan's golden-section point differs within the same bracket
                 assert want is not None and window[0] == want[0]
-            assert not (grid_hit and pose in refined)  # a grid hit in any slice spares the pose's maxima
-            if len(chunks) >= 3:
-                late_hits += window is not None and window[1] > chunks[1][0]
+            assert not (grid_hit and pose in refined)  # a grid hit in any cell spares the pose's maxima
+            if len(ts) > 3 * CELL:
+                late_hits += window is not None and window[1] > ts[CELL]  # past the first coarse cell
                 misses += window is None
-        assert late_hits >= 20 and misses >= 20 and refined, (late_hits, misses, refined)
+        assert late_hits >= 20 and misses >= 20, (late_hits, misses)
 
-    @pytest.mark.parametrize("i", [CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 4])
-    def test_first_hit_near_a_chunk_boundary(self, monkeypatch, i):
+    @pytest.mark.parametrize("i", [EDGE - 2, EDGE - 1, EDGE, EDGE + 1, EDGE + 2, EDGE + 3, 2 * EDGE - 4])
+    def test_first_hit_near_a_chunk_boundary(self, evaluated, i):
         # Running straight away from the turret the bearing stays 0, so the
-        # margin t - |look| first reaches 0 at the first grid time >= look:
-        # put look between grid times i - 1 and i.
+        # margin t - |look| climbs at 1, the bound's rate with no miss
+        # distance, and first reaches 0 at the first grid time >= look: put
+        # look between grid times i - 1 and i.
         point, heading = (0.01, 0.0), 0.0
-        ts, chunks = turret_grid(point, heading, TURRET)
-        assert len(chunks) >= 3
+        ts = turret_grid(point, heading, TURRET)
         threat = TurretThreat(Point2(0, 0), look_angle=0.5 * (ts[i - 1] + ts[i]), mu=0.5, engagement_range=1.0)
-        evaluated = []
-        margin = oracle._turret_margin
-
-        def recording_margin(threat):
-            inner = margin(threat)
-
-            def recorded(poses, t):
-                evaluated.append(np.array(t, copy=True).ravel())
-                return inner(poses, t)
-
-            return recorded
-
-        monkeypatch.setattr(oracle, "_turret_margin", recording_margin)
         (window,) = turret_windows(np.array([point]), np.array([heading]), threat)
         assert window == (ts[i - 1], ts[i]) == ref.turret_window(Point2(*point), heading, threat, FINE_STEP)
-        holding = next(k for k, chunk in enumerate(chunks) if ts[i] in chunk)  # the first slice holding the hit
-        assert np.concatenate(evaluated).tolist() == np.concatenate(chunks[: holding + 1]).tolist()
+        # The coarse pass reads every CELL-th time and the last. The fine pass
+        # reads the cell holding the hit, with a time on either side, and the
+        # cell before it only if that cell ends within two steps of the hit:
+        # the bound reaches two steps past a cell's ends.
+        coarse, fine = evaluated
+        n = len(ts) - 1
+        assert coarse.ravel().tolist() == ts[np.r_[0:n:CELL, n]].tolist()
+        holding = (i - 1) // CELL
+        cells = [holding - 1, holding] if i - holding * CELL <= 2 else [holding]
+        assert fine.ravel().tolist() == np.concatenate([ts[c * CELL - 1 : (c + 1) * CELL + 2] for c in cells]).tolist()
 
-    @pytest.mark.parametrize("i", [CHUNK - 2, CHUNK - 1])  # the last interior time of a slice, the first of the next
-    def test_maximum_on_the_overlap_is_refined(self, i):
+    @pytest.mark.parametrize("i", [EDGE - 1, EDGE, EDGE + 1])  # the last time a cell claims, a coarse time, the next
+    def test_maximum_beside_a_cell_edge_is_refined(self, i):
         # An agent crossing in front of the turret at speed 10: the margin
         # peaks where the bearing turns at the beam's rate 1. Start it so
         # the peak sits about 0.3 steps past grid time i, and aim the beam so the
         # peak margin is 1e-11: every grid time is below 0 and only the
-        # refinement of the maximum at i finds the window.
+        # refinement of the maximum at i finds the window. Its bracket runs
+        # one step either side of i, across the coarse time EDGE.
         v, R, x0 = 10.0, 2.5, 0.1
         y_peak = math.sqrt(v * x0 - x0 * x0)  # where the bearing rate v x0 / (x0^2 + y^2) is 1
         reach = math.sqrt(R * R - x0 * x0)
@@ -396,14 +413,113 @@ class TestChunkedTurretScan:
         look = math.atan2(-y_peak, x0) - t_peak + 1e-11
         threat = TurretThreat(Point2(0, 0), look_angle=look, mu=v, engagement_range=R)
         point, heading = (x0, -y0), math.pi / 2
-        ts, chunks = turret_grid(point, heading, threat)
-        assert len(chunks) >= 3 and ts[i] in chunks[0] and ts[i] in chunks[1]
+        ts = turret_grid(point, heading, threat)
         poses = oracle._poses(np.array([point]), np.array([heading]), threat.position, "turret")
         m = oracle._turret_margin(threat)(poses, ts)[0]
         assert m.max() < 0.0 and np.flatnonzero((m[1:-1] >= m[:-2]) & (m[1:-1] >= m[2:])).tolist() == [i - 1]
         (window,) = turret_windows(np.array([point]), np.array([heading]), threat)
         assert window[0] == ts[i - 1] and ts[i] < window[1] < ts[i + 1]
         assert ref.turret_window(Point2(*point), heading, threat, FINE_STEP)[0] == ts[i - 1]
+
+
+def test_windows_match_the_frozen_scan_on_every_kind_of_chord(monkeypatch):
+    # Chords through the turret (heading 0 on its axis: no miss distance,
+    # the bearing flips at it and the bound's rate there is infinite), tangent chords, passes
+    # within 1e-6 R of the turret and random chords, with mu and R from
+    # 0.1 to 10, at the default grid. Each verdict is the frozen scan's,
+    # and so is each window, but for a refined one's best point.
+    refined, refine = [], oracle._refine
+
+    def recording_refine(margin, poses, k, lo, hi):
+        refined.extend(k.tolist())
+        return refine(margin, poses, k, lo, hi)
+
+    monkeypatch.setattr(oracle, "_refine", recording_refine)
+    rng = np.random.default_rng(71)
+    kinds = {"through": slice(0, 10), "tangent": slice(10, 20), "near": slice(20, 30), "random": slice(30, 40)}
+    engaged = dict.fromkeys(kinds, 0)
+    found_by_refining = 0
+    for _ in range(12):
+        R, mu = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+        threat = TurretThreat(Point2(*rng.uniform(-2, 2, 2)), look_angle=rng.uniform(-4, 4), mu=mu, engagement_range=R)
+        headings = rng.uniform(-math.pi, math.pi, 40)
+        back = R * rng.uniform(0.0, 2.0, (40, 1))  # how far before its closest approach each pose starts
+        offset = R * rng.uniform(-1.0, 1.0, (40, 1))
+        headings[kinds["through"]] = 0.0
+        u = np.c_[np.cos(headings), np.sin(headings)]
+        normal = np.c_[-u[:, 1], u[:, 0]]
+        offset[kinds["through"]] = 0.0
+        back[kinds["through"]] += R * 1e-3  # never on the turret
+        offset[kinds["tangent"]] = R * (1.0 - rng.uniform(0.0, 1e-12, (10, 1))) * rng.choice([-1.0, 1.0], (10, 1))
+        offset[kinds["near"]] = R * rng.uniform(-1e-6, 1e-6, (10, 1))
+        points = threat.position.as_tuple() - back * u + offset * normal
+        refined.clear()
+        got = turret_windows(points, headings, threat)
+        assert threat.engageable(points, headings).tolist() == [w is not None for w in got]
+        for pose, ((x, y), h, window) in enumerate(zip(points.tolist(), headings.tolist(), got)):
+            want = ref.turret_window(Point2(x, y), h, threat)
+            if window is not None and window[1] not in turret_grid((x, y), h, threat):
+                assert want is not None and window[0] == want[0] and pose in refined
+                found_by_refining += 1
+            else:
+                assert window == want
+        for kind, rows in kinds.items():
+            engaged[kind] += sum(w is not None for w in got[rows])
+    assert all(0 < count < 120 for count in engaged.values()) and found_by_refining, (engaged, found_by_refining)
+
+
+def test_a_clear_pose_is_fine_scanned_on_few_of_its_times(evaluated):
+    # Passing 1e-3 R behind a turret that looks away, the agent is never
+    # within pi/2 of the beam and leaves range by t = 1. Its bearing turns
+    # at up to mu / 1e-3 R, but only near its closest approach: the cells
+    # away from it are clear by the bound's least distance, so the fine
+    # pass reads under a quarter of the grid.
+    threat = TurretThreat(Point2(0, 0), look_angle=0.0, mu=2.0, engagement_range=1.0)
+    point, heading = (-1e-3, -0.999), math.pi / 2
+    assert turret_windows(np.array([point]), np.array([heading]), threat) == [None]
+    assert ref.turret_window(Point2(*point), heading, threat) is None
+    coarse, *fine = evaluated
+    grid_times = len(turret_grid(point, heading, threat))
+    assert grid_times > 19_000 and 0 < sum(t.size for t in fine) < grid_times / 4
+
+
+def test_far_poses_wide_of_the_turret_are_not_engageable():
+    # 1.5 and 5 ranges wide of the turret, from 1e8 and 1e10 ranges away:
+    # never in range, as the clearance says.
+    threat = TurretThreat(Point2(0, 0), look_angle=0.0, mu=0.3, engagement_range=1.0)
+    points, headings = np.array([[-1e8, 1.5], [-1e10, 5.0]]), np.zeros(2)
+    assert threat.engageable(points, headings).tolist() == [False, False]
+    assert threat.clearance(points, headings).tolist() == [0.5, 4.0]
+    assert [ref.turret_window(Point2(*p), 0.0, threat) for p in points.tolist()] == [None, None]
+
+
+def one_cell(f_a, f_b, h):
+    """``_clear_cells`` on one cell of CELL steps h from t = 1, with no miss distance: the margin's rate bound is 1."""
+    ts = np.array([[1.0, 1.0 + CELL * h]])
+    return bool(oracle._clear_cells(np.array([[f_a, f_b]]), ts, np.array([h]), np.zeros(1), np.array([5.0]), 1.0)[0, 0])
+
+
+def test_a_clear_cell_has_no_margin_near_zero_a_step_past_its_ends():
+    # The refinement of a maximum at a cell's first time samples up to one
+    # step before it. A margin of rate 1 that peaks at 0.5 h there falls to
+    # -0.5 h at the cell's first time and to -(CELL + 0.5) h at its last;
+    # the cell stays open, and so does its mirror image. Two steps lower,
+    # nothing within a step of the cell reaches 0, and it is clear.
+    h = 2.0**-10
+    near, far = -0.5 * h, -(CELL + 0.5) * h
+    assert not one_cell(near, far, h) and not one_cell(far, near, h)
+    assert one_cell(near - 2.0 * h, far - 2.0 * h, h) and one_cell(far - 2.0 * h, near - 2.0 * h, h)
+
+
+def test_a_cell_bound_within_the_slack_of_zero_is_not_clear():
+    # With no miss distance the bound is the cell's mean margin plus
+    # (CELL / 2 + 2) h. A bound within the slack of 0 leaves room for the
+    # margin's rounding, so the cell stays open; one further below is clear.
+    h = 2.0**-10
+    slack = oracle._SLACK * (1.0 + (1.0 + CELL * h))
+    reach = (CELL / 2 + 2) * h
+    assert not one_cell(-reach - 0.5 * slack, -reach - 0.5 * slack, h)
+    assert one_cell(-reach - 2.0 * slack, -reach - 2.0 * slack, h)
 
 
 def test_separation_is_the_remainder_bit_for_bit():
@@ -419,11 +535,8 @@ def test_separation_is_the_remainder_bit_for_bit():
 
 def grid_lengths(points, headings, threat):
     """Times in each turret pose's whole grid, by pose."""
-    times = {}
-    poses = oracle._poses(points, headings, threat.position, "turret")
-    for j, _, ts in oracle._turret_blocks(poses, threat):  # each slice after a pose's first repeats two times
-        times[j] = times[j] + len(ts) - 2 if j in times else len(ts)
-    return times
+    rows, _, _, n, _, _ = oracle._turret_grids(oracle._poses(points, headings, threat.position, "turret"), threat)
+    return dict(zip(rows.tolist(), (n + 1).tolist()))
 
 
 def test_turret_grids_hold_65_to_20002_times():
@@ -449,34 +562,41 @@ def test_turret_grids_hold_65_to_20002_times():
 
 
 def test_far_turret_grids_stop_at_the_cap():
-    # Aimed at the turret from far away, the in-range discriminant cancels to
-    # rounding noise: 0 at 1e10, but at 3e14, 3e15 and 1e150 the chord comes
-    # out 7e10, 8e11 and 3e146 steps long. Each grid stops at 20,002 times, and
-    # the agent, in range after a very long time, can be met.
+    # Aimed at the turret from far away, the in-range times round to the
+    # floats near 1e10 / 0.3 and beyond, so the chord of 2 / 0.3 comes out
+    # 6.6666718 at 1e10, 6.625 at 3e14 and 6.0 at 3e15: grids of 20,002,
+    # 19,876 and 18,001 times. At 1e16 it rounds up to 12.0, and the grid
+    # stops at the cap of 20,002 times; at 1e150 it rounds away to 0 and
+    # the grid has the 64-step floor. Each agent, in range after a very
+    # long time, can be met.
     threat = TurretThreat(Point2(0, 0), look_angle=0.0, mu=0.3, engagement_range=1.0)
-    points, headings = np.array([[-1e10, 0.0], [-3e14, 0.0], [-3e15, 0.0], [-1e150, 0.0]]), np.zeros(4)
+    points = np.array([[-1e10, 0.0], [-3e14, 0.0], [-3e15, 0.0], [-1e16, 0.0], [-1e150, 0.0]])
+    headings = np.zeros(5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert grid_lengths(points, headings, threat) == {0: 65, 1: 20_002, 2: 20_002, 3: 20_002}
-        assert threat.engageable(points, headings).tolist() == [True] * 4
+        assert grid_lengths(points, headings, threat) == {0: 20_002, 1: 19_876, 2: 18_001, 3: 20_002, 4: 65}
+        assert threat.engageable(points, headings).tolist() == [True] * 5
 
 
 def test_grid_slices_are_linspace_bit_for_bit():
+    # _grid_times reads any times of many grids at once, each row as
+    # np.linspace builds it; here every time of each grid, with the rows
+    # padded by repeating their last time.
     rng = np.random.default_rng(61)
     tiny = 5e-324  # a span whose step underflows to 0: numpy's other path
     bounds = [(0.0, 1.0), (0.0, 0.0), (2.5, 2.5), (0.0, tiny), (1e-310, 1e-310 + 3 * tiny), (3.0, 3.0 + 1e-15)]
     bounds += [(0.0, 1e150), (1e10, 1e10 + 7.0)] + [tuple(np.sort(10.0 ** rng.uniform(-6, 6, 2))) for _ in range(12)]
-    counts = [64, 65, CHUNK - 3, CHUNK - 2, CHUNK - 1, CHUNK, 2 * CHUNK - 4, 2 * CHUNK - 3, 20_001]
-    counts += rng.integers(64, 20_002, 6).tolist()
-    for lo, hi in bounds:
-        for n in counts:
-            whole = np.linspace(lo, hi, n + 1)
-            starts = range(0, n - 1, CHUNK - 2)
-            for c in starts:
-                e = min(c + CHUNK, n + 1)
-                got = oracle._grid_slice(np.float64(lo), np.float64(hi), n, c, e)
-                assert np.array_equal(got.view(np.int64), whole[c:e].view(np.int64)), (lo, hi, n, c)
-            assert e == n + 1 and got[-1] == hi  # the last slice ends at the grid's last time
+    lo, hi = (np.array(column) for column in zip(*bounds))
+    counts = [64, 65, CELL - 1, CELL, CELL + 1, 2 * CELL, 20_001] + rng.integers(64, 20_002, 6).tolist()
+    for n in counts:
+        # bounds mixed across rows: each count sees both of linspace's paths in one call
+        steps = np.full(len(bounds), n) - rng.integers(0, 3, len(bounds))
+        k = np.minimum(np.arange(n + 1), steps[:, None])
+        got = oracle._grid_times(lo, hi, steps, k)
+        for row, (a, b, m) in enumerate(zip(lo.tolist(), hi.tolist(), steps.tolist())):
+            whole = np.linspace(a, b, m + 1)
+            assert np.array_equal(got[row, : m + 1].view(np.int64), whole.view(np.int64)), (a, b, m)
+            assert np.all(got[row, m:] == b)  # the padding repeats the grid's last time
 
 
 def test_refinement_levels_match_sixty_golden_section_steps():
