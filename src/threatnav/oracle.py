@@ -3,24 +3,19 @@
 These are the ground truth the closed-form zone boundaries are tested
 against, and each zone kind's ``engageable`` member answers with them.
 Both oracles evaluate their raw capture/neutralization margin on a dense
-time grid: a pose's first grid point where the margin is >= 0 gives its
-window, and without one each local maximum that can still reach 0 is
-rescanned on a finer grid across its bracket, a batch's maxima together
-(``_settle``). The resolution is fixed: the module constants
-``_PURSUIT_STEPS``, ``_TURRET_STEP``, ``_LEVELS`` and ``_BISECTIONS``,
-not options. Pursuer poses share one grid and are scanned in blocks of
-at most ``_BLOCK`` values (``_first_windows``). Each turret pose has its
-own in-range grid, scanned in two passes (``_turret_windows``): a coarse
-pass reads every ``_CELL``-th time, and the margin's rate bound
-``1 + mu |miss| / d^2`` (``_clear_cells``) proves most cells between
-those times free of grid hits and of maxima that could reach 0, with
-``_SLACK`` to spare for rounding. A fine pass reads every time of the
-other cells up to the first coarse hit. Skipping a proven cell changes
-no verdict and no window, so both are the ones a scan of every grid time
-gives. Feasibility stops at the first witnessed engagement; only the
-pursuit certificate bisects the window it returns. The oracles read only
-threat parameters and never call the analytic boundary formulas. The
-one-pose functions are one-element views of the batched ones.
+time grid per pose, in one two-pass scan (``_cell_windows``). A coarse
+pass reads every ``_CELL``-th time; a bound L on the margin's rate, 1 + mu
+for a pursuer and ``1 + mu |miss| / d^2`` for a turret, proves most cells
+between those times clear (``_clear_cells``); a fine pass reads the other
+cells up to the first coarse hit. A pose's first grid point where the
+margin is >= 0 gives its window. Without one, each local maximum that L
+lets reach 0 is rescanned on a finer grid across its bracket, a batch's
+maxima together (``_settle``). Skipping a clear cell changes no verdict
+and no window. The resolution is fixed by module constants, not options.
+Feasibility stops at the first witnessed engagement; only the pursuit
+certificate bisects the window it returns. The oracles read only threat
+parameters and never call the analytic boundary formulas. The one-pose
+functions are one-element views of the batched ones.
 
 Normalization matches the zone modules: unit pursuer speed / unit slew
 rate, agent speed ``mu``. Feasibility is invariant to a common time
@@ -45,41 +40,80 @@ _BLOCK = 1 << 16  # most margin values in one scan or refinement array: about 0.
 _SPREAD = np.linspace(0.0, 1.0, 64)  # where a refinement level samples a bracket
 _PURSUIT_STEPS = 1000  # pursuit grid steps over the pursuer's life
 _TURRET_STEP = 1e-4  # turret grid step at most, in range / agent speed: 2 / _TURRET_STEP steps span any exact chord
-_CELL = 128  # turret grid steps per coarse cell: 64 measured the same; fewer leave more cells, more widen the bound
+_CELL = 128  # grid steps per coarse cell, either kind: 64 measured the same on turret grids; more widen the bound
 _SLACK = 1e-9  # a clear cell's bound sits this far below 0 per unit of 1 + t: room for the margin's rounding, ~1e-15
 _LEVELS = 9  # refinement levels: the least L with (2/63)^L <= phi^-60, what 60 golden-section steps leave
 _BISECTIONS = 60  # halvings of the pursuit certificate's window
 
 
-def _first_windows(margin, poses: tuple, ts: np.ndarray, rise: float) -> list:
-    """Bracket ``(lo, hi)`` of the first engagement of each pose on the shared grid ``ts``, or None.
+def _cell_windows(margin, poses: tuple, grids: tuple, climb) -> list:
+    """Bracket ``(lo, hi)`` of each pose's first engagement on its own grid, or None, in two passes.
 
-    ``poses`` are columns with one row per pose, scanned in blocks of at
-    most ``_BLOCK`` values. ``margin(rows, t)`` maps pose columns and times
-    that broadcast against them to the engagement margin, feasible where
-    >= 0. At a pose's first grid point with margin >= 0 the bracket runs
-    from the grid point before it. Without one, each interior local
-    maximum of the pose's grid margin that is at least ``-rise``, where
-    ``rise`` bounds the margin's climb within one grid step, is refined
-    (``_settle``), in case a short window fell between grid points.
+    ``poses`` are columns with one row per pose. ``margin(rows, t)`` maps
+    pose columns and times that broadcast against them to the engagement
+    margin, feasible where >= 0. ``grids`` is ``(rows, t_lo, t_hi, n)``:
+    pose ``rows[g]`` has the grid ``np.linspace(t_lo[g], t_hi[g], n[g] + 1)``
+    and a pose not in ``rows`` has none. ``climb(part, ts, h)`` bounds the
+    margin's rate per grid and cell between the coarse times ``ts`` of
+    grids ``part`` (a slice), each cell widened by its grid's step ``h``.
+
+    The coarse pass evaluates every ``_CELL``-th time of each grid and its
+    last, in padded (grids x coarse times) blocks of at most ``_BLOCK``
+    values, and ``_clear_cells`` proves most cells between them clear. The
+    fine pass evaluates the other cells before each pose's first coarse
+    hit, each with one grid time on either side, in (cells x ``_CELL + 3``)
+    blocks. At a pose's first grid hit its bracket runs from the grid time
+    before it. Without one, each interior grid maximum of its open cells
+    that is at least ``-L h``, L its cell's climb, is refined (``_settle``),
+    in case a short window fell between grid times: a lower one cannot
+    reach 0 within a step.
     """
     windows: list[Optional[tuple[float, float]]] = [None] * len(poses[0])
-    peaks = []  # per block: each candidate maximum's pose and bracket
-    per_block = max(_BLOCK // len(ts), 1)
-    for start in range(0, len(windows), per_block):
-        m = margin(tuple(column[start : start + per_block] for column in poses), ts)
-        found, inner = m.max(axis=1) >= 0.0, m[:, 1:-1]
-        hits = found.nonzero()[0].tolist()
-        for j in hits:
-            i = int((m[j] >= 0.0).argmax())
-            windows[start + j] = float(ts[max(i - 1, 0)]), float(ts[i])
-        if len(hits) < len(found):  # this guard and the next spare a small block a dozen array calls
-            flat = np.flatnonzero((inner >= m[:, :-2]) & (inner >= m[:, 2:]))
-            if len(flat):
-                j, i = np.divmod(flat, len(ts) - 2)
-                keep = (inner[j, i] >= -rise) & ~found[j]
-                peaks.append((j[keep] + start, ts[i[keep]], ts[i[keep] + 2]))
-        del m, inner  # free this block before the next is computed: with both held, large blocks land on fresh pages
+    rows, t_lo, t_hi, n = grids
+    if not len(rows):
+        return windows
+    h = (t_hi - t_lo) / n
+    width = (int(n.max()) - 1) // _CELL + 2  # coarse times of the longest grid
+    cell = np.arange(width - 1)
+    scan = []  # per coarse block: grid, cell and climb of each cell to fine-scan
+    per_block = max(_BLOCK // width, 1)
+    for start in range(0, len(rows), per_block):
+        part = slice(start, start + per_block)
+        k = np.minimum(np.arange(width) * _CELL, n[part, None])  # padded with the last time
+        ts = _grid_times(t_lo[part], t_hi[part], n[part], k)
+        f = margin(tuple(column[rows[part]] for column in poses), ts)
+        hit = f >= 0.0
+        first = np.where(hit.any(axis=1), hit.argmax(axis=1), width)[:, None]
+        for j in np.flatnonzero(hit[:, 0]).tolist():
+            windows[rows[start + j]] = float(ts[j, 0]), float(ts[j, 0])
+        rate = climb(part, ts, h[part, None])
+        j, c = np.nonzero((cell < first) & (cell * _CELL < n[part, None]) & ~_clear_cells(f, ts, h[part], rate))
+        scan.append((j + start, c, rate[j, c]))
+    j, c, rate = (np.concatenate(parts) for parts in zip(*scan))
+    offsets = np.arange(-1, _CELL + 2)
+    peaks = []  # per fine block: each candidate maximum's pose and bracket
+    per_block = _BLOCK // len(offsets)
+    for start in range(0, len(j), per_block):
+        part = slice(start, start + per_block)
+        jj, k = j[part], c[part, None] * _CELL + offsets
+        last = n[jj, None]
+        ts = _grid_times(t_lo[jj], t_hi[jj], n[jj], np.minimum(np.maximum(k, 0), last))  # its ends stand in past them
+        m = margin(tuple(column[rows[jj]] for column in poses), ts)
+        hit = m[:, 1:-1] >= 0.0
+        r = np.flatnonzero(hit.any(axis=1))
+        i = hit[r].argmax(axis=1) + 1
+        for pose, a, b in zip(rows[jj[r]].tolist(), ts[r, i - 1].tolist(), ts[r, i].tolist()):
+            if windows[pose] is None:  # a pose's cells come in time order: keep its first hit
+                windows[pose] = a, b
+        inner = m[:, 1:-2]  # the cell's own times: up to the one before the next cell's first
+        with np.errstate(over="ignore", invalid="ignore"):  # infinite climb, step 0: NaN, and nothing to refine
+            reach = -(rate[part] * h[jj])
+        r, i = np.nonzero((inner >= m[:, :-3]) & (inner >= m[:, 2:-1]) & (inner >= reach[:, None]))
+        at = k[r, i + 1]
+        keep = (at >= 1) & (at < last[r, 0])  # interior grid times
+        if keep.any():  # an empty block would cost _settle a dozen array calls
+            r, i = r[keep], i[keep]
+            peaks.append((rows[jj[r]], ts[r, i], ts[r, i + 2]))
     return _settle(margin, poses, windows, peaks)
 
 
@@ -182,14 +216,14 @@ def _pursuit_slack(threat: PursuerThreat):
 def _pursuit_windows(poses: tuple, threat: PursuerThreat) -> list:
     """Each pose's first capture window, or None.
 
-    The poses share one grid, scanned in blocks of at most ``_BLOCK``
-    values. The slack rises at most 1 + mu per unit time (the agent
-    closes at mu, the balloon grows at 1), so a local maximum below
-    -(1 + mu) h on a grid of step h cannot reach 0 between grid points.
+    Every pose has the grid of ``_PURSUIT_STEPS`` steps over the pursuer's
+    life, t in [0, R] at unit pursuer speed. The slack climbs at most
+    1 + mu per unit time: the agent closes at mu, the balloon grows at 1.
     """
-    ts = np.linspace(0.0, threat.engagement_range, _PURSUIT_STEPS + 1)  # unit pursuer speed: life ends at t = R
-    rise = (1.0 + threat.mu) * float(np.max(np.diff(ts)))
-    return _first_windows(_pursuit_slack(threat), poses, ts, rise)
+    count, R = len(poses[0]), threat.engagement_range
+    grids = np.arange(count), np.zeros(count), np.full(count, R), np.full(count, _PURSUIT_STEPS)
+    climb = 1.0 + threat.mu
+    return _cell_windows(_pursuit_slack(threat), poses, grids, lambda part, ts, h: np.full_like(ts[:, 1:], climb))
 
 
 def _one(a0: Point2, heading: float) -> tuple[np.ndarray, np.ndarray]:
@@ -230,17 +264,21 @@ def pursuit_capture_certificate(a0: Point2, heading: float, threat: PursuerThrea
 
 
 def _turret_grids(poses: tuple, threat: TurretThreat):
-    """Grid of each pose ever in range at t >= 0: ``(rows, t_lo, t_hi, n, miss, along)``.
+    """Grid of each pose ever in range at t >= 0, ``(rows, t_lo, t_hi, n)``, and the margin's climb on them.
 
     ``rows`` indexes those poses, and the other arrays hold one value per
-    row: its grid is ``np.linspace(t_lo, t_hi, n + 1)``, and with d the
-    offset from the turret to the agent and u its heading, ``miss`` is
-    ``d x u``, the signed miss distance, and ``along`` is ``d . u``. The
-    bounds come from one array evaluation, which raises for a pose so far
-    out that its in-range quadratic overflows. A grid has steps of at most
+    row: its grid is ``np.linspace(t_lo, t_hi, n + 1)``. The bounds come
+    from one array evaluation, which raises for a pose so far out that its
+    in-range quadratic overflows. A grid has steps of at most
     ``_TURRET_STEP`` R / mu, at least 64 of them, and at most one more
     than any exact chord needs. That cap binds only where t_lo and t_hi
     round apart by more than the chord, far out along the track.
+
+    The climb is ``_cell_windows``': with d the offset from the turret to
+    the agent and u its heading, the margin t - |look - bearing| climbs at
+    most L = 1 + mu |d x u| / |d|^2 per unit time, ``d x u`` being the
+    signed miss distance. L takes the least |d| over the widened cell, from
+    ``d . u`` at its ends, and is infinite where that |d| is 0.
     """
     dx0, dy0 = poses[0][:, 0] - threat.position.x, poses[1][:, 0] - threat.position.y
     ux, uy, v, R = poses[2][:, 0], poses[3][:, 0], threat.mu, threat.engagement_range
@@ -257,10 +295,18 @@ def _turret_grids(poses: tuple, threat: TurretThreat):
         j = int(bad.argmax())
         raise DomainError(f"agent at ({poses[0][j, 0]}, {poses[1][j, 0]}) overflows the oracle's in-range quadratic")
     rows = np.flatnonzero((disc >= 0.0) & (t_hi >= 0.0))
-    t_lo, t_hi = np.maximum(t_lo[rows], 0.0), t_hi[rows]
+    t_lo, t_hi, miss, along = np.maximum(t_lo[rows], 0.0), t_hi[rows], miss[rows, None], along[rows, None]
     steps = np.ceil((t_hi - t_lo) / (_TURRET_STEP * R / v))
     n = np.maximum(np.minimum(steps, math.ceil(2.0 / _TURRET_STEP) + 1), 64).astype(int)
-    return rows, t_lo, t_hi, n, miss[rows], along[rows]
+
+    def climb(part: slice, ts: np.ndarray, h: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            near = along[part] + v * (ts[:, :-1] - h)  # d . u at the widened cell's ends
+            far = along[part] + v * (ts[:, 1:] + h)
+            d = np.hypot(miss[part], np.maximum(near, 0.0) - np.minimum(far, 0.0))
+            return np.where(d > 0.0, 1.0 + v * (np.abs(miss[part]) / d) / d, np.inf)
+
+    return (rows, t_lo, t_hi, n), climb
 
 
 def _grid_times(start: np.ndarray, stop: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -282,86 +328,21 @@ def _grid_times(start: np.ndarray, stop: np.ndarray, n: np.ndarray, k: np.ndarra
     return ts
 
 
-def _clear_cells(f: np.ndarray, ts: np.ndarray, h: np.ndarray, miss: np.ndarray, along: np.ndarray, v: float):
+def _clear_cells(f: np.ndarray, ts: np.ndarray, h: np.ndarray, climb: np.ndarray) -> np.ndarray:
     """Per pose and cell ``[ts[:, c], ts[:, c + 1]]``: is the margin there provably below 0?
 
-    ``f`` is the margin at ``ts``, and ``h``, ``miss`` and ``along`` are
-    per pose as ``_turret_grids`` gives them (``h`` the grid step). The
-    margin t - |look - bearing| climbs at most L = 1 + v |miss| / d^2 per
-    unit time, with d the distance to the turret, so on a cell [a, b]
-    widened by s on either side it stays at most
+    ``f`` is the margin at ``ts``, ``h`` each pose's grid step and ``climb``
+    the margin's greatest rate L on each cell widened by h on either side.
+    On a cell [a, b] widened by s on either side the margin stays at most
     ``(f(a) + f(b)) / 2 + L ((b - a) / 2 + s)``. With s = 2 h that covers
     every grid time of the cell and every time its refinement samples,
     which lie within one step of the cell, with a step to spare for the
-    grid's rounding. L takes the least d over the widened cell, and is
-    infinite where that d is 0. A cell is clear when the bound is below
+    grid's rounding. A cell is clear when the bound is below
     ``-_SLACK (1 + t_hi)``.
     """
-    h = h[:, None]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        near = along[:, None] + v * (ts[:, :-1] - h)  # d . u at the widened cell's ends
-        far = along[:, None] + v * (ts[:, 1:] + h)
-        d = np.hypot(miss[:, None], np.maximum(near, 0.0) - np.minimum(far, 0.0))
-        climb = np.where(d > 0.0, 1.0 + v * (np.abs(miss)[:, None] / d) / d, np.inf)
-        top = 0.5 * (f[:, :-1] + f[:, 1:]) + climb * (0.5 * (ts[:, 1:] - ts[:, :-1]) + 2.0 * h)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite climb on a grid of step 0 is NaN: not clear
+        top = 0.5 * (f[:, :-1] + f[:, 1:]) + climb * (0.5 * (ts[:, 1:] - ts[:, :-1]) + 2.0 * h[:, None])
     return top < -_SLACK * (1.0 + ts[:, -1:])  # the last coarse time is t_hi
-
-
-def _turret_windows(poses: tuple, threat: TurretThreat) -> list:
-    """Each pose's first neutralization window on its own grid, or None, in two passes.
-
-    The windows are the ones a scan of every grid time would give (see
-    ``_first_windows``). The coarse pass evaluates the margin at every
-    ``_CELL``-th time of each grid and at its last, as padded (poses x
-    coarse times) blocks of at most ``_BLOCK`` values. ``_clear_cells``
-    then proves most cells between them free of grid hits and of maxima
-    whose refinement could reach 0. The fine pass evaluates the other
-    cells of each pose before its first coarse hit, each with one grid
-    time on either side, in (cells x ``_CELL + 3``) blocks of at most
-    ``_BLOCK`` values. A pose's first grid hit gives its window; without
-    one, the interior maxima of its open cells go to ``_settle``, each
-    cell taking those from its first time to the one before its last.
-    """
-    windows: list[Optional[tuple[float, float]]] = [None] * len(poses[0])
-    rows, t_lo, t_hi, n, miss, along = _turret_grids(poses, threat)
-    if not len(rows):
-        return windows
-    margin, h = _turret_margin(threat), (t_hi - t_lo) / n
-    width = (int(n.max()) - 1) // _CELL + 2  # coarse times of the longest grid
-    cell = np.arange(width - 1)
-    scan = []  # per coarse block: pose and cell of each cell to fine-scan
-    per_block = max(_BLOCK // width, 1)
-    for start in range(0, len(rows), per_block):
-        part = slice(start, start + per_block)
-        k = np.minimum(np.arange(width) * _CELL, n[part, None])  # padded with the last time
-        ts = _grid_times(t_lo[part], t_hi[part], n[part], k)
-        f = margin(tuple(column[rows[part]] for column in poses), ts)
-        hit = f >= 0.0
-        first = np.where(hit.any(axis=1), hit.argmax(axis=1), width)[:, None]
-        for j in np.flatnonzero(first == 0).tolist():
-            windows[rows[start + j]] = float(ts[j, 0]), float(ts[j, 0])
-        clear = _clear_cells(f, ts, h[part], miss[part], along[part], threat.mu)
-        j, c = np.nonzero((cell < first) & (cell * _CELL < n[part, None]) & ~clear)
-        scan.append((j + start, c))
-    j, c = (np.concatenate(parts) for parts in zip(*scan))
-    offsets = np.arange(-1, _CELL + 2)
-    peaks = []  # per fine block: each candidate maximum's pose and bracket
-    per_block = _BLOCK // len(offsets)
-    for start in range(0, len(j), per_block):
-        jj, k = j[start : start + per_block], c[start : start + per_block, None] * _CELL + offsets
-        last = n[jj, None]
-        ts = _grid_times(t_lo[jj], t_hi[jj], n[jj], np.clip(k, 0, last))  # a grid's ends stand in past them
-        m = margin(tuple(column[rows[jj]] for column in poses), ts)
-        hit = m[:, 1:-1] >= 0.0
-        for r in np.flatnonzero(hit.any(axis=1)).tolist():
-            if windows[rows[jj[r]]] is None:  # a pose's cells come in time order: keep its first hit
-                i = int(hit[r].argmax()) + 1
-                windows[rows[jj[r]]] = float(ts[r, i - 1]), float(ts[r, i])
-        inner, at = m[:, 1:-1], k[:, 1:-1]
-        claimed = (at >= 1) & (at < np.minimum(k[:, 1:2] + _CELL, last))  # interior, and not the next cell's first
-        r, i = np.nonzero((inner >= m[:, :-2]) & (inner >= m[:, 2:]) & claimed)
-        peaks.append((rows[jj[r]], ts[r, i], ts[r, i + 2]))
-    return _settle(margin, poses, windows, peaks)
 
 
 def _separation(x: np.ndarray) -> np.ndarray:
@@ -396,9 +377,10 @@ def _turret_margin(threat: TurretThreat):
 def turret_neutralization_possible_batch(points: np.ndarray, headings: np.ndarray, threat: TurretThreat) -> np.ndarray:
     """``turret_neutralization_possible`` of every pose: rows of ``points`` (n x 2) with ``headings``.
 
-    Each pose is scanned over its own in-range grid (``_turret_windows``).
+    Each pose is scanned over its own in-range grid (``_turret_grids``).
     """
-    windows = _turret_windows(_poses(points, headings, threat.position, "turret"), threat)
+    poses = _poses(points, headings, threat.position, "turret")
+    windows = _cell_windows(_turret_margin(threat), poses, *_turret_grids(poses, threat))
     return np.array([w is not None for w in windows], dtype=bool)
 
 

@@ -117,6 +117,12 @@ class AgentConfig:
         require_number("agent speed", self.speed, "positive")
         if self.start == self.goal:
             raise DomainError("start and goal must differ")
+        chord_time = distance(self.start, self.goal) / self.speed
+        if not math.isfinite(chord_time):
+            raise DomainError(
+                f"chord time distance(start, goal) / speed must be finite, got {chord_time} for start "
+                f"{self.start.as_tuple()}, goal {self.goal.as_tuple()} and speed {self.speed}"
+            )
 
 
 @dataclass(frozen=True)

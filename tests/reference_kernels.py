@@ -224,6 +224,11 @@ def _first_window(margin, ts, iters: int = 60):
 
 def pursuit_capture_possible(a0: Point2, heading: float, threat: PursuerThreat, steps: int = 1000) -> bool:
     """Capture slack t + r - |A(t) - P0| scanned over t in [0, R] on ``steps`` steps."""
+    return pursuit_window(a0, heading, threat, steps) is not None
+
+
+def pursuit_window(a0: Point2, heading: float, threat: PursuerThreat, steps: int = 1000):
+    """``pursuit_capture_possible``'s first window ``(lo, hi)``, or None."""
     if math.hypot(a0.x - threat.position.x, a0.y - threat.position.y) == 0.0:
         raise DomainError("agent exactly at the pursuer position")
     v = threat.mu
@@ -233,7 +238,7 @@ def pursuit_capture_possible(a0: Point2, heading: float, threat: PursuerThreat, 
         ay = a0.y + v * t * math.sin(heading) - threat.position.y
         return t + threat.capture_radius - np.hypot(ax, ay)
 
-    return _first_window(slack, np.linspace(0.0, threat.engagement_range, steps + 1)) is not None
+    return _first_window(slack, np.linspace(0.0, threat.engagement_range, steps + 1))
 
 
 def turret_neutralization_possible(

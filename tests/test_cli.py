@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,26 @@ class TestPlan:
         assert main(["plan", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
         expected = f"error: {bad}: $.planner: opt_tolerance must be positive and finite, got inf\n"
         assert capsys.readouterr().err == expected
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "agent, values",
+        [
+            ({"speed": 1e-308}, "start (-3.0, 0.0), goal (3.0, 0.0) and speed 1e-308"),
+            ({"start": [1e308, 0], "goal": [-1e308, 0]}, "start (1e+308, 0.0), goal (-1e+308, 0.0) and speed 0.9"),
+        ],
+        ids=["tiny_speed", "huge_chord"],
+    )
+    def test_infinite_chord_time_is_located(self, tmp_path, capsys, agent, values):
+        data = json.loads(GOLDEN.read_text())
+        data["agent"].update(agent)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["plan", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
+        message = f"chord time distance(start, goal) / speed must be finite, got inf for {values}"
+        assert capsys.readouterr().err == f"error: {bad}: $.agent: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_output_block_used_without_flags(self, tmp_path, monkeypatch):

@@ -217,7 +217,7 @@ class TestWindowBetweenGridPoints:
 
 
 TURRET = TurretThreat(Point2(0, 0), look_angle=0.0, mu=0.5, engagement_range=1.0)
-ROWS_PER_BLOCK = oracle._BLOCK // 1001  # pursuer poses per scan block on the default grid
+CELLS_PER_BLOCK = oracle._BLOCK // (oracle._CELL + 3)  # cells per fine-pass block
 
 
 class TestEngageable:
@@ -227,7 +227,7 @@ class TestEngageable:
     def test_pursuer_blocks_match_one_pose_calls(self, mu):
         threat = PursuerThreat(Point2(0.3, -0.2), mu=mu, engagement_range=1.0, capture_radius=0.25)
         rng = np.random.default_rng(11)
-        n = 3 * ROWS_PER_BLOCK + 7  # four blocks, the last one short
+        n = 3 * CELLS_PER_BLOCK + 7  # on every mu, more open cells than two fine-pass blocks hold
         xi, headings, scale = rng.uniform(-math.pi, math.pi, (3, n))
         points = []
         for x, h, u in zip(xi.tolist(), headings.tolist(), scale.tolist()):
@@ -303,22 +303,22 @@ FINE_STEP = 2.5e-5  # turret grids of up to 80,001 times
 def turret_grid(point, heading, threat):
     """A pose's whole turret grid."""
     poses = oracle._poses(np.array([point]), np.array([heading]), threat.position, "turret")
-    _, t_lo, t_hi, n, _, _ = oracle._turret_grids(poses, threat)
+    (_, t_lo, t_hi, n), _ = oracle._turret_grids(poses, threat)
     return oracle._grid_times(t_lo, t_hi, n, np.arange(n[0] + 1)[None, :])[0]
 
 
 def turret_windows(points, headings, threat):
-    return oracle._turret_windows(oracle._poses(points, headings, threat.position, "turret"), threat)
+    poses = oracle._poses(points, headings, threat.position, "turret")
+    return oracle._cell_windows(oracle._turret_margin(threat), poses, *oracle._turret_grids(poses, threat))
 
 
-@pytest.fixture
-def evaluated(monkeypatch):
-    """The times of each turret margin call from here on, in call order."""
+def recorded_times(monkeypatch, factory):
+    """The times of each call of the margins ``oracle.<factory>`` makes from here on, in call order."""
     calls = []
-    margin = oracle._turret_margin
+    make = getattr(oracle, factory)
 
-    def recording_margin(threat):
-        inner = margin(threat)
+    def recording_factory(threat):
+        inner = make(threat)
 
         def recorded(poses, t):
             calls.append(np.array(t, copy=True))
@@ -326,8 +326,14 @@ def evaluated(monkeypatch):
 
         return recorded
 
-    monkeypatch.setattr(oracle, "_turret_margin", recording_margin)
+    monkeypatch.setattr(oracle, factory, recording_factory)
     return calls
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The times of each turret margin call from here on, in call order."""
+    return recorded_times(monkeypatch, "_turret_margin")
 
 
 class TestChunkedTurretScan:
@@ -483,6 +489,93 @@ def test_a_clear_pose_is_fine_scanned_on_few_of_its_times(evaluated):
     assert grid_times > 19_000 and 0 < sum(t.size for t in fine) < grid_times / 4
 
 
+def test_a_pose_with_two_windows_keeps_the_first(evaluated):
+    # The agent crosses the turret's initial look line 0.1 out at t = 0.05,
+    # so the margin is >= 0 for about 0.01 there, inside one cell. Its
+    # bearing then runs ahead of the beam until about t = 1.5, and from
+    # there the beam can meet it until it leaves range. The fine pass reads
+    # the cell of each window's first hit in one block, the later cell just
+    # before the first coarse hit; the window is the first one.
+    threat = TurretThreat(Point2(0, 0), look_angle=math.pi / 2, mu=1.0, engagement_range=3.0)
+    point, heading = (-0.05, 0.1), 0.0
+    (window,) = turret_windows(np.array([point]), np.array([heading]), threat)
+    assert window == ref.turret_window(Point2(*point), heading, threat) and 0.045 < window[0] < window[1] < 0.046
+    coarse, *fine = evaluated
+    assert [t.shape for t in fine] == [(2, CELL + 3)] and fine[0][0, 1] < window[0] and 1.4 < fine[0][1, 1] < 1.5
+
+
+def test_pursuit_windows_match_the_frozen_scan(monkeypatch):
+    # Poses from 1e-8 to 0.3 ranges off the boundary on either side, with mu
+    # from both regimes, at the default grid. Each window is the frozen
+    # scan's, and so is each refined one's bracket start. Just inside a slow
+    # pursuer's touch-and-go arc the window is shorter than a grid step,
+    # so only the refinement of a grid maximum finds it.
+    refined, refine = [], oracle._refine
+
+    def recording_refine(margin, poses, k, lo, hi):
+        refined.extend(k.tolist())
+        return refine(margin, poses, k, lo, hi)
+
+    monkeypatch.setattr(oracle, "_refine", recording_refine)
+    rng = np.random.default_rng(81)
+    engaged, found_by_refining = {False: 0, True: 0}, 0  # by regime: is the pursuer slower than the agent?
+    for slow in [False, True] * 5:
+        mu = rng.uniform(1.1, 2.5) if slow else rng.uniform(0.3, 1.0)
+        R = rng.uniform(0.3, 2.0)
+        r = rng.uniform(0.05, 0.6) * R
+        threat = PursuerThreat(Point2(*rng.uniform(-1, 1, 2)), mu=mu, engagement_range=R, capture_radius=r)
+        xi, headings = rng.uniform(-math.pi, math.pi, (2, 40))
+        offsets = rng.choice([-1.0, 1.0], 40) * 10.0 ** rng.uniform(-8.0, -0.5, 40) * R
+        points = np.array([pose_at(rho(x, threat) + o, x, h, threat).as_tuple()
+                           for x, h, o in zip(xi.tolist(), headings.tolist(), offsets.tolist())])
+        refined.clear()
+        got = oracle._pursuit_windows(oracle._poses(points, headings, threat.position, "pursuer"), threat)
+        ts = np.linspace(0.0, R, oracle._PURSUIT_STEPS + 1)
+        for pose, ((x, y), h, window) in enumerate(zip(points.tolist(), headings.tolist(), got)):
+            want = ref.pursuit_window(Point2(x, y), h, threat)
+            if window is not None and window[1] not in ts:
+                assert want is not None and window[0] == want[0] and pose in refined
+                found_by_refining += 1
+            else:
+                assert window == want
+        engaged[slow] += sum(w is not None for w in got)
+    assert all(0 < count < 200 for count in engaged.values()) and found_by_refining, (engaged, found_by_refining)
+
+
+def test_a_pursuer_pose_outside_the_zone_is_fine_scanned_on_few_of_its_times(monkeypatch):
+    # Crossing abeam of a fast pursuer, each agent stays out of reach: its
+    # slack rises to -0.28 at the pursuer's last time 1.8 ranges out, and to
+    # -0.016 1.35 ranges out. The slack climbs at most 1 + mu per unit time,
+    # so every cell of the far pose is clear and only the last cell of the
+    # near one is open: the scan reads 9 coarse times of each pose and one
+    # cell of fine times, against 1,001 grid times per pose.
+    calls = recorded_times(monkeypatch, "_pursuit_slack")
+    points, headings = np.array([[-1.0, 1.5], [-0.5, 1.25]]), np.zeros(2)
+    assert FAST.engageable(points, headings).tolist() == [False, False]
+    assert [ref.pursuit_window(Point2(*p), 0.0, FAST) for p in points.tolist()] == [None, None]
+    coarse, *fine = calls
+    ts = np.linspace(0.0, FAST.engagement_range, oracle._PURSUIT_STEPS + 1)
+    assert coarse.shape == (2, 9) and coarse[1].tolist() == ts[np.r_[0:1000:CELL, 1000]].tolist()
+    assert [t.tolist() for t in fine] == [[ts[np.minimum(np.arange(7 * CELL - 1, 8 * CELL + 2), 1000)].tolist()]]
+
+
+def test_a_grid_of_step_zero_through_a_tiny_turret_warns_nothing():
+    # A turret of range 1e-20 a thousandth of a unit ahead: the in-range
+    # times round to one time, so the grid's step is 0, and there the agent
+    # is on the turret, so the climb is infinite. The cell bound and the
+    # refinement rule read infinity times 0 as "open" and "nothing to
+    # refine", without a warning.
+    tiny = TurretThreat(Point2(0, 0), look_angle=math.pi, mu=1.0, engagement_range=1e-20)
+    points, headings = np.array([[-1e-3, 0.0]]), np.zeros(1)
+    (_, t_lo, t_hi, _), climb = oracle._turret_grids(oracle._poses(points, headings, tiny.position, "turret"), tiny)
+    assert t_lo.tolist() == t_hi.tolist() == [1e-3]
+    assert np.isinf(climb(slice(0, 1), np.full((1, 2), 1e-3), np.zeros((1, 1)))).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tiny.engageable(points, headings).tolist() == [False]
+    assert ref.turret_window(Point2(-1e-3, 0.0), 0.0, tiny) is None
+
+
 def test_far_poses_wide_of_the_turret_are_not_engageable():
     # 1.5 and 5 ranges wide of the turret, from 1e8 and 1e10 ranges away:
     # never in range, as the clearance says.
@@ -493,33 +586,48 @@ def test_far_poses_wide_of_the_turret_are_not_engageable():
     assert [ref.turret_window(Point2(*p), 0.0, threat) for p in points.tolist()] == [None, None]
 
 
-def one_cell(f_a, f_b, h):
-    """``_clear_cells`` on one cell of CELL steps h from t = 1, with no miss distance: the margin's rate bound is 1."""
+def straight_away_climb(ts, h):
+    """The turret climb on the cells ``ts`` of a pose running straight away from the turret: no miss distance."""
+    poses = oracle._poses(np.array([[0.01, 0.0]]), np.zeros(1), TURRET.position, "turret")
+    _, climb = oracle._turret_grids(poses, TURRET)
+    return climb(slice(0, 1), ts, np.array([[h]]))
+
+
+# the cell tests' climbs and the rate L each gives: a turret's, and a pursuer's constant 1 + mu
+CLIMBS = [(straight_away_climb, 1.0), (lambda ts, h: np.full((1, 1), 1.0 + SLOW.mu), 1.0 + SLOW.mu)]
+
+
+def one_cell(f_a, f_b, h, climb, L):
+    """``_clear_cells`` on one cell of CELL steps h from t = 1, on which ``climb`` gives the rate L."""
     ts = np.array([[1.0, 1.0 + CELL * h]])
-    return bool(oracle._clear_cells(np.array([[f_a, f_b]]), ts, np.array([h]), np.zeros(1), np.array([5.0]), 1.0)[0, 0])
+    rate = climb(ts, h)
+    assert rate.tolist() == [[L]]
+    return bool(oracle._clear_cells(np.array([[f_a, f_b]]), ts, np.array([h]), rate)[0, 0])
 
 
 def test_a_clear_cell_has_no_margin_near_zero_a_step_past_its_ends():
     # The refinement of a maximum at a cell's first time samples up to one
-    # step before it. A margin of rate 1 that peaks at 0.5 h there falls to
-    # -0.5 h at the cell's first time and to -(CELL + 0.5) h at its last;
+    # step before it. A margin of rate L that peaks at 0.5 L h there falls to
+    # -0.5 L h at the cell's first time and to -(CELL + 0.5) L h at its last;
     # the cell stays open, and so does its mirror image. Two steps lower,
     # nothing within a step of the cell reaches 0, and it is clear.
     h = 2.0**-10
-    near, far = -0.5 * h, -(CELL + 0.5) * h
-    assert not one_cell(near, far, h) and not one_cell(far, near, h)
-    assert one_cell(near - 2.0 * h, far - 2.0 * h, h) and one_cell(far - 2.0 * h, near - 2.0 * h, h)
+    for climb, L in CLIMBS:
+        near, far, low = -0.5 * L * h, -(CELL + 0.5) * L * h, 2.0 * L * h
+        assert not one_cell(near, far, h, climb, L) and not one_cell(far, near, h, climb, L)
+        assert one_cell(near - low, far - low, h, climb, L) and one_cell(far - low, near - low, h, climb, L)
 
 
 def test_a_cell_bound_within_the_slack_of_zero_is_not_clear():
-    # With no miss distance the bound is the cell's mean margin plus
-    # (CELL / 2 + 2) h. A bound within the slack of 0 leaves room for the
-    # margin's rounding, so the cell stays open; one further below is clear.
+    # The bound is the cell's mean margin plus (CELL / 2 + 2) L h. A bound
+    # within the slack of 0 leaves room for the margin's rounding, so the
+    # cell stays open; one further below is clear.
     h = 2.0**-10
     slack = oracle._SLACK * (1.0 + (1.0 + CELL * h))
-    reach = (CELL / 2 + 2) * h
-    assert not one_cell(-reach - 0.5 * slack, -reach - 0.5 * slack, h)
-    assert one_cell(-reach - 2.0 * slack, -reach - 2.0 * slack, h)
+    for climb, L in CLIMBS:
+        reach = (CELL / 2 + 2) * L * h
+        assert not one_cell(-reach - 0.5 * slack, -reach - 0.5 * slack, h, climb, L)
+        assert one_cell(-reach - 2.0 * slack, -reach - 2.0 * slack, h, climb, L)
 
 
 def test_separation_is_the_remainder_bit_for_bit():
@@ -535,7 +643,7 @@ def test_separation_is_the_remainder_bit_for_bit():
 
 def grid_lengths(points, headings, threat):
     """Times in each turret pose's whole grid, by pose."""
-    rows, _, _, n, _, _ = oracle._turret_grids(oracle._poses(points, headings, threat.position, "turret"), threat)
+    (rows, _, _, n), _ = oracle._turret_grids(oracle._poses(points, headings, threat.position, "turret"), threat)
     return dict(zip(rows.tolist(), (n + 1).tolist()))
 
 
