@@ -104,7 +104,7 @@ def circumnavigate(
             f"endpoint inside the {spec.label} circle (d0={d0:.6g}, df={df:.6g}, radius={Rh:.6g})"
         )
     if not _chord_blocked(a0, af, threat_pos, Rh):
-        path = Trajectory.from_polyline([_pt(a0), _pt(af)], mu)
+        path = Trajectory.from_polyline([a0.as_tuple(), af.as_tuple()], mu)
         ang = math.atan2(
             0.5 * (a0.y + af.y) - threat_pos.y, 0.5 * (a0.x + af.x) - threat_pos.x
         )
@@ -131,14 +131,14 @@ def circumnavigate(
     theta1, theta2, arc, sweep_sign = min(cw, ccw, key=lambda t: t[2])
 
     t_f = (tan_in + tan_out + Rh * arc) / mu
-    pts = [_pt(a0)]
+    pts = [a0.as_tuple()]
     n_arc = max(int(math.ceil(arc / (2.0 * math.pi) * _ARC_POINTS)), 2)
     for k in range(n_arc + 1):
         ang = theta1 + sweep_sign * arc * k / n_arc
         pts.append(
             (threat_pos.x + Rh * math.cos(ang), threat_pos.y + Rh * math.sin(ang))
         )
-    pts.append(_pt(af))
+    pts.append(af.as_tuple())
     return CircumnavResult(
         t_f=t_f,
         theta1=wrap_angle(theta1),
@@ -148,10 +148,6 @@ def circumnavigate(
         path=Trajectory.from_polyline(pts, mu),
         degenerate=False,
     )
-
-
-def _pt(p: Point2) -> tuple[float, float]:
-    return (p.x, p.y)
 
 
 def _chord_blocked(a0: Point2, af: Point2, c: Point2, Rh: float) -> bool:

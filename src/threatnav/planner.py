@@ -9,12 +9,13 @@ aspect-angle clearance with the node's segment heading, turret zones via
 the chord-threshold ray test. Each threat computes its clearance and
 its pose gradient for a batch of poses in one call, and SLSQP solves
 the program with analytic Jacobians: every row, the endpoint's
-included, is chained through ``_chain`` from its pose partials. SLSQP
-asks for the constraints and then their Jacobian at the same iterate;
-``TranscribedProblem`` keeps the node positions, clearances and pose
-partials of the last decision vector, so each iterate runs each
-threat's kernel once. The planner knows a threat only through the
-``Threat`` protocol, so a new zone kind needs no code.
+included, is chained through ``_chain`` from its pose partials.
+``TranscribedProblem`` keeps the node positions and every row's
+clearance and pose partials for the last decision vector, so each
+decision vector runs each threat's kernel once: SLSQP's constraint and
+Jacobian callbacks at one iterate and the planner's own checks share
+it, and a subset of rows is a slice of it. The planner knows a threat
+only through the ``Threat`` protocol, so a new zone kind needs no code.
 
 Only warm starts that can win are solved. A straight chord whose node
 poses all clear every zone is optimal: its t_f is the lower bound
@@ -78,8 +79,9 @@ class Threat(Protocol):
     to n signed clearances, positive outside the zone, and
     ``clearance_and_gradient`` maps them, in one kernel call, to those
     clearances and three arrays of n partials of them, in x, y and
-    heading; the planner asks it once per iterate and the callers that
-    need only values ask ``clearance``. ``keep_out_radius`` is the radius
+    heading; the planner asks only ``clearance_and_gradient``, once per
+    decision vector, and the callers that need only values (the dense
+    audit and the per-node report) ask ``clearance``. ``keep_out_radius`` is the radius
     of the disk around ``position`` that no endpoint may enter and that
     circumnav_reach rides (0 when there is none). ``extent`` bounds how
     far from ``position`` the zone reaches; the detour warm starts bow
@@ -185,8 +187,9 @@ class TranscribedProblem:
     by the terminal time. SLSQP asks for the constraints and their
     Jacobians at one iterate in separate callbacks, so the problem keeps
     one entry: the last z it was asked about, compared by value (SLSQP
-    rewrites its array in place), with its node positions and, for the
-    last rows asked for there, each threat's clearances and pose partials.
+    rewrites its array in place), with its node positions and, for every
+    row, each threat's clearances and pose partials. ``rows`` only picks
+    which of those rows a call returns.
     """
 
     def __init__(self, scenario: Scenario):
@@ -205,10 +208,13 @@ class TranscribedProblem:
         n = self.n
         self._node_idx = np.concatenate([np.arange(n), np.arange(1, n - 1)])
         self._head_idx = np.concatenate([np.minimum(np.arange(n), n - 2), np.arange(0, n - 2)])
+        # the node and heading index of each row of the stacked constraint vector, one block per threat
+        self._row_node = np.tile(self._node_idx, len(self.threats))
+        self._row_head = np.tile(self._head_idx, len(self.threats))
         self._after = np.arange(n - 1) >= np.arange(n)[:, None]  # heading j is at or after node k: no effect on it
-        self._z: Optional[bytes] = None  # the memo: the last z, its node positions, its rows and their blocks
+        self._z: Optional[bytes] = None  # the memo: the last z, its node positions and every row there
         self._points = np.empty((0, 2))
-        self._evaluated: Optional[tuple[Optional[bytes], list]] = None
+        self._evaluated: Optional[np.ndarray] = None
 
     # -- kinematics -------------------------------------------------------
 
@@ -239,37 +245,18 @@ class TranscribedProblem:
         goal = np.full(2, self.n - 1)
         # a zero partial is -0.0, which leaves each term it is added to as it was, a signed zero included
         gx, gy, gpsi = np.array([1.0, -0.0]), np.array([-0.0, 1.0]), np.array([-0.0, -0.0])
-        return self._chain(z, goal, goal - 1, self._positions(z)[goal], gx, gy, gpsi)
+        return self._chain(z, goal, goal - 1, gx, gy, gpsi)
 
     # -- zone clearances ----------------------------------------------------
 
-    def _rows(self, rows: Optional[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per threat, the node and heading index of each constrained pose it keeps.
-
-        ``rows`` marks the kept rows of the stacked constraint vector; None,
-        like a mask that marks them all, keeps all 2n-2 per threat.
-        """
-        if rows is None or rows.all():
-            return [(self._node_idx, self._head_idx)] * len(self.threats)
-        keep = np.reshape(rows, (len(self.threats), len(self._node_idx)))
-        return [(self._node_idx[k], self._head_idx[k]) for k in keep]
-
     def clearances(self, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """Stacked per-pose clearance, one block of 2n-2 values per threat (only ``rows`` if given)."""
-        blocks = [c for _, _, _, c, *_ in self._evaluate(z, rows)]
-        return np.concatenate(blocks) if blocks else np.zeros(0)
-
-    def every_clearance(self, z: np.ndarray) -> np.ndarray:
-        """``clearances(z)`` for a check that needs no partials: the memo's when it holds every row at z."""
-        if self._evaluated is not None and self._evaluated[0] is None and z.tobytes() == self._z:
-            return self.clearances(z)
-        points, psi = self._positions(z)[self._node_idx], z[:-1][self._head_idx]
-        return np.concatenate([t.clearance(points, psi) for t in self.threats]) if self.threats else np.zeros(0)
+        clear = self._evaluate(z)[0]
+        return clear if rows is None else clear[rows]
 
     def clearance_jacobian(self, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        evaluated = self._evaluate(z, rows)
-        blocks = [self._chain(z, nodes, heads, points, *grad) for nodes, heads, points, _, *grad in evaluated]
-        return np.vstack(blocks) if blocks else np.zeros((0, len(z)))
+        keep = slice(None) if rows is None else rows
+        return self._chain(z, self._row_node[keep], self._row_head[keep], *self._evaluate(z)[1:, keep])
 
     def _positions(self, z: np.ndarray) -> np.ndarray:
         """``positions(z)``, kept for the next call at the same z; a new z drops the memo's rows."""
@@ -278,24 +265,22 @@ class TranscribedProblem:
             self._z, self._points, self._evaluated = key, self.positions(z), None
         return self._points
 
-    def _evaluate(self, z: np.ndarray, rows: Optional[np.ndarray]) -> list:
-        """Per threat, (nodes, heads, points, clearance, gx, gy, gpsi) of the poses it keeps at z.
+    def _evaluate(self, z: np.ndarray) -> np.ndarray:
+        """The rows (clearance, gx, gy, gpsi) of every constrained pose of every threat at z, stacked as 4 x m.
 
-        One ``clearance_and_gradient`` call per threat for each new z or
-        new ``rows``; the answer is kept for the next call at both.
+        One ``clearance_and_gradient`` call per threat for each new z; the
+        answer is kept for the next call at the same z.
         """
         points = self._positions(z)
-        key = None if rows is None or rows.all() else rows.tobytes()
-        if self._evaluated is None or self._evaluated[0] != key:
-            psi, blocks = z[:-1], []
-            for t, (nodes, heads) in zip(self.threats, self._rows(rows)):
-                pose_points = points[nodes]
-                blocks.append((nodes, heads, pose_points, *t.clearance_and_gradient(pose_points, psi[heads])))
-            self._evaluated = key, blocks
-        return self._evaluated[1]
+        if self._evaluated is None:
+            poses = points[self._node_idx], z[:-1][self._head_idx]
+            blocks = [np.array(t.clearance_and_gradient(*poses)) for t in self.threats]
+            self._evaluated = np.concatenate([np.empty((4, 0)), *blocks], axis=1)  # 4 x 0 with no threats
+            self._evaluated.flags.writeable = False  # clearances(z) hands out a view of it
+        return self._evaluated
 
-    def _chain(self, z, nodes, heads, points, gx, gy, gpsi) -> np.ndarray:
-        """Jacobian rows of the pose clearances from their pose gradients."""
+    def _chain(self, z, nodes, heads, gx, gy, gpsi) -> np.ndarray:
+        """Jacobian rows of the clearances of the poses (node, heading index) from their pose gradients."""
         n = self.n
         psi, t_f = z[:-1], z[-1]
         dt = t_f / (n - 1)
@@ -310,7 +295,7 @@ class TranscribedProblem:
         # direct dependence on the pose's own heading
         jac[np.arange(m), heads] += gpsi
         # terminal-time column through the node positions
-        rel = points - self.a0
+        rel = self._positions(z)[nodes] - self.a0
         jac[:, -1] = (gx * rel[:, 0] + gy * rel[:, 1]) / t_f
         return jac
 
@@ -389,7 +374,7 @@ def plan(scenario: Scenario) -> PlanResult:
     if opts.initialization != "straight_line":
         seeds.append((opts.initialization, problem.pack(initialize(scenario, opts.initialization))))
 
-    clear = problem.every_clearance(chord)
+    clear = problem.clearances(chord)
     if np.all(clear >= 0.0):  # a NaN clearance counts as blocked
         min_clear = float(np.min(clear)) if clear.size else math.inf
         _log.debug("chord clear: returned unsolved, t_f %.12g, min clearance %.6g", chord_time, min_clear)
@@ -404,8 +389,8 @@ def plan(scenario: Scenario) -> PlanResult:
     if coarse is not None and coarse.converged and coarse.iterations > 0:
         z0 = problem.pack(coarse.trajectory)
         extents = np.repeat([t.extent for t in scenario.threats], clear.size // len(scenario.threats))
-        seeds, rows = [("coarse", z0)], problem.every_clearance(z0) < _SCREEN_FRACTION * extents
-    elif not seeds or not np.all(problem.every_clearance(seeds[0][1]) >= 0.0):
+        seeds, rows = [("coarse", z0)], problem.clearances(z0) < _SCREEN_FRACTION * extents
+    elif not seeds or not np.all(problem.clearances(seeds[0][1]) >= 0.0):
         seeds.extend(zip(("detour+", "detour-"), (problem.pack(t) for t in _detour_seeds(scenario))))
 
     n_vars = opts.n_nodes
@@ -435,7 +420,7 @@ def plan(scenario: Scenario) -> PlanResult:
             )
             total_nit += int(res.nit)
             z = res.x
-            clear = problem.every_clearance(z)
+            clear = problem.clearances(z)
             viol = _max_violation(problem, z, clear)
             _log.debug(
                 "seed %s: n %d, rows %d/%d, nit %d, status %d (%s), t_f %.12g, violation %.3g",

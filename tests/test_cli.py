@@ -11,6 +11,7 @@ from threatnav.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios" / "golden.json"
 TURRET = GOLDEN.with_name("turret.json")
+MIXED = GOLDEN.with_name("mixed.json")
 _TURRET = {"kind": "turret", "position": [0.0, 3.0], "mu": 0.5, "range": 1.0, "look_angle": 0.0}  # off the golden route
 
 
@@ -297,6 +298,15 @@ class TestPlan:
         result = json.loads((tmp_path / "result.json").read_text())
         assert result["converged"] is True
         assert result["min_clearance"] >= -1e-4
+
+    def test_mixed_scenario(self, tmp_path):
+        assert main(["plan", str(MIXED), "--output-dir", str(tmp_path)]) == 0
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert result["converged"] is True
+        assert result["t_f"] == pytest.approx(7.673404687628239, rel=1e-3)
+        rows = read_csv(tmp_path / "trajectory.csv")
+        assert len(rows) == 50
+        assert "clearance_0" in rows[0] and "clearance_1" in rows[0]
 
 
 class TestCompare:

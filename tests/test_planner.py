@@ -117,17 +117,17 @@ class TestSeedRule:
         assert res.iterations > coarse.iterations
 
     def test_nan_clearance_blocks_the_chord(self, solves, monkeypatch):
-        real = PursuerThreat.clearance
+        real = PursuerThreat.clearance_and_gradient
         calls = []
 
         def nan_first(self, points, headings):
             out = real(self, points, headings)
             if not calls:
-                out[0] = math.nan
+                out[0][0] = math.nan
             calls.append(1)
             return out
 
-        monkeypatch.setattr(PursuerThreat, "clearance", nan_first)
+        monkeypatch.setattr(PursuerThreat, "clearance_and_gradient", nan_first)
         res = plan(far_scenario())
         assert len(solves) == 2
         assert res.iterations > 0
@@ -503,15 +503,29 @@ class TestMemo:
         assert bit_equal(prob.clearances(z, keep), fresh.clearances(z.copy(), keep))
         assert not bit_equal(first, prob.clearances(z, keep))
 
-    def test_other_rows_at_the_same_z_are_evaluated_again(self):
+    def test_other_rows_at_the_same_z_come_from_the_memo(self, monkeypatch):
         prob = self.mixed_problem()
         z = np.append(np.linspace(-0.4, 0.4, 19), 9.0)
         keep = np.arange(2 * (2 * 20 - 2)) % 3 > 0
         prob.clearances(z, keep)
-        fresh = self.mixed_problem()
-        assert bit_equal(prob.clearances(z), fresh.clearances(z))
-        assert bit_equal(prob.every_clearance(z), fresh.clearances(z))
-        assert bit_equal(prob.clearance_jacobian(z, ~keep), fresh.clearance_jacobian(z, ~keep))
+        calls = []
+
+        def counted(real):
+            def spy(self, points, headings):
+                calls.append(type(self).__name__)
+                return real(self, points, headings)
+
+            return spy
+
+        for kind in (PursuerThreat, TurretThreat):
+            monkeypatch.setattr(kind, "clearance_and_gradient", counted(kind.clearance_and_gradient))
+        answers = prob.clearances(z), prob.clearances(z, ~keep), prob.clearance_jacobian(z, ~keep)
+        assert calls == []
+        fresh = self.mixed_problem(), self.mixed_problem(), self.mixed_problem()
+        assert bit_equal(answers[0], fresh[0].clearances(z))
+        assert bit_equal(answers[1], fresh[1].clearances(z, ~keep))
+        assert bit_equal(answers[2], fresh[2].clearance_jacobian(z, ~keep))
+        assert calls == ["PursuerThreat", "TurretThreat"] * 3  # each fresh problem asks each threat once
 
     def test_golden_plan_evaluates_each_aspect_array_once(self, monkeypatch):
         seen = []
@@ -524,7 +538,7 @@ class TestMemo:
         monkeypatch.setattr(pursuit, "_rho", spy)
         plan(load_scenario(GOLDEN_FILE).scenario)
         assert not any(a == b for a, b in zip(seen, seen[1:]))  # no input twice in a row
-        assert len(seen) <= len(set(seen)) + 1
+        assert len(seen) == len(set(seen))
 
 
 class TestTranscription:

@@ -116,8 +116,10 @@ def test_golden_scenario_file_parses():
     assert doc.scenario.agent.speed == 0.9
 
 
-def test_golden_file_round_trips():
-    assert scenario_to_dict(load_scenario(GOLDEN)) == json.loads(GOLDEN.read_text())
+@pytest.mark.parametrize("name", ["golden", "turret", "mixed"])
+def test_golden_file_round_trips(name):
+    path = GOLDEN.with_name(f"{name}.json")
+    assert scenario_to_dict(load_scenario(path)) == json.loads(path.read_text())
 
 
 def test_threats_must_be_an_array():
