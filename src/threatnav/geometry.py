@@ -77,7 +77,7 @@ def wrap_angles(a: np.ndarray) -> np.ndarray:
     both.
     """
     w = np.asarray(a, dtype=float)
-    largest = float(np.max(np.abs(w))) if w.size else 0.0
+    largest = float(np.abs(w).max()) if w.size else 0.0
     if not largest < TWO_PI:
         if not math.isfinite(largest):
             raise DomainError(f"angle must be finite, got {float(w[~np.isfinite(w)][0])}")

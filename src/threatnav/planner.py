@@ -10,12 +10,13 @@ the chord-threshold ray test. Each threat computes its clearance and
 its pose gradient for a batch of poses in one call, and SLSQP solves
 the program with analytic Jacobians: every row, the endpoint's
 included, is chained through ``_chain`` from its pose partials.
-``TranscribedProblem`` keeps the node positions and every row's
-clearance and pose partials for the last decision vector, so each
-decision vector runs each threat's kernel once: SLSQP's constraint and
-Jacobian callbacks at one iterate and the planner's own checks share
-it, and a subset of rows is a slice of it. The planner knows a threat
-only through the ``Threat`` protocol, so a new zone kind needs no code.
+``TranscribedProblem`` keeps the node positions, the steps between
+them and every row's clearance and pose partials for the last decision
+vector, so each decision vector runs each threat's kernel once: SLSQP's
+constraint and Jacobian callbacks at one iterate and the planner's own
+checks share it, and a subset of rows is a slice of it. The planner
+knows a threat only through the ``Threat`` protocol, so a new zone kind
+needs no code.
 
 Only warm starts that can win are solved. A straight chord whose node
 poses all clear every zone is optimal: its t_f is the lower bound
@@ -187,9 +188,12 @@ class TranscribedProblem:
     by the terminal time. SLSQP asks for the constraints and their
     Jacobians at one iterate in separate callbacks, so the problem keeps
     one entry: the last z it was asked about, compared by value (SLSQP
-    rewrites its array in place), with its node positions and, for every
-    row, each threat's clearances and pose partials. ``rows`` only picks
-    which of those rows a call returns.
+    rewrites its array in place), with its node positions, the steps
+    between them and, for every row, each threat's clearances and pose
+    partials. ``rows`` only picks which of those rows a call returns. The
+    chain rule reads each heading's effect on the later nodes from the
+    kept steps, and each row's mask of the headings that cannot move it
+    is built once per problem.
     """
 
     def __init__(self, scenario: Scenario):
@@ -211,9 +215,14 @@ class TranscribedProblem:
         # the node and heading index of each row of the stacked constraint vector, one block per threat
         self._row_node = np.tile(self._node_idx, len(self.threats))
         self._row_head = np.tile(self._head_idx, len(self.threats))
-        self._after = np.arange(n - 1) >= np.arange(n)[:, None]  # heading j is at or after node k: no effect on it
-        self._z: Optional[bytes] = None  # the memo: the last z, its node positions and every row there
+        # heading j is at or after node k: no effect on it; per row, and for the goal node's two endpoint rows
+        after = np.arange(n - 1) >= np.arange(n)[:, None]
+        self._row_after = after[self._row_node]
+        self._goal = np.full(2, n - 1)
+        self._goal_after = after[self._goal]
+        self._z: Optional[bytes] = None  # the memo: the last z, its node positions and steps, and every row there
         self._points = np.empty((0, 2))
+        self._steps = np.empty((0, 2))
         self._evaluated: Optional[np.ndarray] = None
 
     # -- kinematics -------------------------------------------------------
@@ -226,6 +235,10 @@ class TranscribedProblem:
 
     def positions(self, z: np.ndarray) -> np.ndarray:
         """Node positions (n x 2) of z."""
+        return self._walk(z)[0]
+
+    def _walk(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Node positions (n x 2) of z and the steps between them, (speed dt) (cos psi, sin psi) per segment."""
         psi, t_f = z[:-1], z[-1]
         dt = t_f / (self.n - 1)
         steps = self.speed * dt * np.stack([np.cos(psi), np.sin(psi)], axis=1)
@@ -233,7 +246,7 @@ class TranscribedProblem:
         out[0] = self.a0
         np.cumsum(steps, axis=0, out=out[1:])
         out[1:] += self.a0
-        return out
+        return out, steps
 
     # -- endpoint equality -------------------------------------------------
 
@@ -242,10 +255,9 @@ class TranscribedProblem:
 
     def endpoint_jacobian(self, z: np.ndarray) -> np.ndarray:
         """``_chain`` at the goal node, whose x and y have pose partials (1, 0, 0) and (0, 1, 0)."""
-        goal = np.full(2, self.n - 1)
         # a zero partial is -0.0, which leaves each term it is added to as it was, a signed zero included
         gx, gy, gpsi = np.array([1.0, -0.0]), np.array([-0.0, 1.0]), np.array([-0.0, -0.0])
-        return self._chain(z, goal, goal - 1, gx, gy, gpsi)
+        return self._chain(z, self._goal, self._goal - 1, self._goal_after, gx, gy, gpsi)
 
     # -- zone clearances ----------------------------------------------------
 
@@ -256,13 +268,14 @@ class TranscribedProblem:
 
     def clearance_jacobian(self, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
         keep = slice(None) if rows is None else rows
-        return self._chain(z, self._row_node[keep], self._row_head[keep], *self._evaluate(z)[1:, keep])
+        rows_of = self._row_node[keep], self._row_head[keep], self._row_after[keep]
+        return self._chain(z, *rows_of, *self._evaluate(z)[1:, keep])
 
     def _positions(self, z: np.ndarray) -> np.ndarray:
-        """``positions(z)``, kept for the next call at the same z; a new z drops the memo's rows."""
+        """``positions(z)``, kept with its steps for the next call at the same z; a new z drops the memo's rows."""
         key = z.tobytes()
         if key != self._z:
-            self._z, self._points, self._evaluated = key, self.positions(z), None
+            (self._points, self._steps), self._z, self._evaluated = self._walk(z), key, None
         return self._points
 
     def _evaluate(self, z: np.ndarray) -> np.ndarray:
@@ -279,24 +292,26 @@ class TranscribedProblem:
             self._evaluated.flags.writeable = False  # clearances(z) hands out a view of it
         return self._evaluated
 
-    def _chain(self, z, nodes, heads, gx, gy, gpsi) -> np.ndarray:
-        """Jacobian rows of the clearances of the poses (node, heading index) from their pose gradients."""
+    def _chain(self, z, nodes, heads, after, gx, gy, gpsi) -> np.ndarray:
+        """Jacobian rows of the clearances of the poses (node, heading index) from their pose gradients.
+
+        ``after`` marks, per row, the headings at or after its node. A heading moves every later node by
+        its step turned a quarter left, (-step_y, step_x), read from the memo with no trigonometry.
+        """
         n = self.n
-        psi, t_f = z[:-1], z[-1]
-        dt = t_f / (n - 1)
+        points, steps = self._positions(z), self._steps
         m = len(nodes)
         jac = np.empty((m, n))
         # position chain: node k depends on headings 0..k-1, so each row is zeroed from its node on
-        sens = self.speed * dt * np.stack([-np.sin(psi), np.cos(psi)])
         chain = jac[:, : n - 1]
-        np.multiply(gx[:, None], sens[0], out=chain)
-        chain += gy[:, None] * sens[1]
-        np.copyto(chain, 0.0, where=self._after[nodes])
+        np.multiply(gx[:, None], -steps[:, 1], out=chain)
+        chain += gy[:, None] * steps[:, 0]
+        np.copyto(chain, 0.0, where=after)
         # direct dependence on the pose's own heading
         jac[np.arange(m), heads] += gpsi
         # terminal-time column through the node positions
-        rel = self._positions(z)[nodes] - self.a0
-        jac[:, -1] = (gx * rel[:, 0] + gy * rel[:, 1]) / t_f
+        rel = points[nodes] - self.a0
+        jac[:, -1] = (gx * rel[:, 0] + gy * rel[:, 1]) / z[-1]
         return jac
 
     # -- warm-start packing --------------------------------------------------

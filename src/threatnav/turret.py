@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (
+    TWO_PI,
     Point2,
     atan2_each,
     require_finite_angles,
@@ -98,17 +99,21 @@ class TurretThreat:
         x0, y0, ch, sh = self._frame(points, headings)
         R = self.engagement_range
         m, m_y, m_th = _threshold(np.minimum(np.maximum(y0, -R), R), self, headings)
-        lateral, along, side = np.abs(y0) - R, x0 - m, np.sign(y0)
+        along = x0 - m
+        pieces = along, ch + m_y * sh, sh - m_y * ch, y0 + m_y * x0 + m_th
+        lateral = np.abs(y0) - R
         chord = along > lateral
-        return (np.where(chord, along, lateral), np.where(chord, ch + m_y * sh, -side * sh),
-                np.where(chord, sh - m_y * ch, side * ch), np.where(chord, y0 + m_y * x0 + m_th, -side * x0))
+        if chord.all():
+            return pieces
+        side = np.sign(y0)
+        return tuple(np.where(chord, a, b) for a, b in zip(pieces, (lateral, -side * sh, side * ch, -side * x0)))
 
     def _frame(self, points: np.ndarray, headings: np.ndarray):
         """Agent-heading frame of every pose: x0 along the heading, y0 to its left, cos and sin of the heading."""
         require_finite_poses(points, headings)
         dx = points[:, 0] - self.position.x
         dy = points[:, 1] - self.position.y
-        if np.any((dx == 0.0) & (dy == 0.0)):
+        if ((dx == 0.0) & (dy == 0.0)).any():
             raise DomainError("agent exactly at the turret position")
         ch, sh = np.cos(headings), np.sin(headings)
         return dx * ch + dy * sh, -dx * sh + dy * ch, ch, sh
@@ -174,8 +179,8 @@ def boundary_threshold_batch(y: np.ndarray, threat: TurretThreat, agent_headings
     """Per-chord zone threshold M(y) of every chord ``y`` with its agent heading.
 
     A start (x0, y) on the chord is neutralizable iff x0 <= M(y). Raises
-    for |y| beyond the range (the chord never enters the disk) and names
-    a non-finite heading as given.
+    for |y| beyond the range (the chord never enters the disk), and names
+    a non-finite heading or chord offset as given.
     """
     require_finite_angles(agent_headings)
     return _threshold(y, threat, agent_headings)[0]
@@ -188,48 +193,78 @@ def _threshold(y: np.ndarray, threat: TurretThreat, agent_headings: np.ndarray):
     in that order (the chord through the turret has its own pair). The partials follow the winner: with
     c = sqrt(R^2 - y^2), dM/dy is -(y + dM/dth) / c at the exit, (y + dM/dth) / c at the entry, cot th at
     the crossing (dM/dth = -y / sin^2 th), xs / y at the stationary point (envelope theorem), 0 on y == 0.
+    The exit, entry and stationary-point candidates share one bearing pass; each later fold writes only
+    the chords it wins and is skipped when it wins none. A non-finite y is named as the chord offset.
     """
     R, mu = threat.engagement_range, threat.mu
-    if np.any(np.abs(y) > R):
-        raise DomainError(f"|y|={float(np.max(np.abs(y)))} exceeds the engagement range {R}")
+    y_abs = np.abs(y)
+    if not (y_abs <= R).all():
+        bad = y[~np.isfinite(y)]
+        if bad.size:
+            raise DomainError(f"chord offset must be finite, got {float(bad[0])}")
+        raise DomainError(f"|y|={float(y_abs.max())} exceeds the engagement range {R}")
     th = wrap_angles(threat.look_angle - agent_headings)
     mirror = y < 0.0  # mirror symmetry: reflect chord and beam together (and the partials)
-    y = np.where(mirror, -y, y)
-    th = np.where(mirror, wrap_angles(-th), th)
+    flip = mirror.any()
+    if flip:
+        y = y_abs  # -0.0 becomes 0.0 too, but every y == 0 row is settled below from th alone
+        np.negative(th, out=th, where=mirror & (th != math.pi))  # wrap(-pi) is pi
 
     def reach(x, th, bearing):
-        gap = wrap_angles(th - bearing)
-        return x - mu * np.abs(gap), -mu * np.sign(gap)
+        gap = _wrap_gap(th - bearing)
+        return x - mu * np.abs(gap), -mu * np.sign(gap), gap
 
-    def fold(take, value, dy, dth):
-        return np.where(take, value, best), np.where(take, dy, m_y), np.where(take, dth, m_th)
-
+    n = len(y)
     c = np.sqrt(R * R - y * y)  # |y| <= R, so y * y <= R * R after rounding too
     inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0.0)
-    (best, m_th), (entry, entry_th) = reach(c, th, atan2_each(y, c)), reach(-c, th, atan2_each(y, -c))
+    # the interior stationary point of the chase, where it lies on the chord (y == 0 is settled below)
+    idx, xs = np.flatnonzero((y > 0.0) & (y < mu)), np.empty(0)
+    if idx.size:
+        root = np.sqrt(y[idx] * (mu - y[idx]))
+        on_chord = root <= c[idx]
+        idx, xs = idx[on_chord], -root[on_chord]
+    # exit, entry and stationary point in one pass
+    x = np.concatenate([c, -c, xs])
+    value, slope, gap = reach(x, np.concatenate([th, th, th[idx]]), atan2_each(np.concatenate([y, y, y[idx]]), x))
+    best, m_th, entry, entry_th = value[:n], slope[:n], value[n : 2 * n], slope[n : 2 * n]
     m_y = -(y + m_th) * inv_c
-    best, m_y, m_th = fold(entry > best, entry, (y + entry_th) * inv_c, entry_th)
+    take = entry > best
+    np.copyto(best, entry, where=take)
+    np.copyto(m_y, (y + entry_th) * inv_c, where=take)
+    np.copyto(m_th, entry_th, where=take)
     # crossing the initial beam
-    sin_th = np.sin(th)
+    sin_th, cos_th = np.sin(th), np.cos(th)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x_cross = y * np.cos(th) / sin_th
-        ok = (sin_th > 0.0) & (-c <= x_cross) & (x_cross <= c)
-        best, m_y, m_th = fold(ok & (x_cross > best), x_cross, np.cos(th) / sin_th, -y / (sin_th * sin_th))
-    # interior stationary point of the chase (y == 0 is settled below)
-    inner = (mu > y) & (y > 0.0)
-    xs = -np.sqrt(np.where(inner, y * (mu - y), 0.0))
-    idx = np.flatnonzero(inner & (-c <= xs) & (xs <= c))
-    bearing = atan2_each(y[idx], xs[idx])
-    value, slope = reach(xs[idx], th[idx], bearing)
-    win = (wrap_angles(bearing - th[idx]) < 0.0) & (value > best[idx])
-    idx = idx[win]
-    best[idx], m_y[idx], m_th[idx] = value[win], xs[idx] / y[idx], slope[win]
+        x_cross = y * cos_th / sin_th
+        cross = (sin_th > 0.0) & (x[n : 2 * n] <= x_cross) & (x_cross <= c) & (x_cross > best)
+        if cross.any():
+            s = sin_th[cross]
+            best[cross], m_y[cross], m_th[cross] = x_cross[cross], cos_th[cross] / s, -y[cross] / (s * s)
+    if idx.size:  # a stationary point counts where wrap(bearing - th) < 0, that is where 0 < gap < pi
+        value, slope, gap = value[2 * n :], slope[2 * n :], gap[2 * n :]
+        win = (gap > 0.0) & (gap < math.pi) & (value > best[idx])
+        idx = idx[win]
+        best[idx], m_y[idx], m_th[idx] = value[win], xs[win] / y[idx], slope[win]
     # the chord through the turret: inbound bearing pi (-0.0 - mu|gap| is -mu|gap|) or outbound bearing 0
-    on = np.flatnonzero(y == 0.0)
-    (inbound, in_th), (outbound, out_th) = reach(-0.0, th[on], math.pi), reach(R, th[on], 0.0)
-    out = outbound > inbound
-    best[on], m_y[on], m_th[on] = np.where(out, outbound, inbound), 0.0, np.where(out, out_th, in_th)
-    return best, np.where(mirror, -m_y, m_y), np.where(mirror, -m_th, m_th)
+    on = y == 0.0
+    if on.any():
+        (inbound, in_th, _), (outbound, out_th, _) = reach(-0.0, th[on], math.pi), reach(R, th[on], 0.0)
+        out = outbound > inbound
+        best[on], m_y[on], m_th[on] = np.where(out, outbound, inbound), 0.0, np.where(out, out_th, in_th)
+    if flip:
+        np.negative(m_y, out=m_y, where=mirror)
+        np.negative(m_th, out=m_th, where=mirror)
+    return best, m_y, m_th
+
+
+def _wrap_gap(w: np.ndarray) -> np.ndarray:
+    """``wrap_angles`` of w in [-2 pi, 2 pi], with no ``np.fmod``: one shift by 2 pi is exact there.
+
+    The one difference is the sign of a zero: -2 pi wraps to 0.0 here and to
+    -0.0 through ``np.fmod``. Neither ``np.abs`` nor ``np.sign`` reads it.
+    """
+    w = np.where(w > math.pi, w - TWO_PI, w)
+    return np.where(w <= -math.pi, w + TWO_PI, w)
 
 
 def ez_contains_turret(agent_pos: Point2, agent_heading: float, threat: TurretThreat) -> bool:

@@ -5,9 +5,12 @@ the library kept only its batched forms, copied unchanged. Nothing in
 ``threatnav`` calls them; the tests compare ``rho_batch``,
 ``rho_derivative_batch``, ``boundary_threshold_batch`` and both
 ``clearance`` methods against them, because SLSQP reacts to last-bit
-changes in its constraints. The one-pose oracle scans at the end are
-the referee as it stood before it scanned blocks of poses, and the
-tests compare both ``engageable`` members against them.
+changes in its constraints. ``turret_clearance_and_gradient`` is the
+batched turret fold with its partials as it stood before its candidates
+shared one bearing pass; the tests pin all four of its outputs. The
+one-pose oracle scans at the end are the referee as it stood before it
+scanned blocks of poses, and the tests compare both ``engageable``
+members against them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,16 @@ import math
 import numpy as np
 
 from threatnav.errors import DomainError, PreconditionError
-from threatnav.geometry import Point2, angular_separation, aspect_angle, distance, wrap_angle
+from threatnav.geometry import (
+    Point2,
+    angular_separation,
+    aspect_angle,
+    atan2_each,
+    distance,
+    require_finite_poses,
+    wrap_angle,
+    wrap_angles,
+)
 from threatnav.pursuit import PursuerThreat, xi_crossover
 from threatnav.turret import TurretThreat
 
@@ -179,6 +191,78 @@ def _frame_coords(agent_pos: Point2, agent_heading: float, threat: TurretThreat)
         raise DomainError("agent exactly at the turret position")
     ch, sh = math.cos(agent_heading), math.sin(agent_heading)
     return (dx * ch + dy * sh, -dx * sh + dy * ch)
+
+
+def turret_clearance_and_gradient(threat: TurretThreat, points: np.ndarray, headings: np.ndarray):
+    """Batched ``clearance`` of every pose and its partials in x, y and heading, from one choice of piece.
+
+    Each pose takes the larger of ``|y0| - R`` and ``x0 - M(y0, look_angle - heading)`` (on a tie,
+    the first) and differentiates that piece; dM/dy is 0 at |y0| = R, where y0 is clamped.
+    """
+    require_finite_poses(points, headings)
+    dx = points[:, 0] - threat.position.x
+    dy = points[:, 1] - threat.position.y
+    if np.any((dx == 0.0) & (dy == 0.0)):
+        raise DomainError("agent exactly at the turret position")
+    ch, sh = np.cos(headings), np.sin(headings)
+    x0, y0 = dx * ch + dy * sh, -dx * sh + dy * ch
+    R = threat.engagement_range
+    m, m_y, m_th = threshold_and_partials(np.minimum(np.maximum(y0, -R), R), threat, headings)
+    lateral, along, side = np.abs(y0) - R, x0 - m, np.sign(y0)
+    chord = along > lateral
+    return (np.where(chord, along, lateral), np.where(chord, ch + m_y * sh, -side * sh),
+            np.where(chord, sh - m_y * ch, side * ch), np.where(chord, y0 + m_y * x0 + m_th, -side * x0))
+
+
+def threshold_and_partials(y: np.ndarray, threat: TurretThreat, agent_headings: np.ndarray):
+    """Batched M(y) and its partials in y and in th = look_angle - heading.
+
+    M(y) folds the exit and entry alignments, the held-beam crossing and the interior stationary point
+    in that order (the chord through the turret has its own pair). The partials follow the winner: with
+    c = sqrt(R^2 - y^2), dM/dy is -(y + dM/dth) / c at the exit, (y + dM/dth) / c at the entry, cot th at
+    the crossing (dM/dth = -y / sin^2 th), xs / y at the stationary point (envelope theorem), 0 on y == 0.
+    """
+    R, mu = threat.engagement_range, threat.mu
+    if np.any(np.abs(y) > R):
+        raise DomainError(f"|y|={float(np.max(np.abs(y)))} exceeds the engagement range {R}")
+    th = wrap_angles(threat.look_angle - agent_headings)
+    mirror = y < 0.0  # mirror symmetry: reflect chord and beam together (and the partials)
+    y = np.where(mirror, -y, y)
+    th = np.where(mirror, wrap_angles(-th), th)
+
+    def reach(x, th, bearing):
+        gap = wrap_angles(th - bearing)
+        return x - mu * np.abs(gap), -mu * np.sign(gap)
+
+    def fold(take, value, dy, dth):
+        return np.where(take, value, best), np.where(take, dy, m_y), np.where(take, dth, m_th)
+
+    c = np.sqrt(R * R - y * y)  # |y| <= R, so y * y <= R * R after rounding too
+    inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0.0)
+    (best, m_th), (entry, entry_th) = reach(c, th, atan2_each(y, c)), reach(-c, th, atan2_each(y, -c))
+    m_y = -(y + m_th) * inv_c
+    best, m_y, m_th = fold(entry > best, entry, (y + entry_th) * inv_c, entry_th)
+    # crossing the initial beam
+    sin_th = np.sin(th)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = y * np.cos(th) / sin_th
+        ok = (sin_th > 0.0) & (-c <= x_cross) & (x_cross <= c)
+        best, m_y, m_th = fold(ok & (x_cross > best), x_cross, np.cos(th) / sin_th, -y / (sin_th * sin_th))
+    # interior stationary point of the chase (y == 0 is settled below)
+    inner = (mu > y) & (y > 0.0)
+    xs = -np.sqrt(np.where(inner, y * (mu - y), 0.0))
+    idx = np.flatnonzero(inner & (-c <= xs) & (xs <= c))
+    bearing = atan2_each(y[idx], xs[idx])
+    value, slope = reach(xs[idx], th[idx], bearing)
+    win = (wrap_angles(bearing - th[idx]) < 0.0) & (value > best[idx])
+    idx = idx[win]
+    best[idx], m_y[idx], m_th[idx] = value[win], xs[idx] / y[idx], slope[win]
+    # the chord through the turret: inbound bearing pi (-0.0 - mu|gap| is -mu|gap|) or outbound bearing 0
+    on = np.flatnonzero(y == 0.0)
+    (inbound, in_th), (outbound, out_th) = reach(-0.0, th[on], math.pi), reach(R, th[on], 0.0)
+    out = outbound > inbound
+    best[on], m_y[on], m_th[on] = np.where(out, outbound, inbound), 0.0, np.where(out, out_th, in_th)
+    return best, np.where(mirror, -m_y, m_y), np.where(mirror, -m_th, m_th)
 
 
 # -- oracle ---------------------------------------------------------------------

@@ -4,8 +4,10 @@ SLSQP reacts to last-bit changes in its constraints, so the batched
 kernels must return exactly the floats of the frozen scalar closed forms
 in ``reference_kernels``, not values within a tolerance; every kernel
 comparison here is ``np.array_equal``. The turret's clearance gradient
-and the constraint Jacobian have no frozen scalar form; they are checked
-against central differences of the reference clearance instead.
+has no frozen scalar form: it is pinned bit for bit against the frozen
+batched fold, and checked against central differences of the reference
+clearance. The constraint Jacobian is checked against central
+differences too.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from threatnav.errors import DomainError
-from threatnav.geometry import Point2, wrap_angle, wrap_angles
+from threatnav.geometry import Point2, angular_separation, wrap_angle, wrap_angles
 from threatnav.planner import AgentConfig, PlannerOptions, Scenario, plan, transcribe
 from threatnav.pursuit import (
     PursuerThreat,
@@ -26,7 +28,13 @@ from threatnav.pursuit import (
     sample_boundary,
     xi_crossover,
 )
-from threatnav.turret import TurretThreat, boundary_threshold, boundary_threshold_batch, sample_turret_boundary
+from threatnav.turret import (
+    TurretThreat,
+    _threshold,
+    boundary_threshold,
+    boundary_threshold_batch,
+    sample_turret_boundary,
+)
 
 import reference_kernels as ref
 
@@ -75,6 +83,7 @@ def chords(threat, rng, n=600):
             [0.0, -0.0, R, -R, 0.0, 0.0],
             np.minimum(rng.uniform(0.0, mu, 50), R),  # interior candidate: mu > y
             -np.minimum(rng.uniform(0.0, mu, 50), R),
+            [0.0, 1e-300, -1e-300],
         ]
     )
     headings = rng.uniform(-4.0, 4.0, len(y))
@@ -83,6 +92,8 @@ def chords(threat, rng, n=600):
     # look angle minus heading on the +/- pi/2 seams of the beam
     seam = threat.look_angle - np.array([math.pi / 2, -math.pi / 2, 3 * math.pi / 2])
     headings[n + 6 : n + 9] = seam
+    # th one ulp above -pi (after the mirror too): th - pi rounds to -2 pi, a gap that wraps to a zero
+    headings[-3:] = threat.look_angle - np.array([np.nextafter(-math.pi, 0.0)] * 2 + [np.nextafter(math.pi, 0.0)])
     return y, headings
 
 
@@ -144,6 +155,81 @@ def test_turret_gradient_matches_central_differences(threat):
     assert checked > 0.99 * poses.size
 
 
+def turret_poses(threat, rng):
+    """Poses covering every fold and both pieces of ``clearance_and_gradient``.
+
+    The chords of ``chords`` at random offsets along their headings, chords
+    beyond the range (y0 clamped at +/-R), and poses on the turret's own
+    row with headings 0 and -0.0 (y0 == 0).
+    """
+    R = threat.engagement_range
+    y, headings = chords(threat, rng)
+    y = np.concatenate([y, rng.uniform(R, 2.0 * R, 40) * rng.choice([-1.0, 1.0], 40)])
+    headings = np.concatenate([headings, rng.choice([0.0, -0.0, math.pi, -math.pi], 40)])
+    x = rng.uniform(-2.0 * R, 2.0 * R, len(y))
+    ch, sh = np.cos(headings), np.sin(headings)
+    points = np.column_stack([x * ch - y * sh, x * sh + y * ch]) + threat.position.as_tuple()
+    along = np.array([-1.5, -0.5, 0.5, 1.5]) * R
+    row = np.column_stack([threat.position.x + np.tile(along, 2), np.full(8, threat.position.y)])
+    return np.vstack([points, row]), np.concatenate([headings, [0.0] * 4 + [-0.0] * 4])
+
+
+def fold_winner(y, heading, threat):
+    """The candidate of ``ref.boundary_threshold`` that gives M(y), the first on a tie, and whether y is mirrored."""
+    R, mu = threat.engagement_range, threat.mu
+    th = wrap_angle(threat.look_angle - heading)
+    mirrored = y < 0.0
+    if mirrored:
+        y, th = -y, wrap_angle(-th)
+    if y == 0.0:
+        return "axis", mirrored
+    c = math.sqrt(max(R * R - y * y, 0.0))
+
+    def reach(x):
+        return x - mu * angular_separation(th, math.atan2(y, x))
+
+    cands = {"exit": reach(c), "entry": reach(-c)}
+    if math.sin(th) > 0.0 and -c <= y * math.cos(th) / math.sin(th) <= c:
+        cands["crossing"] = y * math.cos(th) / math.sin(th)
+    if mu > y:
+        xs = -math.sqrt(y * (mu - y))
+        if -c <= xs <= c and wrap_angle(math.atan2(y, xs) - th) < 0.0:
+            cands["stationary"] = reach(xs)
+    top = max(cands.values())
+    return next(name for name, value in cands.items() if value == top), mirrored
+
+
+@pytest.mark.parametrize("threat", TURRETS, ids=lambda t: f"look{t.look_angle:.3f}_mu{t.mu}")
+def test_turret_partials_are_frozen(threat):
+    """M(y) with its partials, and all four outputs of ``clearance_and_gradient``, bit for bit the frozen fold."""
+    rng = np.random.default_rng(8)
+    y, headings = chords(threat, rng)
+    for name, got, want in zip(("M", "dM/dy", "dM/dth"), _threshold(y, threat, headings),
+                               ref.threshold_and_partials(y, threat, headings)):
+        assert bit_equal(got, want), name
+    points, headings = turret_poses(threat, rng)
+    got = threat.clearance_and_gradient(points, headings)
+    want = ref.turret_clearance_and_gradient(threat, points, headings)
+    for name, a, b in zip(("clearance", "d/dx", "d/dy", "d/dheading"), got, want):
+        assert bit_equal(a, b), name
+
+
+def test_frozen_corpus_covers_every_fold():
+    """``test_turret_partials_are_frozen`` sees every candidate win, mirrored and not, and each turret both pieces."""
+    winners = set()
+    for threat in TURRETS:
+        R = threat.engagement_range
+        rng = np.random.default_rng(8)
+        y, headings = chords(threat, rng)
+        winners |= {fold_winner(v, h, threat) for v, h in zip(y.tolist(), headings.tolist())}
+        points, headings = turret_poses(threat, rng)
+        _, y0, _, _ = threat._frame(points, headings)
+        clamped, lateral = np.abs(y0) > R, threat.clearance(points, headings) == np.abs(y0) - R
+        assert (y0 == 0.0).any() and lateral.any() and (clamped & ~lateral).any(), threat
+    expected = {(name, m) for name in ("exit", "entry", "crossing", "stationary") for m in (False, True)}
+    assert winners == expected | {("axis", False)}  # y == -0.0 is not mirrored
+
+
 def test_turret_batch_domain_errors():
     threat = TURRETS[0]
     at_turret = np.array([[1.0, 1.0], threat.position.as_tuple()])
@@ -156,6 +242,12 @@ def test_turret_batch_domain_errors():
         threat.clearance(np.array([[1.0, math.nan]]), np.zeros(1))
     with pytest.raises(DomainError, match="exceeds the engagement range"):
         boundary_threshold_batch(np.array([0.0, 2.0 * threat.engagement_range]), threat, np.zeros(2))
+    # a non-finite chord offset is named as one, not as an angle
+    with pytest.raises(DomainError, match="^chord offset must be finite, got nan$"):
+        boundary_threshold(float("nan"), TurretThreat(Point2(0, 0), 0.5, 0.5, 1.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=f"^chord offset must be finite, got {bad}$"):
+            boundary_threshold_batch(np.array([0.0, bad]), threat, np.zeros(2))
 
 
 # -- pursuer --------------------------------------------------------------------

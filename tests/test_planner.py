@@ -600,6 +600,45 @@ class TestTranscription:
         chord = np.append(np.zeros(n - 1), 6.0 / MU)  # the golden chord: every heading 0
         assert bit_equal(prob.endpoint_jacobian(chord), self.reference_endpoint_jacobian(prob, chord))
 
+    @staticmethod
+    def reference_clearance_jacobian(prob, z):
+        """The clearance Jacobian written out by hand, row by row, from each threat's pose partials."""
+        psi, t_f = z[:-1], z[-1]
+        n = prob.n
+        dt = t_f / (n - 1)
+        # node k moves with each earlier heading along that step turned a quarter left
+        turn_x, turn_y = -prob.speed * dt * np.sin(psi), prob.speed * dt * np.cos(psi)
+        points = prob.positions(z)
+        rows = []
+        for threat in prob.threats:
+            _, gx, gy, gpsi = threat.clearance_and_gradient(points[prob._node_idx], psi[prob._head_idx])
+            for k, j, a, b, p in zip(prob._node_idx, prob._head_idx, gx, gy, gpsi):
+                row = np.zeros(n)
+                row[:k] = a * turn_x[:k] + b * turn_y[:k]
+                row[j] += p
+                row[-1] = (a * (points[k, 0] - prob.a0[0]) + b * (points[k, 1] - prob.a0[1])) / t_f
+                rows.append(row)
+        return np.array(rows)
+
+    @pytest.mark.parametrize("n", [3, 20, 100])
+    def test_clearance_jacobian_is_the_hand_formula(self, n):
+        pursuer = PursuerThreat(Point2(-1.0, 0), mu=0.8, engagement_range=0.5, capture_radius=0.1)
+        turret = TurretThreat(Point2(1.2, 0.2), look_angle=2.0, mu=0.4, engagement_range=0.6)
+        scen = Scenario(
+            AgentConfig(Point2(-3, -0.2), Point2(3, 0.1), speed=0.8), (pursuer, turret), PlannerOptions(n_nodes=n)
+        )
+        prob = transcribe(scen)
+        rng = np.random.default_rng(n)
+        for draw in range(20):
+            z = np.append(rng.uniform(-math.pi, math.pi, n - 1), rng.uniform(4.0, 15.0))
+            if draw % 2:  # headings of exactly 0, -0.0 and +/-pi
+                k = max(1, n // 3)
+                z[rng.integers(0, n - 1, size=k)] = rng.choice([0.0, -0.0, math.pi, -math.pi], size=k)
+            reference = self.reference_clearance_jacobian(prob, z)
+            keep = rng.random(len(reference)) < 0.5
+            assert bit_equal(prob.clearance_jacobian(z, keep), reference[keep]), draw
+            assert bit_equal(prob.clearance_jacobian(z), reference), draw
+
     def test_endpoint_jacobian_matches_finite_differences(self):
         scen = golden_scenario()
         prob = transcribe(scen)
