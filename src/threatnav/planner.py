@@ -6,10 +6,15 @@ are chained forward from the start, so the decision vector is exactly
 n_nodes long (n_nodes - 1 headings plus the terminal time). The zone
 constraint has one row per node pose and threat: pursuer zones via the
 aspect-angle clearance with the node's segment heading, turret zones via
-the chord-threshold ray test. Each threat computes its clearance and
-its pose gradient for a batch of poses in one call, and SLSQP solves
-the program with analytic Jacobians: every row, the endpoint's
-included, is chained through ``_chain`` from its pose partials.
+the chord-threshold ray test. Every pose the module evaluates, a
+constraint row's, the per-node report's or the dense audit's, is a
+(segment k, fraction f) pose of a path, placed by one rule (``_place``):
+node k + f (node k+1 - node k) with segment k's heading, f = 1 reading
+node k+1 as stored. One helper (``_zone_rows``) asks each threat for the
+clearance and pose gradient of a batch of such poses in one call, and
+SLSQP solves the program with analytic Jacobians: every row, the
+endpoint's included, is chained through ``_chain`` from its pose
+partials.
 ``TranscribedProblem`` keeps the node positions, the steps between
 them and every row's clearance and pose partials for the last decision
 vector, so each decision vector runs each threat's kernel once: SLSQP's
@@ -76,13 +81,11 @@ _SCREEN_FRACTION = 0.1
 class Threat(Protocol):
     """An engagement zone centred on ``position``, as the planner sees it.
 
-    ``clearance`` maps n poses (an n x 2 array of points and n headings)
-    to n signed clearances, positive outside the zone, and
-    ``clearance_and_gradient`` maps them, in one kernel call, to those
-    clearances and three arrays of n partials of them, in x, y and
-    heading; the planner asks only ``clearance_and_gradient``, once per
-    decision vector, and the callers that need only values (the dense
-    audit and the per-node report) ask ``clearance``. ``keep_out_radius`` is the radius
+    ``clearance_and_gradient`` maps n poses (an n x 2 array of points and
+    n headings), in one kernel call, to n signed clearances, positive
+    outside the zone, and three arrays of n partials of them, in x, y and
+    heading; the planner's rows, the per-node report and the dense audit
+    all ask it, through one helper. ``keep_out_radius`` is the radius
     of the disk around ``position`` that no endpoint may enter and that
     circumnav_reach rides (0 when there is none). ``extent`` bounds how
     far from ``position`` the zone reaches; the detour warm starts bow
@@ -90,12 +93,10 @@ class Threat(Protocol):
     that ``resample_and_verify`` consults: it maps n poses to n booleans,
     True where a brute-force search finds an engagement of the agent
     holding its heading, and it must not call the closed forms behind
-    ``clearance``.
+    ``clearance_and_gradient``.
     """
 
     position: Point2
-
-    def clearance(self, points: np.ndarray, headings: np.ndarray) -> np.ndarray: ...
 
     def clearance_and_gradient(
         self, points: np.ndarray, headings: np.ndarray
@@ -207,14 +208,17 @@ class TranscribedProblem:
         # with both headings (the corner is instantaneous), so interior
         # nodes are constrained twice: once with the outgoing heading and
         # once with the incoming one. The 2n-2 poses are every node with
-        # its outgoing heading (the goal node reuses the last segment),
-        # then interior nodes 1..n-2 with the incoming heading.
+        # its outgoing heading, (k, 0) and the goal (n-2, 1), then interior
+        # nodes 1..n-2 with the incoming heading, (k, 1) for k = 0..n-3.
         n = self.n
-        self._node_idx = np.concatenate([np.arange(n), np.arange(1, n - 1)])
-        self._head_idx = np.concatenate([np.minimum(np.arange(n), n - 2), np.arange(0, n - 2)])
+        seg, frac = _node_poses(n)
+        self._seg = np.concatenate([seg, np.arange(n - 2)])
+        self._frac = np.concatenate([frac, np.ones(n - 2)])
+        # every fraction is 0 or 1, so the pose rule placed once on the node numbers gives each pose's node
+        self._node = _place(np.arange(n), self._seg, self._frac).astype(np.intp)
         # the node and heading index of each row of the stacked constraint vector, one block per threat
-        self._row_node = np.tile(self._node_idx, len(self.threats))
-        self._row_head = np.tile(self._head_idx, len(self.threats))
+        self._row_node = np.tile(self._node, len(self.threats))
+        self._row_head = np.tile(self._seg, len(self.threats))
         # heading j is at or after node k: no effect on it; per row, and for the goal node's two endpoint rows
         after = np.arange(n - 1) >= np.arange(n)[:, None]
         self._row_after = after[self._row_node]
@@ -279,16 +283,13 @@ class TranscribedProblem:
         return self._points
 
     def _evaluate(self, z: np.ndarray) -> np.ndarray:
-        """The rows (clearance, gx, gy, gpsi) of every constrained pose of every threat at z, stacked as 4 x m.
+        """``_zone_rows`` of every constrained pose at z, one ``clearance_and_gradient`` call per threat.
 
-        One ``clearance_and_gradient`` call per threat for each new z; the
-        answer is kept for the next call at the same z.
+        It is kept for the next call at the same z.
         """
         points = self._positions(z)
         if self._evaluated is None:
-            poses = points[self._node_idx], z[:-1][self._head_idx]
-            blocks = [np.array(t.clearance_and_gradient(*poses)) for t in self.threats]
-            self._evaluated = np.concatenate([np.empty((4, 0)), *blocks], axis=1)  # 4 x 0 with no threats
+            self._evaluated = _zone_rows(self.threats, points[self._node], z[:-1][self._seg])
             self._evaluated.flags.writeable = False  # clearances(z) hands out a view of it
         return self._evaluated
 
@@ -389,13 +390,15 @@ def plan(scenario: Scenario) -> PlanResult:
     if opts.initialization != "straight_line":
         seeds.append((opts.initialization, problem.pack(initialize(scenario, opts.initialization))))
 
-    clear = problem.clearances(chord)
-    if np.all(clear >= 0.0):  # a NaN clearance counts as blocked
-        min_clear = float(np.min(clear)) if clear.size else math.inf
-        _log.debug("chord clear: returned unsolved, t_f %.12g, min clearance %.6g", chord_time, min_clear)
-        return PlanResult(problem.unpack(chord), chord_time, True, min_clear, 0)
+    # a chord node exactly on a threat, where a zone's partials or frame are undefined, blocks the chord unevaluated
+    if not _on_a_threat(problem.positions(chord), scenario.threats):
+        clear = problem.clearances(chord)
+        if np.all(clear >= 0.0):  # a NaN clearance counts as blocked
+            min_clear = float(np.min(clear)) if clear.size else math.inf
+            _log.debug("chord clear: returned unsolved, t_f %.12g, min clearance %.6g", chord_time, min_clear)
+            return PlanResult(problem.unpack(chord), chord_time, True, min_clear, 0)
 
-    rows = np.ones(clear.size, dtype=bool)
+    rows = np.ones(len(problem._row_node), dtype=bool)
     coarse = None
     if opts.n_nodes > _COARSE_NODES:
         coarse = plan(replace(scenario, options=replace(opts, n_nodes=_COARSE_NODES)))
@@ -403,7 +406,7 @@ def plan(scenario: Scenario) -> PlanResult:
     # a coarse plan of 0 iterations is its clear chord, which says nothing of the blocked fine one
     if coarse is not None and coarse.converged and coarse.iterations > 0:
         z0 = problem.pack(coarse.trajectory)
-        extents = np.repeat([t.extent for t in scenario.threats], clear.size // len(scenario.threats))
+        extents = np.repeat([t.extent for t in scenario.threats], len(problem._seg))
         seeds, rows = [("coarse", z0)], problem.clearances(z0) < _SCREEN_FRACTION * extents
     elif not seeds or not np.all(problem.clearances(seeds[0][1]) >= 0.0):
         seeds.extend(zip(("detour+", "detour-"), (problem.pack(t) for t in _detour_seeds(scenario))))
@@ -463,12 +466,14 @@ def plan(scenario: Scenario) -> PlanResult:
 
 
 def clearances_along(trajectory: Trajectory, threats: Sequence[Threat]) -> np.ndarray:
-    """Per-node clearance matrix (n_nodes x n_threats) for reporting."""
-    psi_node = trajectory.node_headings
-    out = np.zeros((len(trajectory.points), len(threats)))
-    for j, threat in enumerate(threats):
-        out[:, j] = threat.clearance(trajectory.points, psi_node)
-    return out
+    """Per-node clearance matrix (n_nodes x n_threats) for reporting: each node with its outgoing heading.
+
+    These are the poses of the planner's first n rows, the goal's included, placed by the same rule.
+    """
+    n = len(trajectory.points)
+    seg, frac = _node_poses(n)
+    node = _place(np.arange(n), seg, frac).astype(np.intp)
+    return _zone_clearances(threats, trajectory.points[node], trajectory.headings[seg]).T
 
 
 def resample_and_verify(result: PlanResult, scenario: Scenario, factor: int) -> VerificationReport:
@@ -483,23 +488,22 @@ def resample_and_verify(result: PlanResult, scenario: Scenario, factor: int) -> 
         raise ValueError(f"factor must be at least 2, got {factor}")
     traj = result.trajectory
     tol = scenario.options.constraint_tolerance
-    # factor points per segment at s = j / factor, then the goal node
+    # factor poses per segment at fractions j / factor, then the goal node
     n_seg = len(traj.points) - 1
     seg = np.repeat(np.arange(n_seg), factor)
-    s = np.tile(np.arange(factor) / factor, n_seg)
+    frac = np.tile(np.arange(factor) / factor, n_seg)
     if n_seg:
-        seg, s = np.append(seg, n_seg - 1), np.append(s, 1.0)
-    pts, times = traj.points, traj.times
-    q = pts[seg] + s[:, None] * (pts[seg + 1] - pts[seg])
-    t = times[seg] + s * (times[seg + 1] - times[seg])
-    psi = traj.headings[seg]
+        seg, frac = np.append(seg, n_seg - 1), np.append(frac, 1.0)
+    q, psi = _place(traj.points, seg, frac), traj.headings[seg]
 
     worst, worst_time, disagreements = math.inf, 0.0, 0
     if scenario.threats:
-        clear = np.stack([threat.clearance(q, psi) for threat in scenario.threats], axis=1)
-        row, _ = np.unravel_index(np.argmin(clear), clear.shape)
-        worst, worst_time = float(clear[row].min()), float(t[row])
-        for threat, c in zip(scenario.threats, clear.T):
+        clear = _zone_clearances(scenario.threats, q, psi)
+        nearest = clear.min(axis=0)
+        row = int(np.argmin(nearest))  # the first pose with the least clearance of any threat
+        worst = float(nearest[row])
+        worst_time = float(_place(traj.times, seg[row : row + 1], frac[row : row + 1])[0])
+        for threat, c in zip(scenario.threats, clear):
             safe = c > tol
             disagreements += int(np.count_nonzero(threat.engageable(q[safe], psi[safe])))
     return VerificationReport(
@@ -511,6 +515,50 @@ def resample_and_verify(result: PlanResult, scenario: Scenario, factor: int) -> 
 
 
 # -- internals ---------------------------------------------------------------
+
+
+def _node_poses(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(segment, fraction) of each of n nodes with its outgoing heading: (k, 0) for k = 0..n-2, then the goal (n-2, 1)."""
+    seg, frac = np.arange(n), np.zeros(n)
+    seg[-1], frac[-1] = n - 2, 1.0
+    return seg, frac
+
+
+def _place(nodes: np.ndarray, seg: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Where the (segment, fraction) poses of a path sit: node k + f (node k+1 - node k) for pose (k, f).
+
+    ``nodes`` holds the path's points, one row per node, or any other per-node value (its times, or
+    its node numbers). A pose of fraction 1 reads node k+1 as stored, so a grid's poses sit exactly on
+    its nodes. The pose's heading is segment k's, ``headings[seg]``.
+    """
+    lo, hi = nodes[seg], nodes[seg + 1]
+    f = frac.reshape((-1,) + (1,) * (nodes.ndim - 1))
+    out = lo + f * (hi - lo)
+    np.copyto(out, hi, where=f == 1.0)
+    return out
+
+
+def _zone_rows(threats: Sequence[Threat], points: np.ndarray, headings: np.ndarray) -> np.ndarray:
+    """Every threat's ``clearance_and_gradient`` at the poses as 4 x (threats x poses), one block per threat.
+
+    The rows are the clearance and its partials in x, y and heading.
+    """
+    blocks = [np.array(t.clearance_and_gradient(points, headings)) for t in threats]
+    return np.concatenate([np.empty((4, 0)), *blocks], axis=1)  # 4 x 0 with no threats
+
+
+def _zone_clearances(threats: Sequence[Threat], points: np.ndarray, headings: np.ndarray) -> np.ndarray:
+    """The clearance row of ``_zone_rows`` as threats x poses, for the callers that need no partials.
+
+    A pose exactly on a pursuer has a clearance but no partials, so their division warnings are silenced.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _zone_rows(threats, points, headings)[0].reshape(len(threats), len(headings))
+
+
+def _on_a_threat(points: np.ndarray, threats: Sequence[Threat]) -> bool:
+    """True when some row of ``points`` is exactly some threat's position."""
+    return any(((points[:, 0] == t.position.x) & (points[:, 1] == t.position.y)).any() for t in threats)
 
 
 def _screen_endpoints(scenario: Scenario) -> None:

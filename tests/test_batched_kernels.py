@@ -405,10 +405,13 @@ def mixed_scenario(n):
 def reference_fd_jacobian(self, threat, z):
     """One threat's constraint Jacobian by column-by-column central differences."""
 
-    def block(zz):
-        return threat.clearance(self.positions(zz)[self._node_idx], zz[:-1][self._head_idx])
+    # the row table's (segment, fraction) poses: fraction 1 sits on the segment's far node
+    nodes, heads = self._seg + (self._frac == 1.0), self._seg
 
-    jac = np.zeros((len(self._node_idx), len(z)))
+    def block(zz):
+        return threat.clearance(self.positions(zz)[nodes], zz[:-1][heads])
+
+    jac = np.zeros((len(self._seg), len(z)))
     for j in range(len(z)):
         h = 1e-7 * max(1.0, abs(z[j]))
         zp, zm = z.copy(), z.copy()

@@ -299,6 +299,29 @@ class TestPlan:
         assert result["converged"] is True
         assert result["min_clearance"] >= -1e-4
 
+    @pytest.mark.parametrize("n", [5, 11])
+    @pytest.mark.parametrize("base", [GOLDEN, TURRET], ids=["golden", "turret"])
+    def test_chord_node_on_the_threat(self, tmp_path, base, n):
+        data = json.loads(base.read_text())
+        data["agent"]["start"], data["agent"]["goal"] = [-3.0, 0.0], [3.0, 0.0]  # the chord's middle node on the threat
+        data["planner"]["n_nodes"] = n
+        path = tmp_path / "on_chord.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["plan", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "result.json").read_text())["converged"] is True
+
+    def test_threat_free_scenario(self, tmp_path):
+        data = json.loads(GOLDEN.read_text())
+        data["threats"] = []
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps(data))
+        assert main(["plan", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "t,x,y,psi"
+        assert len(lines) == 101
+
     def test_mixed_scenario(self, tmp_path):
         assert main(["plan", str(MIXED), "--output-dir", str(tmp_path)]) == 0
         result = json.loads((tmp_path / "result.json").read_text())

@@ -284,8 +284,13 @@ class TestResampleAndVerify:
 
         dense = np.column_stack([np.linspace(-3.0, 3.0, 991), np.zeros(991)])
         inside = int(np.count_nonzero(threat.clearance(dense, np.zeros(991)) <= 1e-4))
-        true_clearance = PursuerThreat.clearance
-        monkeypatch.setattr(PursuerThreat, "clearance", lambda self, q, psi: true_clearance(self, q, psi) + 10.0)
+        true_rows = PursuerThreat.clearance_and_gradient
+
+        def shifted(self, q, psi):
+            value, *partials = true_rows(self, q, psi)
+            return (value + 10.0, *partials)
+
+        monkeypatch.setattr(PursuerThreat, "clearance_and_gradient", shifted)
         rep = resample_and_verify(blocked, scen, 10)
         assert rep.points_checked == 991
         assert inside > 0
@@ -398,15 +403,99 @@ class TestTurretPlanning:
         assert res.min_clearance >= -1e-4
 
 
+class TestChordNodeOnAThreat:
+    """A chord node exactly on a threat, where the zone's partials or frame are undefined, blocks the chord."""
+
+    TURRET = TurretThreat(Point2(0, 0), look_angle=math.pi / 6, mu=0.5, engagement_range=1.0)
+
+    @pytest.mark.parametrize("n", [5, 11])
+    @pytest.mark.parametrize("threat, speed", [(GOLDEN_THREAT, MU), (TURRET, 0.5)], ids=["pursuer", "turret"])
+    def test_plans_the_detours(self, n, threat, speed, solves):
+        scen = Scenario(
+            AgentConfig(Point2(-3, 0), Point2(3, 0), speed=speed), (threat,), PlannerOptions(n_nodes=n, constraint_tolerance=1e-4)
+        )
+        problem = transcribe(scen)
+        assert np.any(np.all(problem.positions(problem.chord()) == 0.0, axis=1))  # the middle node sits on the threat
+        res = plan(scen)
+        assert res.converged and res.iterations > 0
+        assert res.min_clearance >= -1e-4
+        assert len(solves) == 2  # both detours
+        assert not np.any(np.all(res.trajectory.points == 0.0, axis=1))
+
+    def test_report_and_audit_of_the_chord_through_the_pursuer(self):
+        scen = Scenario(GOLDEN_AGENT, (GOLDEN_THREAT,), PlannerOptions(n_nodes=5, constraint_tolerance=1e-4))
+        chord = initialize(scen, "straight_line")
+        want = GOLDEN_THREAT.clearance(chord.points, chord.node_headings).tolist()
+        assert clearances_along(chord, (GOLDEN_THREAT,))[:, 0].tolist() == want
+        rep = resample_and_verify(PlanResult(chord, chord.t_f, False, -math.inf, 0), scen, 10)
+        assert rep.worst_clearance == want[2] < 0.0  # the middle node, on the pursuer
+        assert rep.oracle_disagreements == 0
+
+    def test_the_turret_kernel_still_rejects_the_pose(self):
+        scen = Scenario(AgentConfig(Point2(-3, 0), Point2(3, 0), speed=0.5), (self.TURRET,), PlannerOptions(n_nodes=5))
+        problem = transcribe(scen)
+        with pytest.raises(DomainError, match="agent exactly at the turret position"):
+            problem.clearances(problem.chord())
+
+
+class TestThreatFree:
+    def test_report_and_audit(self):
+        scen = Scenario(AgentConfig(Point2(0, 0), Point2(0, 4), speed=0.9), (), PlannerOptions(n_nodes=7))
+        res = plan(scen)
+        assert clearances_along(res.trajectory, ()).shape == (7, 0)
+        rep = resample_and_verify(res, scen, 10)
+        assert rep.worst_clearance == math.inf
+        assert rep.oracle_disagreements == 0
+        assert rep.points_checked == 61
+
+
+class TestOnePoseRule:
+    """The report and the dense audit place their poses as the planner's rows do."""
+
+    @pytest.fixture(scope="class", params=["golden", "mixed"])
+    def solved(self, request):
+        scen = load_scenario(GOLDEN_FILE.with_name(f"{request.param}.json")).scenario
+        res = plan(scen)
+        problem = transcribe(scen)
+        z = np.append(res.trajectory.headings, res.t_f)
+        blocks = problem.clearances(z).reshape(len(scen.threats), 2 * problem.n - 2)
+        return scen, res, problem, z, blocks
+
+    def test_fractions_zero_and_one_read_the_nodes_as_stored(self):
+        nodes = np.array([[1e16, -2.0], [1.0, 0.1]])  # 1e16 + (1.0 - 1e16) rounds to 0.0
+        placed = planner._place(nodes, np.zeros(3, dtype=int), np.array([0.0, 0.5, 1.0]))
+        assert bit_equal(placed[[0, 2]], nodes)
+
+    def test_report_is_the_first_n_rows_of_each_block(self, solved):
+        scen, _, problem, z, blocks = solved
+        assert bit_equal(clearances_along(problem.unpack(z), scen.threats), blocks[:, : problem.n].T)
+
+    def test_audit_fraction_zero_poses_are_the_node_rows(self, solved, monkeypatch):
+        scen, res, problem, _, blocks = solved
+        seen = []
+        real = planner._zone_rows
+
+        def spy(threats, points, headings):
+            seen.append((points, headings))
+            return real(threats, points, headings)
+
+        monkeypatch.setattr(planner, "_zone_rows", spy)
+        rep = resample_and_verify(res, scen, 10)
+        ((points, headings),) = seen
+        traj, n = res.trajectory, problem.n
+        assert rep.points_checked == len(points) == 10 * (n - 1) + 1
+        nodes = np.append(np.arange(0, 10 * (n - 1), 10), 10 * (n - 1))  # fraction 0 of each segment, then the goal
+        assert bit_equal(points[nodes], traj.points)
+        assert bit_equal(headings[nodes], traj.node_headings)
+        assert bit_equal(real(scen.threats, points[nodes], headings[nodes])[0], blocks[:, :n].ravel())
+
+
 @dataclass(frozen=True)
 class DiskThreat:
     """A zone kind the library does not know: a plain disk, whatever the heading."""
 
     position: Point2
     radius: float
-
-    def clearance(self, points, headings):
-        return np.hypot(points[:, 0] - self.position.x, points[:, 1] - self.position.y) - self.radius
 
     def clearance_and_gradient(self, points, headings):
         dx, dy = points[:, 0] - self.position.x, points[:, 1] - self.position.y
@@ -462,7 +551,10 @@ class TestThreatProtocol:
         blocked = PlanResult(chord, float(chord.times[-1]), False, -math.inf, 0)
         dense = np.column_stack([np.linspace(-3.0, 3.0, 391), np.zeros(391)])
         inside = int(np.count_nonzero(self.DISK.engageable(dense, np.zeros(391))))
-        monkeypatch.setattr(DiskThreat, "clearance", lambda self, q, psi: np.full(len(q), 10.0))
+        true_rows = DiskThreat.clearance_and_gradient
+        monkeypatch.setattr(
+            DiskThreat, "clearance_and_gradient", lambda self, q, psi: (np.full(len(q), 10.0), *true_rows(self, q, psi)[1:])
+        )
         assert inside > 0
         assert resample_and_verify(blocked, scen, 10).oracle_disagreements == inside
 
@@ -609,10 +701,12 @@ class TestTranscription:
         # node k moves with each earlier heading along that step turned a quarter left
         turn_x, turn_y = -prob.speed * dt * np.sin(psi), prob.speed * dt * np.cos(psi)
         points = prob.positions(z)
+        # the row table's (segment, fraction) poses: fraction 1 sits on the segment's far node
+        nodes, heads = prob._seg + (prob._frac == 1.0), prob._seg
         rows = []
         for threat in prob.threats:
-            _, gx, gy, gpsi = threat.clearance_and_gradient(points[prob._node_idx], psi[prob._head_idx])
-            for k, j, a, b, p in zip(prob._node_idx, prob._head_idx, gx, gy, gpsi):
+            _, gx, gy, gpsi = threat.clearance_and_gradient(points[nodes], psi[heads])
+            for k, j, a, b, p in zip(nodes, heads, gx, gy, gpsi):
                 row = np.zeros(n)
                 row[:k] = a * turn_x[:k] + b * turn_y[:k]
                 row[j] += p
