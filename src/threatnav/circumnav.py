@@ -92,7 +92,8 @@ def circumnavigate(
 ) -> CircumnavResult:
     """Minimum-time tangent-arc-tangent route around the spec's circle.
 
-    Both endpoints must lie outside the circle. If the straight chord
+    Both endpoints must lie outside the circle, and apart: a path needs a
+    segment, so equal endpoints raise ValueError. If the straight chord
     does not cross the circle the straight segment is returned with a
     degenerate flag instead of raising, so batch comparisons never abort.
     """

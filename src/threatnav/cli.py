@@ -30,6 +30,7 @@ from .geometry import Point2, wrap_angle
 from .planner import Scenario, clearances_along, plan
 from .pursuit import PursuerThreat, sample_boundary
 from .scenario_io import OutputConfig, load_scenario
+from .trajectory import node_poses
 from .turret import TurretThreat, sample_turret_boundary
 from .verification import pursuit_equivalence_sweep, turret_equivalence_sweep
 
@@ -240,7 +241,7 @@ def _cmd_plan(args) -> int:
 def _trajectory_lines(traj, threats):
     """trajectory.csv lines; a generator, so a skipped CSV computes no clearances."""
     clear = clearances_along(traj, threats)
-    psi_node = traj.node_headings
+    psi_node = traj.headings[node_poses(len(traj.points))[0]]  # each node's outgoing heading, as in clear
     yield ",".join(["t", "x", "y", "psi"] + [f"clearance_{j}" for j in range(len(threats))])
     for i in range(len(traj.points)):
         vals = [traj.times[i], traj.points[i, 0], traj.points[i, 1], psi_node[i]]

@@ -8,13 +8,14 @@ constraint has one row per node pose and threat: pursuer zones via the
 aspect-angle clearance with the node's segment heading, turret zones via
 the chord-threshold ray test. Every pose the module evaluates, a
 constraint row's, the per-node report's or the dense audit's, is a
-(segment k, fraction f) pose of a path, placed by one rule (``_place``):
-node k + f (node k+1 - node k) with segment k's heading, f = 1 reading
-node k+1 as stored. One helper (``_zone_rows``) asks each threat for the
-clearance and pose gradient of a batch of such poses in one call, and
-SLSQP solves the program with analytic Jacobians: every row, the
-endpoint's included, is chained through ``_chain`` from its pose
-partials.
+(segment k, fraction f) pose of a path, which has at least one segment.
+``trajectory.place`` puts it at node k + f (node k+1 - node k) with
+segment k's heading, f = 1 reading node k+1 as stored, and
+``trajectory.node_poses`` names each node as such a pose. One helper
+(``_zone_rows``) asks each threat for the clearance and pose gradient of
+a batch of such poses in one call, and SLSQP solves the program with
+analytic Jacobians: every zone row is chained through ``_chain`` from
+its pose partials, and the endpoint's rows are the kept steps.
 ``TranscribedProblem`` keeps the node positions, the steps between
 them and every row's clearance and pose partials for the last decision
 vector, so each decision vector runs each threat's kernel once: SLSQP's
@@ -59,7 +60,7 @@ from .errors import DomainError, InfeasibleError
 from .geometry import Point2, distance, require_number
 from .oracle import pursuit_capture_possible, turret_neutralization_possible  # noqa: F401
 from .pursuit import rho, rho_derivative  # noqa: F401
-from .trajectory import Trajectory
+from .trajectory import Trajectory, node_poses, place
 from .turret import turret_clearance  # noqa: F401
 
 # The planner knows a threat only through the Threat protocol, so none of
@@ -211,19 +212,16 @@ class TranscribedProblem:
         # its outgoing heading, (k, 0) and the goal (n-2, 1), then interior
         # nodes 1..n-2 with the incoming heading, (k, 1) for k = 0..n-3.
         n = self.n
-        seg, frac = _node_poses(n)
+        seg, frac = node_poses(n)
         self._seg = np.concatenate([seg, np.arange(n - 2)])
         self._frac = np.concatenate([frac, np.ones(n - 2)])
         # every fraction is 0 or 1, so the pose rule placed once on the node numbers gives each pose's node
-        self._node = _place(np.arange(n), self._seg, self._frac).astype(np.intp)
+        self._node = place(np.arange(n), self._seg, self._frac).astype(np.intp)
         # the node and heading index of each row of the stacked constraint vector, one block per threat
         self._row_node = np.tile(self._node, len(self.threats))
         self._row_head = np.tile(self._seg, len(self.threats))
-        # heading j is at or after node k: no effect on it; per row, and for the goal node's two endpoint rows
-        after = np.arange(n - 1) >= np.arange(n)[:, None]
-        self._row_after = after[self._row_node]
-        self._goal = np.full(2, n - 1)
-        self._goal_after = after[self._goal]
+        # heading j is at or after node k: no effect on it
+        self._row_after = (np.arange(n - 1) >= np.arange(n)[:, None])[self._row_node]
         self._z: Optional[bytes] = None  # the memo: the last z, its node positions and steps, and every row there
         self._points = np.empty((0, 2))
         self._steps = np.empty((0, 2))
@@ -238,30 +236,37 @@ class TranscribedProblem:
         return np.append(np.full(self.n - 1, heading), distance(start, goal) / self.speed)
 
     def positions(self, z: np.ndarray) -> np.ndarray:
-        """Node positions (n x 2) of z."""
-        return self._walk(z)[0]
+        """Node positions (n x 2) of z, read-only.
 
-    def _walk(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Node positions (n x 2) of z and the steps between them, (speed dt) (cos psi, sin psi) per segment."""
-        psi, t_f = z[:-1], z[-1]
-        dt = t_f / (self.n - 1)
-        steps = self.speed * dt * np.stack([np.cos(psi), np.sin(psi)], axis=1)
-        out = np.empty((self.n, 2))
-        out[0] = self.a0
-        np.cumsum(steps, axis=0, out=out[1:])
-        out[1:] += self.a0
-        return out, steps
+        They are kept with the steps between them, (speed dt) (cos psi, sin psi) per segment, for the
+        next call at the same z; a new z drops the memo's rows.
+        """
+        key = z.tobytes()
+        if key != self._z:
+            psi, t_f = z[:-1], z[-1]
+            dt = t_f / (self.n - 1)
+            self._steps = self.speed * dt * np.stack([np.cos(psi), np.sin(psi)], axis=1)
+            self._points = np.empty((self.n, 2))
+            self._points[0] = self.a0
+            np.cumsum(self._steps, axis=0, out=self._points[1:])
+            self._points[1:] += self.a0
+            self._points.flags.writeable = False
+            self._z, self._evaluated = key, None
+        return self._points
 
     # -- endpoint equality -------------------------------------------------
 
     def endpoint(self, z: np.ndarray) -> np.ndarray:
-        return self._positions(z)[-1] - self.af
+        return self.positions(z)[-1] - self.af
 
     def endpoint_jacobian(self, z: np.ndarray) -> np.ndarray:
-        """``_chain`` at the goal node, whose x and y have pose partials (1, 0, 0) and (0, 1, 0)."""
-        # a zero partial is -0.0, which leaves each term it is added to as it was, a signed zero included
-        gx, gy, gpsi = np.array([1.0, -0.0]), np.array([-0.0, 1.0]), np.array([-0.0, -0.0])
-        return self._chain(z, self._goal, self._goal - 1, self._goal_after, gx, gy, gpsi)
+        """Every heading turns its step a quarter left, (-step_y, step_x); t_f scales the goal's offset from the start."""
+        goal = self.positions(z)[-1] - self.a0
+        jac = np.empty((2, self.n))
+        np.negative(self._steps[:, 1], out=jac[0, :-1])
+        jac[1, :-1] = self._steps[:, 0]
+        jac[:, -1] = goal / z[-1]
+        return jac
 
     # -- zone clearances ----------------------------------------------------
 
@@ -275,19 +280,12 @@ class TranscribedProblem:
         rows_of = self._row_node[keep], self._row_head[keep], self._row_after[keep]
         return self._chain(z, *rows_of, *self._evaluate(z)[1:, keep])
 
-    def _positions(self, z: np.ndarray) -> np.ndarray:
-        """``positions(z)``, kept with its steps for the next call at the same z; a new z drops the memo's rows."""
-        key = z.tobytes()
-        if key != self._z:
-            (self._points, self._steps), self._z, self._evaluated = self._walk(z), key, None
-        return self._points
-
     def _evaluate(self, z: np.ndarray) -> np.ndarray:
         """``_zone_rows`` of every constrained pose at z, one ``clearance_and_gradient`` call per threat.
 
         It is kept for the next call at the same z.
         """
-        points = self._positions(z)
+        points = self.positions(z)
         if self._evaluated is None:
             self._evaluated = _zone_rows(self.threats, points[self._node], z[:-1][self._seg])
             self._evaluated.flags.writeable = False  # clearances(z) hands out a view of it
@@ -300,7 +298,7 @@ class TranscribedProblem:
         its step turned a quarter left, (-step_y, step_x), read from the memo with no trigonometry.
         """
         n = self.n
-        points, steps = self._positions(z), self._steps
+        points, steps = self.positions(z), self._steps
         m = len(nodes)
         jac = np.empty((m, n))
         # position chain: node k depends on headings 0..k-1, so each row is zeroed from its node on
@@ -328,7 +326,7 @@ class TranscribedProblem:
         t_f = float(z[-1])
         times = np.linspace(0.0, t_f, self.n)
         return Trajectory(
-            times=times, points=self.positions(z), headings=z[:-1].copy(), speed=self.speed
+            times=times, points=self.positions(z).copy(), headings=z[:-1].copy(), speed=self.speed
         )
 
 
@@ -471,8 +469,8 @@ def clearances_along(trajectory: Trajectory, threats: Sequence[Threat]) -> np.nd
     These are the poses of the planner's first n rows, the goal's included, placed by the same rule.
     """
     n = len(trajectory.points)
-    seg, frac = _node_poses(n)
-    node = _place(np.arange(n), seg, frac).astype(np.intp)
+    seg, frac = node_poses(n)
+    node = place(np.arange(n), seg, frac).astype(np.intp)
     return _zone_clearances(threats, trajectory.points[node], trajectory.headings[seg]).T
 
 
@@ -489,12 +487,10 @@ def resample_and_verify(result: PlanResult, scenario: Scenario, factor: int) -> 
     traj = result.trajectory
     tol = scenario.options.constraint_tolerance
     # factor poses per segment at fractions j / factor, then the goal node
-    n_seg = len(traj.points) - 1
-    seg = np.repeat(np.arange(n_seg), factor)
-    frac = np.tile(np.arange(factor) / factor, n_seg)
-    if n_seg:
-        seg, frac = np.append(seg, n_seg - 1), np.append(frac, 1.0)
-    q, psi = _place(traj.points, seg, frac), traj.headings[seg]
+    n_seg = len(traj.headings)
+    seg = np.append(np.repeat(np.arange(n_seg), factor), n_seg - 1)
+    frac = np.append(np.tile(np.arange(factor) / factor, n_seg), 1.0)
+    q, psi = place(traj.points, seg, frac), traj.headings[seg]
 
     worst, worst_time, disagreements = math.inf, 0.0, 0
     if scenario.threats:
@@ -502,7 +498,7 @@ def resample_and_verify(result: PlanResult, scenario: Scenario, factor: int) -> 
         nearest = clear.min(axis=0)
         row = int(np.argmin(nearest))  # the first pose with the least clearance of any threat
         worst = float(nearest[row])
-        worst_time = float(_place(traj.times, seg[row : row + 1], frac[row : row + 1])[0])
+        worst_time = float(place(traj.times, seg[row : row + 1], frac[row : row + 1])[0])
         for threat, c in zip(scenario.threats, clear):
             safe = c > tol
             disagreements += int(np.count_nonzero(threat.engageable(q[safe], psi[safe])))
@@ -515,27 +511,6 @@ def resample_and_verify(result: PlanResult, scenario: Scenario, factor: int) -> 
 
 
 # -- internals ---------------------------------------------------------------
-
-
-def _node_poses(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(segment, fraction) of each of n nodes with its outgoing heading: (k, 0) for k = 0..n-2, then the goal (n-2, 1)."""
-    seg, frac = np.arange(n), np.zeros(n)
-    seg[-1], frac[-1] = n - 2, 1.0
-    return seg, frac
-
-
-def _place(nodes: np.ndarray, seg: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """Where the (segment, fraction) poses of a path sit: node k + f (node k+1 - node k) for pose (k, f).
-
-    ``nodes`` holds the path's points, one row per node, or any other per-node value (its times, or
-    its node numbers). A pose of fraction 1 reads node k+1 as stored, so a grid's poses sit exactly on
-    its nodes. The pose's heading is segment k's, ``headings[seg]``.
-    """
-    lo, hi = nodes[seg], nodes[seg + 1]
-    f = frac.reshape((-1,) + (1,) * (nodes.ndim - 1))
-    out = lo + f * (hi - lo)
-    np.copyto(out, hi, where=f == 1.0)
-    return out
 
 
 def _zone_rows(threats: Sequence[Threat], points: np.ndarray, headings: np.ndarray) -> np.ndarray:

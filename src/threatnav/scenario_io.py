@@ -72,7 +72,12 @@ def scenario_from_dict(data: Any) -> ScenarioDocument:
     if not isinstance(threats_raw, list):
         raise ScenarioError("$.threats", "must be an array")
     threats = tuple(_threat(raw, f"$.threats[{i}]") for i, raw in enumerate(threats_raw))
-    options = _section(_PLANNER, data.get("planner", {}), "$.planner", threats=threats)
+    options = _section(_PLANNER, data.get("planner", {}), "$.planner")
+    if options.initialization == "circumnav_reach":
+        try:
+            _reach_threat(threats)  # the rule and message of initialize
+        except ValueError as exc:
+            raise ScenarioError("$.planner.initialization", str(exc)) from exc
     output = _section(_OUTPUT, data.get("output", {}), "$.output")
     return ScenarioDocument(scenario=Scenario(agent=agent, threats=threats, options=options), output=output)
 
@@ -102,15 +107,15 @@ def _threat_to_dict(threat) -> dict:
     return {"kind": kind, **_section_dict(_THREAT_KINDS[kind], threat)}
 
 
-def _section(spec, raw: Any, location: str, **context):
-    """Parse one section by its table entry, calling ``parse(value, location, **context)`` per key."""
+def _section(spec, raw: Any, location: str):
+    """Parse one section by its table entry, calling ``parse(value, location)`` per key."""
     cls, keys = spec
     _reject_unknown(raw, {key for key, _, _ in keys}, location)
     optional = {f.name for f in fields(cls) if f.default is not MISSING}
     values = {}
     for key, name, parse in keys:
         if key in raw or name not in optional:
-            values[name] = parse(_require(raw, key, location), f"{location}.{key}", **context)
+            values[name] = parse(_require(raw, key, location), f"{location}.{key}")
     return _build(cls, location, **values)
 
 
@@ -148,7 +153,7 @@ def _require(raw: dict, key: str, location: str) -> Any:
     return raw[key]
 
 
-def _number(value: Any, location: str, **_) -> float:
+def _number(value: Any, location: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(location, f"expected a number, got {value!r}")
     try:
@@ -157,38 +162,33 @@ def _number(value: Any, location: str, **_) -> float:
         raise ScenarioError(location, str(exc)) from exc
 
 
-def _integer(value: Any, location: str, **_) -> int:
+def _integer(value: Any, location: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(location, f"expected an integer, got {value!r}")
     return value
 
 
-def _point(value: Any, location: str, **_) -> Point2:
+def _point(value: Any, location: str) -> Point2:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ScenarioError(location, f"expected [x, y], got {value!r}")
     return _build(Point2, location, x=_number(value[0], location), y=_number(value[1], location))
 
 
-def _directory(value: Any, location: str, **_) -> Optional[str]:
+def _directory(value: Any, location: str) -> Optional[str]:
     if value is not None and not isinstance(value, str):
         raise ScenarioError(location, f"expected a string or null, got {value!r}")
     return value
 
 
-def _formats(value: Any, location: str, **_) -> tuple[str, ...]:
+def _formats(value: Any, location: str) -> tuple[str, ...]:
     if not (isinstance(value, list) and all(fmt in _FORMATS for fmt in value)):
         raise ScenarioError(location, f'expected an array of "csv"/"json", got {value!r}')
     return tuple(value)
 
 
-def _initialization(value: Any, location: str, threats=(), **_) -> str:
+def _initialization(value: Any, location: str) -> str:
     if value == "custom":
         raise ScenarioError(location, "custom initialization needs a trajectory; use the library")
-    if value == "circumnav_reach":
-        try:
-            _reach_threat(threats)  # the rule and message of initialize
-        except ValueError as exc:
-            raise ScenarioError(location, str(exc)) from exc
     if value not in ("straight_line", "circumnav_reach"):
         raise ScenarioError(location, f"unknown initialization {value!r}")
     return value

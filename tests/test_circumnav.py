@@ -159,8 +159,13 @@ def test_from_polyline_drops_zero_length_segments():
     assert traj.headings[1] == math.pi / 2
 
 
-def test_node_headings_reuse_the_last_segment_at_the_goal():
-    traj = Trajectory.from_polyline([(0.0, 0.0), (3.0, 4.0), (3.0, 6.0)], 2.0)
-    assert traj.node_headings.tolist() == [traj.headings[0], math.pi / 2, math.pi / 2]
-    single = Trajectory(times=[0.0], points=[[1.0, 2.0]], headings=[])
-    assert single.node_headings.tolist() == [0.0]
+def test_a_trajectory_without_a_segment_is_rejected():
+    with pytest.raises(ValueError, match=r"at least one segment, got 1 point\(s\)"):
+        Trajectory(times=[0.0], points=[[1.0, 2.0]], headings=[])
+    with pytest.raises(ValueError, match=r"at least one segment, got 1 point\(s\)"):
+        Trajectory.from_polyline([[1.0, 2.0], [1.0, 2.0]], 1.0)  # the zero-length segment is dropped
+
+
+def test_circumnavigating_to_the_start_is_rejected():
+    with pytest.raises(ValueError, match="at least one segment"):
+        circumnavigate(Point2(-2, 2), Point2(-2, 2), ORIGIN, CircumnavSpec("x", 1.0), 0.5)

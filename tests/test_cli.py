@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from threatnav import planner
-from threatnav.cli import main
+from threatnav.cli import _g, main
+from threatnav.scenario_io import load_scenario
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios" / "golden.json"
 TURRET = GOLDEN.with_name("turret.json")
@@ -101,6 +102,13 @@ class TestPlan:
         assert len(rows) == 100
         assert "clearance_0" in rows[0]
         assert min(float(r["clearance_0"]) for r in rows) >= -1e-4
+
+    def test_psi_is_each_nodes_outgoing_heading(self, tmp_path):
+        assert main(["plan", str(GOLDEN), "--output-dir", str(tmp_path)]) == 0
+        headings = planner.plan(load_scenario(GOLDEN).scenario).trajectory.headings
+        psi = [row["psi"] for row in read_csv(tmp_path / "trajectory.csv")]
+        assert psi[:-1] == [_g(float(h)) for h in headings]
+        assert psi[-1] == psi[-2] == _g(float(headings[-1]))  # the goal row repeats the last segment's heading
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

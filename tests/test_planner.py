@@ -25,6 +25,7 @@ from threatnav.planner import (
 )
 from threatnav.pursuit import PursuerThreat, signed_clearance
 from threatnav.scenario_io import load_scenario
+from threatnav.trajectory import node_poses, place
 from threatnav.turret import TurretThreat
 
 from test_batched_kernels import bit_equal
@@ -310,7 +311,7 @@ class TestInitialize:
         traj = initialize(scen, "circumnav_reach")
         clear = [
             signed_clearance(Point2(*p), float(h), GOLDEN_THREAT)
-            for p, h in zip(traj.points, traj.node_headings)
+            for p, h in zip(traj.points, traj.headings[node_poses(len(traj.points))[0]])
         ]
         assert min(clear) >= 0.0
 
@@ -425,7 +426,7 @@ class TestChordNodeOnAThreat:
     def test_report_and_audit_of_the_chord_through_the_pursuer(self):
         scen = Scenario(GOLDEN_AGENT, (GOLDEN_THREAT,), PlannerOptions(n_nodes=5, constraint_tolerance=1e-4))
         chord = initialize(scen, "straight_line")
-        want = GOLDEN_THREAT.clearance(chord.points, chord.node_headings).tolist()
+        want = GOLDEN_THREAT.clearance(chord.points, chord.headings[node_poses(5)[0]]).tolist()
         assert clearances_along(chord, (GOLDEN_THREAT,))[:, 0].tolist() == want
         rep = resample_and_verify(PlanResult(chord, chord.t_f, False, -math.inf, 0), scen, 10)
         assert rep.worst_clearance == want[2] < 0.0  # the middle node, on the pursuer
@@ -463,7 +464,7 @@ class TestOnePoseRule:
 
     def test_fractions_zero_and_one_read_the_nodes_as_stored(self):
         nodes = np.array([[1e16, -2.0], [1.0, 0.1]])  # 1e16 + (1.0 - 1e16) rounds to 0.0
-        placed = planner._place(nodes, np.zeros(3, dtype=int), np.array([0.0, 0.5, 1.0]))
+        placed = place(nodes, np.zeros(3, dtype=int), np.array([0.0, 0.5, 1.0]))
         assert bit_equal(placed[[0, 2]], nodes)
 
     def test_report_is_the_first_n_rows_of_each_block(self, solved):
@@ -486,7 +487,7 @@ class TestOnePoseRule:
         assert rep.points_checked == len(points) == 10 * (n - 1) + 1
         nodes = np.append(np.arange(0, 10 * (n - 1), 10), 10 * (n - 1))  # fraction 0 of each segment, then the goal
         assert bit_equal(points[nodes], traj.points)
-        assert bit_equal(headings[nodes], traj.node_headings)
+        assert bit_equal(headings[nodes], traj.headings[node_poses(n)[0]])
         assert bit_equal(real(scen.threats, points[nodes], headings[nodes])[0], blocks[:, :n].ravel())
 
 
@@ -594,6 +595,15 @@ class TestMemo:
         assert bit_equal(prob.endpoint_jacobian(z), fresh.endpoint_jacobian(z.copy()))
         assert bit_equal(prob.clearances(z, keep), fresh.clearances(z.copy(), keep))
         assert not bit_equal(first, prob.clearances(z, keep))
+
+    def test_unpack_hands_out_a_copy_of_the_memo(self):
+        prob = self.mixed_problem()
+        z = np.append(np.linspace(-0.4, 0.4, 19), 9.0)
+        points = prob.unpack(z).points
+        kept = prob.positions(z).copy()
+        points += 1.0
+        assert bit_equal(prob.positions(z), kept)
+        assert bit_equal(prob.positions(z), self.mixed_problem().positions(z))
 
     def test_other_rows_at_the_same_z_come_from_the_memo(self, monkeypatch):
         prob = self.mixed_problem()
