@@ -33,16 +33,19 @@ both sides instead (and from the circumnav_reach or custom warm start
 when one is chosen, adding the detours only when that one is blocked
 too), and keeps the best feasible result.
 
-Grids finer than _COARSE_NODES are solved coarse to fine. The scenario
-is first planned on the coarse grid, and that plan, packed onto the fine
-grid, is the only warm start. SLSQP sees only the rows whose clearance
-there is below _SCREEN_FRACTION of their threat's extent; after each
-solve every row is checked again, and any screened-out row below
--constraint_tolerance joins the next solve from that result. When the
-coarse plan did not converge, or is an unsolved clear chord, the fine
-grid is solved from the warm starts above with every row. ``converged``
-and ``min_clearance`` always come from every row. Each solve logs one
-debug line to the ``threatnav.planner`` logger.
+Grids are solved coarse to fine on a halving ladder. A grid of n nodes
+whose half, (n + 1) // 2 nodes, is at least _COARSE_NODES is first
+planned on that half, by the same rule, so golden n=800 runs 25, 50,
+100, 200, 400 and 800 nodes. The half grid's plan, packed onto the
+finer grid, is then the only warm start. SLSQP sees only the rows whose
+clearance there is below _SCREEN_FRACTION of their threat's extent;
+after each solve every row is checked again, and any screened-out row
+below -constraint_tolerance joins the next solve from that result. When
+the half grid's plan did not converge, or is an unsolved clear chord,
+the finer grid is solved from the warm starts above with every row; so
+is every grid whose half is below _COARSE_NODES. ``converged`` and
+``min_clearance`` always come from every row. Each solve logs one debug
+line to the ``threatnav.planner`` logger.
 """
 
 from __future__ import annotations
@@ -71,10 +74,12 @@ from .turret import turret_clearance  # noqa: F401
 
 _log = logging.getLogger(__name__)
 
-_COARSE_NODES = 50  # finer grids start from a plan on this one
+# The coarsest grid of the ladder: a grid whose half is at least this
+# many nodes starts from the plan on its half, and no grid is halved below it.
+_COARSE_NODES = 25
 # Rows whose warm-start clearance is below this share of their threat's
 # extent enter the first fine solve. The share guards more than speed: at
-# 0, golden n=100 and n=200 converge to local optima 12% and 23% slower,
+# 0, golden n=100 and n=200 converge to local optima 16% and 15% slower,
 # and adding the violated rows afterwards does not undo that.
 _SCREEN_FRACTION = 0.1
 
@@ -364,13 +369,14 @@ def plan(scenario: Scenario) -> PlanResult:
     """Solve the minimum-time problem for the scenario.
 
     A chord that clears every zone at every node pose is returned as is
-    (0 iterations): no path is faster. A grid finer than _COARSE_NODES is
-    solved from the coarse grid's plan over the rows that can bind, as
-    the module docstring says. Otherwise the warm starts that can win are
-    solved (the two detours for straight_line; the chosen warm start,
-    plus the detours when it is blocked, for circumnav_reach and custom)
-    and the best feasible result is kept. ``iterations`` counts every
-    solve, the coarse grid's included.
+    (0 iterations): no path is faster. A grid of n nodes with
+    (n + 1) // 2 >= _COARSE_NODES is solved from ``plan`` on that half
+    grid over the rows that can bind, as the module docstring says.
+    Otherwise the warm starts that can win are solved (the two detours
+    for straight_line; the chosen warm start, plus the detours when it is
+    blocked, for circumnav_reach and custom) and the best feasible result
+    is kept. ``iterations`` counts every solve on every level of the
+    ladder.
 
     Raises InfeasibleError when an endpoint sits strictly inside a
     threat's keep-out disk (a pursuer's capturability disk), and
@@ -398,8 +404,9 @@ def plan(scenario: Scenario) -> PlanResult:
 
     rows = np.ones(len(problem._row_node), dtype=bool)
     coarse = None
-    if opts.n_nodes > _COARSE_NODES:
-        coarse = plan(replace(scenario, options=replace(opts, n_nodes=_COARSE_NODES)))
+    half = (opts.n_nodes + 1) // 2
+    if half >= _COARSE_NODES:
+        coarse = plan(replace(scenario, options=replace(opts, n_nodes=half)))
     total_nit = coarse.iterations if coarse is not None else 0
     # a coarse plan of 0 iterations is its clear chord, which says nothing of the blocked fine one
     if coarse is not None and coarse.converged and coarse.iterations > 0:

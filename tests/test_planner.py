@@ -84,7 +84,7 @@ def far_scenario():
 
 class TestSeedRule:
     def test_blocked_chord_solves_only_the_detours(self, solves):
-        res = plan(golden_scenario(n_nodes=50))
+        res = plan(golden_scenario(n_nodes=48))
         assert len(solves) == 2
         assert res.converged
 
@@ -98,7 +98,7 @@ class TestSeedRule:
         assert res.min_clearance > 0.0
 
     def test_circumnav_reach_warm_start_is_solved(self, solves):
-        scen = golden_scenario(n_nodes=50, initialization="circumnav_reach")
+        scen = golden_scenario(n_nodes=48, initialization="circumnav_reach")
         reach = transcribe(scen).pack(initialize(scen, "circumnav_reach"))
         res = plan(scen)
         assert len(solves) == 1  # the Reach path clears the zone, so no detours
@@ -106,16 +106,16 @@ class TestSeedRule:
         assert res.converged
 
     def test_fine_grid_solves_once_from_the_packed_coarse_plan(self, solves):
-        coarse_scen = golden_scenario(n_nodes=50, initialization="circumnav_reach")
-        coarse = plan(coarse_scen)
+        ladder = [golden_scenario(n_nodes=n, initialization="circumnav_reach") for n in (25, 50, 100)]
+        coarse = [plan(scen) for scen in ladder[:2]]
         solves.clear()
-        scen = golden_scenario(initialization="circumnav_reach")
-        res = plan(scen)
-        assert len(solves) == 2  # the coarse Reach solve, then one fine round
-        assert np.array_equal(solves[0], transcribe(coarse_scen).pack(initialize(coarse_scen, "circumnav_reach")))
-        assert np.array_equal(solves[1], transcribe(scen).pack(coarse.trajectory))
+        res = plan(ladder[-1])
+        assert len(solves) == 3  # the Reach solve on 25 nodes, then one round on each finer grid
+        assert np.array_equal(solves[0], transcribe(ladder[0]).pack(initialize(ladder[0], "circumnav_reach")))
+        for start, scen, below in zip(solves[1:], ladder[1:], coarse):
+            assert np.array_equal(start, transcribe(scen).pack(below.trajectory))
         assert res.converged
-        assert res.iterations > coarse.iterations
+        assert res.iterations > coarse[1].iterations > coarse[0].iterations
 
     def test_nan_clearance_blocks_the_chord(self, solves, monkeypatch):
         real = PursuerThreat.clearance_and_gradient
@@ -135,18 +135,20 @@ class TestSeedRule:
 
     def test_one_log_line_per_solve(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="threatnav.planner"):
-            plan(golden_scenario(n_nodes=50))
+            plan(golden_scenario(n_nodes=48))
             plan(far_scenario())
             plan(golden_scenario(n_nodes=100))
         lines = [r.getMessage() for r in caplog.records if r.name == "threatnav.planner"]
         assert [line.split(":")[0] for line in lines] == [
-            "seed detour+", "seed detour-", "chord clear", "seed detour+", "seed detour-", "seed coarse",
+            "seed detour+", "seed detour-", "chord clear", "seed detour+", "seed detour-", "seed coarse", "seed coarse",
         ]
         solved = lines[:2] + lines[3:]
         assert all("nit" in line and "status" in line and "violation" in line for line in solved)
-        assert all(", rows 98/98, " in line for line in lines[:2] + lines[3:5])
-        assert [line.split(", ")[0].split(": ")[1] for line in solved] == ["n 50"] * 4 + ["n 100"]
-        kept, total = map(int, lines[5].split(", rows ")[1].split(",")[0].split("/"))
+        assert all(", rows 94/94, " in line for line in lines[:2])
+        assert all(", rows 48/48, " in line for line in lines[3:5])
+        grids = [line.split(", ")[0].split(": ")[1] for line in solved]
+        assert grids == ["n 48"] * 2 + ["n 25"] * 2 + ["n 50", "n 100"]
+        kept, total = map(int, lines[6].split(", rows ")[1].split(",")[0].split("/"))
         assert 0 < kept < total == 198
 
     @pytest.mark.parametrize("n_nodes", [50, 100, 400])
@@ -171,13 +173,32 @@ class TestSeedRule:
 
 
 class TestCoarseToFine:
-    """Grids above 50 nodes: coarse plan, screened rows, re-check of every row."""
+    """Grids of 49 nodes or more: the plan on half the nodes, screened rows, re-check of every row."""
 
-    @pytest.mark.parametrize("n_nodes, full_solve_tf", [(100, 7.0339238593979445), (200, 7.0299017707836216)])
+    @pytest.mark.parametrize(
+        "n_nodes, full_solve_tf",
+        [(100, 7.0339238593979445), (200, 7.0299017707836216), (400, 7.027897471087152)],
+    )
     def test_reaches_the_full_solve(self, n_nodes, full_solve_tf):
         res = plan(golden_scenario(n_nodes=n_nodes))
         assert res.converged
         assert res.t_f == pytest.approx(full_solve_tf, rel=1e-8)
+
+    @pytest.mark.parametrize("n_nodes", [26, 48])
+    def test_a_grid_whose_half_is_below_the_coarsest_solves_its_own_detours(self, solves, n_nodes):
+        res = plan(golden_scenario(n_nodes=n_nodes))
+        assert [len(z0) for z0 in solves] == [n_nodes, n_nodes]
+        assert res.converged
+
+    @pytest.mark.parametrize("n_nodes", [49, 50])
+    def test_a_grid_whose_half_is_the_coarsest_solves_its_detours_there(self, solves, caplog, n_nodes):
+        with caplog.at_level(logging.DEBUG, logger="threatnav.planner"):
+            res = plan(golden_scenario(n_nodes=n_nodes))
+        lines = [r.getMessage().split(", rows")[0] for r in caplog.records if r.name == "threatnav.planner"]
+        assert lines[:2] == ["seed detour+: n 25", "seed detour-: n 25"]
+        assert lines[2:] == [f"seed coarse: n {n_nodes}"] * (len(lines) - 2) and len(lines) > 2
+        assert [len(z0) for z0 in solves] == [25, 25] + [n_nodes] * (len(solves) - 2)
+        assert res.converged
 
     def test_recheck_adds_the_rows_the_screen_missed(self, solves, monkeypatch, caplog):
         monkeypatch.setattr(planner, "_SCREEN_FRACTION", 0.0)
@@ -192,10 +213,10 @@ class TestCoarseToFine:
         assert res.min_clearance >= -scen.options.constraint_tolerance
 
     def test_coarse_clear_chord_falls_back_to_every_row(self, solves, caplog):
-        # the disk sits on a node of the 101-node chord and between two of the 50-node one
+        # the disk sits on an odd node of the 101-node chord, so between two nodes of the 51- and 26-node ones
         scen = Scenario(
             AgentConfig(Point2(-3, 0), Point2(3, 0), speed=1.0),
-            (DiskThreat(Point2(0.0, 0.0), 0.05),),
+            (DiskThreat(Point2(0.06, 0.0), 0.05),),
             PlannerOptions(n_nodes=101, constraint_tolerance=1e-4),
         )
         with caplog.at_level(logging.DEBUG, logger="threatnav.planner"):
