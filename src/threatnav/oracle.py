@@ -4,13 +4,17 @@ These are the ground truth the closed-form zone boundaries are tested
 against, and each zone kind's ``engageable`` member answers with them.
 Both oracles evaluate their raw capture/neutralization margin on a dense
 time grid per pose, in one two-pass scan (``_cell_windows``). A coarse
-pass reads every ``_CELL``-th time; a bound L on the margin's rate, 1 + mu
-for a pursuer and ``1 + mu |miss| / d^2`` for a turret, proves most cells
-between those times clear (``_clear_cells``); a fine pass reads the other
-cells up to the first coarse hit. A pose's first grid point where the
-margin is >= 0 gives its window. Without one, each local maximum that L
-lets reach 0 is rescanned on a finer grid across its bracket, a batch's
-maxima together (``_settle``). Skipping a clear cell changes no verdict
+pass reads every ``_CELL``-th time, and a tent bound proves most cells
+between those times clear (``_clear_cells``): the margin rises from a
+cell's left end and falls toward its right end no faster than two rates.
+For a turret both are a bound L on the margin's rate,
+``1 + mu |miss| / d^2``. The pursuit slack is concave in t, so a
+neighbouring cell's secant caps each of its rates, and L = 1 + mu stands
+in past the grid's ends. A fine pass reads the other cells up to the
+first coarse hit. A pose's first grid point where the margin is >= 0
+gives its window. Without one, each local maximum that L lets reach 0
+is rescanned on a finer grid across its bracket, a batch's maxima
+together (``_settle``). Skipping a clear cell changes no verdict
 and no window. The resolution is fixed by module constants, not options.
 Feasibility stops at the first witnessed engagement; only the pursuit
 certificate bisects the window it returns. The oracles read only threat
@@ -46,20 +50,23 @@ _LEVELS = 9  # refinement levels: the least L with (2/63)^L <= phi^-60, what 60 
 _BISECTIONS = 60  # halvings of the pursuit certificate's window
 
 
-def _cell_windows(margin, poses: tuple, grids: tuple, climb) -> list:
+def _cell_windows(margin, poses: tuple, grids: tuple, rates) -> list:
     """Bracket ``(lo, hi)`` of each pose's first engagement on its own grid, or None, in two passes.
 
     ``poses`` are columns with one row per pose. ``margin(rows, t)`` maps
     pose columns and times that broadcast against them to the engagement
     margin, feasible where >= 0. ``grids`` is ``(rows, t_lo, t_hi, n)``:
     pose ``rows[g]`` has the grid ``np.linspace(t_lo[g], t_hi[g], n[g] + 1)``
-    and a pose not in ``rows`` has none. ``climb(part, ts, h)`` bounds the
-    margin's rate per grid and cell between the coarse times ``ts`` of
-    grids ``part`` (a slice), each cell widened by its grid's step ``h``.
+    and a pose not in ``rows`` has none. ``rates(part, ts, f, h)`` gives
+    ``(climb, rise, fall)`` per grid and cell between the coarse times
+    ``ts`` of grids ``part`` (a slice), where the margin is ``f``: climb
+    bounds the margin's rate on the cell widened by its grid's step
+    ``h`` (a column), and rise and fall are the tent's rates
+    (``_clear_cells``).
 
     The coarse pass evaluates every ``_CELL``-th time of each grid and its
     last, in padded (grids x coarse times) blocks of at most ``_BLOCK``
-    values, and ``_clear_cells`` proves most cells between them clear. The
+    values, and ``_clear_cells``' tent proves most cells between them clear. The
     fine pass evaluates the other cells before each pose's first coarse
     hit, each with one grid time on either side, in (cells x ``_CELL + 3``)
     blocks. At a pose's first grid hit its bracket runs from the grid time
@@ -86,8 +93,10 @@ def _cell_windows(margin, poses: tuple, grids: tuple, climb) -> list:
         first = np.where(hit.any(axis=1), hit.argmax(axis=1), width)[:, None]
         for j in np.flatnonzero(hit[:, 0]).tolist():
             windows[rows[start + j]] = float(ts[j, 0]), float(ts[j, 0])
-        rate = climb(part, ts, h[part, None])
-        j, c = np.nonzero((cell < first) & (cell * _CELL < n[part, None]) & ~_clear_cells(f, ts, h[part], rate))
+        step = h[part, None]
+        rate, rise, fall = rates(part, ts, f, step)
+        clear = _clear_cells(f, ts, step, rate, rise, fall)
+        j, c = np.nonzero((cell < first) & (cell * _CELL < n[part, None]) & ~clear)
         scan.append((j + start, c, rate[j, c]))
     j, c, rate = (np.concatenate(parts) for parts in zip(*scan))
     offsets = np.arange(-1, _CELL + 2)
@@ -213,17 +222,44 @@ def _pursuit_slack(threat: PursuerThreat):
     return slack
 
 
+def _pursuit_rates(threat: PursuerThreat):
+    """``_cell_windows``' cell rates ``(climb, rise, fall)`` of the capture slack on the pursuit grid.
+
+    The slack climbs at most L = 1 + mu per unit time: the agent closes
+    at mu, the balloon grows at 1. It is concave in t, the norm
+    |A + mu t u - P| of an affine map being convex, so its secants fall
+    from cell to cell: from a cell's left end it rises no faster than the
+    cell before it rose, and toward its right end it falls no faster than
+    the cell after it falls. Those secants, floored at 0, are the cell's
+    tent rates; no secant exceeds L, which stands in past the grid's ends.
+    """
+    climb = 1.0 + threat.mu
+
+    def rates(part: slice, ts: np.ndarray, f: np.ndarray, h: np.ndarray):
+        secant = np.subtract(f[:, 1:], f[:, :-1])
+        secant /= ts[0, 1:] - ts[0, :-1]  # every pose has the same grid
+        rise, fall = np.empty_like(secant), np.empty_like(secant)
+        # each pose's secants shifted one cell along the flat rows: the shifts
+        # that cross from one pose to the next land where L stands in
+        np.maximum(secant.ravel()[:-1], 0.0, out=rise.ravel()[1:])
+        np.negative(secant.ravel()[1:], out=fall.ravel()[:-1])
+        rise[:, 0] = fall[:, -1] = climb
+        np.maximum(fall, 0.0, out=fall)
+        return np.full_like(secant, climb), rise, fall
+
+    return rates
+
+
 def _pursuit_windows(poses: tuple, threat: PursuerThreat) -> list:
     """Each pose's first capture window, or None.
 
     Every pose has the grid of ``_PURSUIT_STEPS`` steps over the pursuer's
-    life, t in [0, R] at unit pursuer speed. The slack climbs at most
-    1 + mu per unit time: the agent closes at mu, the balloon grows at 1.
+    life, t in [0, R] at unit pursuer speed, bounded per cell by
+    ``_pursuit_rates``.
     """
     count, R = len(poses[0]), threat.engagement_range
     grids = np.arange(count), np.zeros(count), np.full(count, R), np.full(count, _PURSUIT_STEPS)
-    climb = 1.0 + threat.mu
-    return _cell_windows(_pursuit_slack(threat), poses, grids, lambda part, ts, h: np.full_like(ts[:, 1:], climb))
+    return _cell_windows(_pursuit_slack(threat), poses, grids, _pursuit_rates(threat))
 
 
 def _one(a0: Point2, heading: float) -> tuple[np.ndarray, np.ndarray]:
@@ -264,7 +300,7 @@ def pursuit_capture_certificate(a0: Point2, heading: float, threat: PursuerThrea
 
 
 def _turret_grids(poses: tuple, threat: TurretThreat):
-    """Grid of each pose ever in range at t >= 0, ``(rows, t_lo, t_hi, n)``, and the margin's climb on them.
+    """Grid of each pose ever in range at t >= 0, ``(rows, t_lo, t_hi, n)``, and the cell rates on them.
 
     ``rows`` indexes those poses, and the other arrays hold one value per
     row: its grid is ``np.linspace(t_lo, t_hi, n + 1)``. The bounds come
@@ -274,11 +310,12 @@ def _turret_grids(poses: tuple, threat: TurretThreat):
     than any exact chord needs. That cap binds only where t_lo and t_hi
     round apart by more than the chord, far out along the track.
 
-    The climb is ``_cell_windows``': with d the offset from the turret to
-    the agent and u its heading, the margin t - |look - bearing| climbs at
-    most L = 1 + mu |d x u| / |d|^2 per unit time, ``d x u`` being the
+    The rates are ``_cell_windows``': with d the offset from the turret
+    to the agent and u its heading, the margin t - |look - bearing| climbs
+    at most L = 1 + mu |d x u| / |d|^2 per unit time, ``d x u`` being the
     signed miss distance. L takes the least |d| over the widened cell, from
-    ``d . u`` at its ends, and is infinite where that |d| is 0.
+    ``d . u`` at its ends, and is infinite where that |d| is 0. The margin
+    is not concave, so L is also both of the cell's tent rates.
     """
     dx0, dy0 = poses[0][:, 0] - threat.position.x, poses[1][:, 0] - threat.position.y
     ux, uy, v, R = poses[2][:, 0], poses[3][:, 0], threat.mu, threat.engagement_range
@@ -299,14 +336,24 @@ def _turret_grids(poses: tuple, threat: TurretThreat):
     steps = np.ceil((t_hi - t_lo) / (_TURRET_STEP * R / v))
     n = np.maximum(np.minimum(steps, math.ceil(2.0 / _TURRET_STEP) + 1), 64).astype(int)
 
-    def climb(part: slice, ts: np.ndarray, h: np.ndarray) -> np.ndarray:
+    def rates(part: slice, ts: np.ndarray, f: np.ndarray, h: np.ndarray):
+        # in place: on long turret grids these are the scan's largest arrays
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            near = along[part] + v * (ts[:, :-1] - h)  # d . u at the widened cell's ends
-            far = along[part] + v * (ts[:, 1:] + h)
-            d = np.hypot(miss[part], np.maximum(near, 0.0) - np.minimum(far, 0.0))
-            return np.where(d > 0.0, 1.0 + v * (np.abs(miss[part]) / d) / d, np.inf)
+            near = ts[:, :-1] - h  # d . u at the widened cell's ends
+            far = ts[:, 1:] + h
+            for end, closest in ((near, np.maximum), (far, np.minimum)):
+                end *= v
+                end += along[part]
+                closest(end, 0.0, out=end)
+            d = np.hypot(miss[part], np.subtract(near, far, out=near), out=near)
+            climb = np.abs(miss[part]) / d
+            climb *= v
+            climb /= d
+            climb += 1.0
+            np.copyto(climb, np.inf, where=d == 0.0)
+        return climb, climb, climb
 
-    return (rows, t_lo, t_hi, n), climb
+    return (rows, t_lo, t_hi, n), rates
 
 
 def _grid_times(start: np.ndarray, stop: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -328,20 +375,34 @@ def _grid_times(start: np.ndarray, stop: np.ndarray, n: np.ndarray, k: np.ndarra
     return ts
 
 
-def _clear_cells(f: np.ndarray, ts: np.ndarray, h: np.ndarray, climb: np.ndarray) -> np.ndarray:
+def _clear_cells(
+    f: np.ndarray, ts: np.ndarray, h: np.ndarray, climb: np.ndarray, rise: np.ndarray, fall: np.ndarray
+) -> np.ndarray:
     """Per pose and cell ``[ts[:, c], ts[:, c + 1]]``: is the margin there provably below 0?
 
-    ``f`` is the margin at ``ts``, ``h`` each pose's grid step and ``climb``
-    the margin's greatest rate L on each cell widened by h on either side.
-    On a cell [a, b] widened by s on either side the margin stays at most
-    ``(f(a) + f(b)) / 2 + L ((b - a) / 2 + s)``. With s = 2 h that covers
-    every grid time of the cell and every time its refinement samples,
-    which lie within one step of the cell, with a step to spare for the
-    grid's rounding. A cell is clear when the bound is below
-    ``-_SLACK (1 + t_hi)``.
+    ``f`` is the margin at ``ts`` and ``h`` each pose's grid step, a
+    column. On a cell [a, b] the margin rises from f(a) no faster than
+    ``rise`` and falls toward f(b) no faster than ``fall``, both >= 0, so
+    it stays under the tent ``min(f(a) + rise (t - a), f(b) + fall (b - t))``,
+    whose peak is ``f(b) + (f(a) - f(b) + rise (b - a)) / (1 + rise / fall)``.
+    ``climb`` is the margin's greatest rate L on the cell widened by h on
+    either side: the peak plus 2 L h covers every grid time of the cell and
+    every time its refinement samples, which lie within one step of the
+    cell, with a step to spare for the grid's rounding. A cell is clear
+    when that bound is below ``-_SLACK (1 + t_hi)``. With rise = fall = L
+    the peak is the Lipschitz bound, the mean of f(a) and f(b) plus
+    L (b - a) / 2; rates both 0 or both infinite leave the cell open.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite climb on a grid of step 0 is NaN: not clear
-        top = 0.5 * (f[:, :-1] + f[:, 1:]) + climb * (0.5 * (ts[:, 1:] - ts[:, :-1]) + 2.0 * h[:, None])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 0 / 0, inf / inf, inf * 0: NaN, not clear
+        top = np.subtract(f[:, :-1], f[:, 1:])
+        gain = np.subtract(ts[:, 1:], ts[:, :-1])
+        gain *= rise  # the most the margin gains over the cell from its left end
+        top += gain
+        ratio = np.divide(rise, fall, out=gain)
+        ratio += 1.0
+        top /= ratio
+        top += f[:, 1:]  # the peak
+        top += np.multiply(climb, 2.0 * h, out=ratio)  # two steps' padding at the rate L
     return top < -_SLACK * (1.0 + ts[:, -1:])  # the last coarse time is t_hi
 
 

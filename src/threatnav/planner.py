@@ -372,11 +372,12 @@ def plan(scenario: Scenario) -> PlanResult:
     (0 iterations): no path is faster. A grid of n nodes with
     (n + 1) // 2 >= _COARSE_NODES is solved from ``plan`` on that half
     grid over the rows that can bind, as the module docstring says.
-    Otherwise the warm starts that can win are solved (the two detours
-    for straight_line; the chosen warm start, plus the detours when it is
+    Otherwise, and when that half grid's plan cannot serve, the warm
+    starts that can win are built and solved (the two detours for
+    straight_line; the chosen warm start, plus the detours when it is
     blocked, for circumnav_reach and custom) and the best feasible result
-    is kept. ``iterations`` counts every solve on every level of the
-    ladder.
+    is kept, so only such a level builds the chosen warm start.
+    ``iterations`` counts every solve on every level of the ladder.
 
     Raises InfeasibleError when an endpoint sits strictly inside a
     threat's keep-out disk (a pursuer's capturability disk), and
@@ -390,9 +391,8 @@ def plan(scenario: Scenario) -> PlanResult:
     chord = problem.chord()
     chord_time = float(chord[-1])
 
-    seeds = []  # (name, packed warm start)
-    if opts.initialization != "straight_line":
-        seeds.append((opts.initialization, problem.pack(initialize(scenario, opts.initialization))))
+    if opts.initialization == "circumnav_reach":
+        _reach_threat(scenario.threats)  # raised here, though only a level that solves from the seed builds it
 
     # a chord node exactly on a threat, where a zone's partials or frame are undefined, blocks the chord unevaluated
     if not _on_a_threat(problem.positions(chord), scenario.threats):
@@ -413,8 +413,12 @@ def plan(scenario: Scenario) -> PlanResult:
         z0 = problem.pack(coarse.trajectory)
         extents = np.repeat([t.extent for t in scenario.threats], len(problem._seg))
         seeds, rows = [("coarse", z0)], problem.clearances(z0) < _SCREEN_FRACTION * extents
-    elif not seeds or not np.all(problem.clearances(seeds[0][1]) >= 0.0):
-        seeds.extend(zip(("detour+", "detour-"), (problem.pack(t) for t in _detour_seeds(scenario))))
+    else:
+        seeds = []  # (name, packed warm start)
+        if opts.initialization != "straight_line":
+            seeds.append((opts.initialization, problem.pack(initialize(scenario, opts.initialization))))
+        if not seeds or not np.all(problem.clearances(seeds[0][1]) >= 0.0):
+            seeds.extend(zip(("detour+", "detour-"), (problem.pack(t) for t in _detour_seeds(scenario))))
 
     n_vars = opts.n_nodes
     grad = np.zeros(n_vars)

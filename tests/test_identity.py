@@ -26,6 +26,8 @@ def test_two_runs_give_identical_digests(digests):
     assert all(record["converged"] for record in first["plans"].values())
     assert first["verify"]["--samples 20"]["stdout"].endswith("total disagreements: 0\n")
     assert first["verify"]["--samples 20 --corrupt-rho 0.01"]["exit"] == 1
+    for kind in ("pursuit", "turret"):  # near the boundary, some poses engage and some do not
+        assert 0 < first["windows"][kind]["engaged"] < len(identity.WINDOW_MUS) * identity.WINDOW_POSES
 
 
 def test_diff_of_a_digest_against_itself_is_empty(digests, tmp_path, capsys):
@@ -49,6 +51,24 @@ def test_diff_reports_a_moved_case_and_verify_line(digests):
     assert "| +1e-09 |" in rows[0] and "(+2)" in rows[0] and rows[0].endswith("| iterations, t_f |")
     assert sum(line.startswith("verify --samples 20:") for line in lines) == 1
     assert not any("turret_n20" in line for line in lines)
+
+
+def test_diff_reports_a_moved_window(digests, monkeypatch):
+    # one pursuit window starts one grid step later: the pursuit record moves, the turret's does not
+    windows = identity._windows
+
+    def moved(threat, points, headings):
+        got = windows(threat, points, headings)
+        if isinstance(threat, identity.PursuerThreat) and threat.mu == identity.WINDOW_MUS[0]:
+            k = next(k for k, w in enumerate(got) if w is not None)
+            got[k] = (got[k][0] + 1e-3, got[k][1])
+        return got
+
+    monkeypatch.setattr(identity, "_windows", moved)
+    after = dict(digests[0], windows=identity.window_record())
+    lines = identity.diff(digests[0], after)
+    assert len(lines) == 1 and lines[0].startswith("windows pursuit: ")
+    assert after["windows"]["pursuit"]["poses_sha256"] == digests[0]["windows"]["pursuit"]["poses_sha256"]
 
 
 def test_case_list_covers_both_seeds_and_rejects_unknown_names(tmp_path):

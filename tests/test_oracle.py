@@ -544,19 +544,82 @@ def test_pursuit_windows_match_the_frozen_scan(monkeypatch):
 
 def test_a_pursuer_pose_outside_the_zone_is_fine_scanned_on_few_of_its_times(monkeypatch):
     # Crossing abeam of a fast pursuer, each agent stays out of reach: its
-    # slack rises to -0.28 at the pursuer's last time 1.8 ranges out, and to
-    # -0.016 1.35 ranges out. The slack climbs at most 1 + mu per unit time,
-    # so every cell of the far pose is clear and only the last cell of the
-    # near one is open: the scan reads 9 coarse times of each pose and one
-    # cell of fine times, against 1,001 grid times per pose.
+    # slack rises on every cell, to -0.28 at the pursuer's last time 1.8
+    # ranges out, and to -0.016 1.35 ranges out. A cell whose successor
+    # rises cannot fall toward its right end, so its tent peaks there. The
+    # near pose's last cell rises no faster than the cell before it, at
+    # 0.95 against 1 + mu = 1.7, so with two steps' padding its bound is
+    # -0.0095 (the rate 1 + mu alone would give +0.029): every cell is
+    # clear, and the scan reads only the 9 coarse times of each pose,
+    # against 1,001 grid times per pose.
     calls = recorded_times(monkeypatch, "_pursuit_slack")
     points, headings = np.array([[-1.0, 1.5], [-0.5, 1.25]]), np.zeros(2)
     assert FAST.engageable(points, headings).tolist() == [False, False]
     assert [ref.pursuit_window(Point2(*p), 0.0, FAST) for p in points.tolist()] == [None, None]
-    coarse, *fine = calls
     ts = np.linspace(0.0, FAST.engagement_range, oracle._PURSUIT_STEPS + 1)
+    (coarse,) = calls
     assert coarse.shape == (2, 9) and coarse[1].tolist() == ts[np.r_[0:1000:CELL, 1000]].tolist()
-    assert [t.tolist() for t in fine] == [[ts[np.minimum(np.arange(7 * CELL - 1, 8 * CELL + 2), 1000)].tolist()]]
+
+
+@pytest.mark.parametrize("mu", [0.7, 1.5])
+def test_a_near_boundary_pursuer_pose_is_fine_scanned_on_at_most_two_cells(monkeypatch, mu):
+    # Poses 1e-6 R outside the zone at 41 aspect angles. The slack of a
+    # fast pursuer's pose rises all its life and peaks just below 0 at
+    # its last time; a slow pursuer's may peak inside a cell. Either way
+    # the tent leaves at most the two cells around the peak open for the
+    # fine pass; the rate 1 + mu alone would leave up to 3 (mu = 0.7) and
+    # 7 (mu = 1.5).
+    calls = recorded_times(monkeypatch, "_pursuit_slack")
+    threat = PursuerThreat(Point2(0, 0), mu=mu, engagement_range=1.0, capture_radius=0.25)
+    heading, most = 0.3, 0
+    for xi in np.linspace(-3.1, 3.1, 41).tolist():
+        point = pose_at(rho(xi, threat) + 1e-6, xi, heading, threat)
+        calls.clear()
+        assert not pursuit_capture_possible(point, heading, threat)
+        coarse, *rest = calls  # the fine pass, then any refinement
+        most = max(most, sum(len(t) for t in rest if t.shape[1] == CELL + 3))
+    assert most == (1 if mu < 1.0 else 2)
+
+
+def test_pursuit_windows_are_the_reference_scans_and_near_misses_stay_open(monkeypatch):
+    # Seeded poses within 1e-4 R of the boundary on either side, in both
+    # regimes, each scanned alone. Every window is the frozen scan's, but
+    # for a refined one's best point. For a pose without one, every grid
+    # time where the slack is within a step's climb of 0, at least
+    # -(1 + mu) h, lies in a fine-scanned cell, so the scan sees every
+    # maximum it may refine. Just outside a slow pursuer's touch-and-go
+    # arc the slack peaks inside a coarse cell just below 0: the tent,
+    # which peaks above it, keeps that cell open.
+    slack_of = oracle._pursuit_slack
+    calls = recorded_times(monkeypatch, "_pursuit_slack")
+    rng = np.random.default_rng(91)
+    inside_a_cell = 0
+    for slow in [False, True] * 3:
+        mu = rng.uniform(1.1, 2.5) if slow else rng.uniform(0.3, 1.0)
+        R = rng.uniform(0.3, 2.0)
+        r = rng.uniform(0.05, 0.6) * R
+        threat = PursuerThreat(Point2(*rng.uniform(-1, 1, 2)), mu=mu, engagement_range=R, capture_radius=r)
+        ts = np.linspace(0.0, R, oracle._PURSUIT_STEPS + 1)
+        reach = -(1.0 + mu) * (R / oracle._PURSUIT_STEPS)
+        for _ in range(30):
+            xi, heading = rng.uniform(-math.pi, math.pi, 2).tolist()
+            offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -4.0) * R
+            point = pose_at(rho(xi, threat) + offset, xi, heading, threat)
+            poses = oracle._poses(np.array([point.as_tuple()]), np.array([heading]), threat.position, "pursuer")
+            calls.clear()
+            (window,) = oracle._pursuit_windows(poses, threat)
+            want = ref.pursuit_window(point, heading, threat)
+            if window is not None and window[1] not in ts:
+                assert want is not None and window[0] == want[0]
+            else:
+                assert window == want
+            if window is None:
+                slack = slack_of(threat)(poses, ts[None, :])[0]
+                scanned = np.concatenate([t.ravel() for t in calls[1:] if t.shape[1] == CELL + 3] or [np.empty(0)])
+                assert np.isin(ts[slack >= reach], scanned).all()
+                peak = int(slack.argmax())
+                inside_a_cell += peak % CELL != 0 and peak < oracle._PURSUIT_STEPS and slack[peak] >= reach
+    assert inside_a_cell >= 10, inside_a_cell
 
 
 def test_a_grid_of_step_zero_through_a_tiny_turret_warns_nothing():
@@ -567,9 +630,9 @@ def test_a_grid_of_step_zero_through_a_tiny_turret_warns_nothing():
     # refine", without a warning.
     tiny = TurretThreat(Point2(0, 0), look_angle=math.pi, mu=1.0, engagement_range=1e-20)
     points, headings = np.array([[-1e-3, 0.0]]), np.zeros(1)
-    (_, t_lo, t_hi, _), climb = oracle._turret_grids(oracle._poses(points, headings, tiny.position, "turret"), tiny)
+    (_, t_lo, t_hi, _), rates = oracle._turret_grids(oracle._poses(points, headings, tiny.position, "turret"), tiny)
     assert t_lo.tolist() == t_hi.tolist() == [1e-3]
-    assert np.isinf(climb(slice(0, 1), np.full((1, 2), 1e-3), np.zeros((1, 1)))).all()
+    assert np.isinf(rates(slice(0, 1), np.full((1, 2), 1e-3), np.zeros((1, 2)), np.zeros((1, 1)))).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert tiny.engageable(points, headings).tolist() == [False]
@@ -586,23 +649,28 @@ def test_far_poses_wide_of_the_turret_are_not_engageable():
     assert [ref.turret_window(Point2(*p), 0.0, threat) for p in points.tolist()] == [None, None]
 
 
-def straight_away_climb(ts, h):
-    """The turret climb on the cells ``ts`` of a pose running straight away from the turret: no miss distance."""
+def straight_away_rates(ts, f, h):
+    """The turret's cell rates on the cells ``ts`` of a pose running straight away from the turret: no miss distance."""
     poses = oracle._poses(np.array([[0.01, 0.0]]), np.zeros(1), TURRET.position, "turret")
-    _, climb = oracle._turret_grids(poses, TURRET)
-    return climb(slice(0, 1), ts, np.array([[h]]))
+    _, rates = oracle._turret_grids(poses, TURRET)
+    return rates(slice(0, 1), ts, f, np.array([[h]]))
 
 
-# the cell tests' climbs and the rate L each gives: a turret's, and a pursuer's constant 1 + mu
-CLIMBS = [(straight_away_climb, 1.0), (lambda ts, h: np.full((1, 1), 1.0 + SLOW.mu), 1.0 + SLOW.mu)]
+def pursuit_rates(ts, f, h):
+    """A slow pursuer's cell rates: on a grid of one cell, 1 + mu for all three."""
+    return oracle._pursuit_rates(SLOW)(slice(0, 1), ts, f, np.array([[h]]))
 
 
-def one_cell(f_a, f_b, h, climb, L):
-    """``_clear_cells`` on one cell of CELL steps h from t = 1, on which ``climb`` gives the rate L."""
-    ts = np.array([[1.0, 1.0 + CELL * h]])
-    rate = climb(ts, h)
-    assert rate.tolist() == [[L]]
-    return bool(oracle._clear_cells(np.array([[f_a, f_b]]), ts, np.array([h]), rate)[0, 0])
+# the cell tests' rates and the rate L each gives: a turret's, and a lone pursuit cell's 1 + mu
+RATES = [(straight_away_rates, 1.0), (pursuit_rates, 1.0 + SLOW.mu)]
+
+
+def one_cell(f_a, f_b, h, rates, L):
+    """``_clear_cells`` on one cell of CELL steps h from t = 1, on which ``rates`` gives the rate L for all three."""
+    ts, f = np.array([[1.0, 1.0 + CELL * h]]), np.array([[f_a, f_b]])
+    climb, rise, fall = rates(ts, f, h)
+    assert climb.tolist() == rise.tolist() == fall.tolist() == [[L]]
+    return bool(oracle._clear_cells(f, ts, np.array([[h]]), climb, rise, fall)[0, 0])
 
 
 def test_a_clear_cell_has_no_margin_near_zero_a_step_past_its_ends():
@@ -612,22 +680,76 @@ def test_a_clear_cell_has_no_margin_near_zero_a_step_past_its_ends():
     # the cell stays open, and so does its mirror image. Two steps lower,
     # nothing within a step of the cell reaches 0, and it is clear.
     h = 2.0**-10
-    for climb, L in CLIMBS:
+    for rates, L in RATES:
         near, far, low = -0.5 * L * h, -(CELL + 0.5) * L * h, 2.0 * L * h
-        assert not one_cell(near, far, h, climb, L) and not one_cell(far, near, h, climb, L)
-        assert one_cell(near - low, far - low, h, climb, L) and one_cell(far - low, near - low, h, climb, L)
+        assert not one_cell(near, far, h, rates, L) and not one_cell(far, near, h, rates, L)
+        assert one_cell(near - low, far - low, h, rates, L) and one_cell(far - low, near - low, h, rates, L)
 
 
 def test_a_cell_bound_within_the_slack_of_zero_is_not_clear():
-    # The bound is the cell's mean margin plus (CELL / 2 + 2) L h. A bound
-    # within the slack of 0 leaves room for the margin's rounding, so the
-    # cell stays open; one further below is clear.
+    # With both tent rates L the bound is the cell's mean margin plus
+    # (CELL / 2 + 2) L h. A bound within the slack of 0 leaves room for the
+    # margin's rounding, so the cell stays open; one further below is clear.
     h = 2.0**-10
     slack = oracle._SLACK * (1.0 + (1.0 + CELL * h))
-    for climb, L in CLIMBS:
+    for rates, L in RATES:
         reach = (CELL / 2 + 2) * L * h
-        assert not one_cell(-reach - 0.5 * slack, -reach - 0.5 * slack, h, climb, L)
-        assert one_cell(-reach - 2.0 * slack, -reach - 2.0 * slack, h, climb, L)
+        assert not one_cell(-reach - 0.5 * slack, -reach - 0.5 * slack, h, rates, L)
+        assert one_cell(-reach - 2.0 * slack, -reach - 2.0 * slack, h, rates, L)
+
+
+def tent_cell(f_a, f_b, rise, fall, h=2.0**-10, L=2.5):
+    """``_clear_cells`` on one cell of CELL steps h from t = 1 with the given tent rates, padded at the rate L."""
+    ts, f = np.array([[1.0, 1.0 + CELL * h]]), np.array([[f_a, f_b]])
+    full = lambda rate: np.full((1, 1), rate)  # noqa: E731
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return bool(oracle._clear_cells(f, ts, np.array([[h]]), full(L), full(rise), full(fall))[0, 0])
+
+
+def test_a_tent_bound_within_the_slack_of_zero_is_not_clear():
+    # Rising at most at 2 from its left end and falling at most at 0.5
+    # toward its right end, a cell of width w = CELL h with equal ends f
+    # peaks at f + 2 w / (1 + 2 / 0.5) = f + 0.4 w, where the two lines
+    # meet; with the padding 2 L h the bound is f + (0.4 CELL + 2 L) h.
+    # Within the slack of 0 the cell stays open; further below it is clear,
+    # though with both rates L, whose tent peaks (CELL / 2) L h above f,
+    # it would be open.
+    h, L = 2.0**-10, 2.5
+    slack = oracle._SLACK * (1.0 + (1.0 + CELL * h))
+    reach = (0.4 * CELL + 2.0 * L) * h
+    for rise, fall in [(2.0, 0.5), (0.5, 2.0)]:
+        assert not tent_cell(-reach - 0.5 * slack, -reach - 0.5 * slack, rise, fall)
+        assert tent_cell(-reach - 2.0 * slack, -reach - 2.0 * slack, rise, fall)
+    assert not tent_cell(-reach - 2.0 * slack, -reach - 2.0 * slack, L, L)
+
+
+def test_a_tent_with_a_rate_of_zero_is_bounded_by_that_end():
+    # A cell that cannot rise from its left end is bounded by that end, one
+    # that cannot fall toward its right end by the right end, each plus the
+    # padding 2 L h, however far below the other end sits. With both rates
+    # 0 the tent has no peak, and the cell stays open, without a warning.
+    h, L = 2.0**-10, 2.5
+    slack = oracle._SLACK * (1.0 + (1.0 + CELL * h))
+    pad = 2.0 * L * h
+    for f_a, f_b, rise, fall in [(-pad, -10.0, 0.0, L), (-10.0, -pad, L, 0.0)]:
+        assert not tent_cell(f_a + slack, f_b + slack, rise, fall)
+        assert tent_cell(f_a - 2.0 * slack, f_b - 2.0 * slack, rise, fall)
+    assert not tent_cell(-10.0, -10.0, 0.0, 0.0)
+
+
+def test_pursuit_tent_rates_are_the_neighbouring_secants_floored_at_zero():
+    # Per pose: a cell rises at most as its predecessor's secant and falls
+    # at most as its successor's falls, neither below 0; L = 1 + mu stands
+    # in past the grid's ends, and a secant of one pose never reaches into
+    # the next pose's cells.
+    ts = np.tile([0.0, 0.5, 1.0, 1.25], (2, 1))
+    f = np.array([[-3.0, -2.0, -1.75, -2.0], [-1.0, -1.25, -1.0, 0.0]])  # secants [2, 0.5, -1] and [-0.5, 0.5, 4]
+    climb, rise, fall = oracle._pursuit_rates(SLOW)(slice(0, 2), ts, f, np.full((2, 1), 0.25))
+    L = 1.0 + SLOW.mu
+    assert climb.tolist() == [[L] * 3] * 2
+    assert rise.tolist() == [[L, 2.0, 0.5], [L, 0.0, 0.5]]
+    assert fall.tolist() == [[0.0, 1.0, L], [0.0, 0.0, L]]
 
 
 def test_separation_is_the_remainder_bit_for_bit():

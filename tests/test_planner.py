@@ -117,6 +117,19 @@ class TestSeedRule:
         assert res.converged
         assert res.iterations > coarse[1].iterations > coarse[0].iterations
 
+    def test_the_warm_start_is_built_only_on_the_level_that_solves_from_it(self, monkeypatch):
+        built = []
+        real = planner.initialize
+
+        def counted(scenario, mode):
+            built.append(scenario.options.n_nodes)
+            return real(scenario, mode)
+
+        monkeypatch.setattr(planner, "initialize", counted)
+        res = plan(golden_scenario(n_nodes=100, initialization="circumnav_reach"))
+        assert built == [25]  # the bottom of the 25, 50, 100 ladder; each finer level solves from the one below
+        assert res.converged
+
     def test_nan_clearance_blocks_the_chord(self, solves, monkeypatch):
         real = PursuerThreat.clearance_and_gradient
         calls = []

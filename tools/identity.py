@@ -10,14 +10,19 @@ BLAS thread. For every case the digest records the ``repr`` of t_f,
 trajectory's times, points and headings, a sha256 of the per-node
 ``clearances_along`` table, and the x10 ``resample_and_verify`` report.
 It also records the exit code and standard output of every ``threatnav
-verify`` line the CI workflow pins.
+verify`` line the CI workflow pins, and, per oracle kind, a sha256 of the
+first engagement window the oracle finds for each pose of a fixed seeded
+set of poses near the zone boundary, with a sha256 of the poses
+themselves: a change to the oracle's scan that keeps its windows keeps
+that record.
 
 The digest fixes no expected value. Two digests of one checkout are
 identical, and ``--diff`` of a digest against itself prints nothing. A
 deliberate change to the plans shows up in ``--diff`` as one table row
 per case that moved: the relative t_f change, the iteration change, the
 x10 audit's worst clearance before and after, and which of the recorded
-fields differ. ``--diff`` exits 0 when nothing moved and 1 when
+fields differ. A verify line or a window record that differs is one line
+each. ``--diff`` exits 0 when nothing moved and 1 when
 something did, as ``diff`` does.
 """
 
@@ -33,6 +38,7 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from dataclasses import replace  # noqa: E402
@@ -50,12 +56,16 @@ from threatnav import (  # noqa: E402
     Point2,
     PursuerThreat,
     Scenario,
+    TurretThreat,
     clearances_along,
     load_scenario,
     plan,
     resample_and_verify,
 )
+from threatnav import oracle  # noqa: E402
 from threatnav.cli import main as cli_main  # noqa: E402
+from threatnav.pursuit import rho_batch  # noqa: E402
+from threatnav.turret import boundary_threshold_batch  # noqa: E402
 
 AUDIT_FACTOR = 10
 SEEDS = (1, 2)
@@ -76,6 +86,12 @@ VERIFY_LINES = (
     "--kind pursuer --samples 1000 --seed 2",
     "--kind pursuer --samples 1000 --seed 2 --corrupt-rho 0.01",
 )
+
+
+WINDOW_SEED = 5
+WINDOW_POSES = 2000  # per threat of the window record
+WINDOW_MUS = (0.5, 0.7, 1.0, 1.5, 2.0)  # pursuer speed ratios, both regimes
+WINDOW_LOOKS = (math.pi / 6.0, 5.0 * math.pi / 6.0, -5.0 * math.pi / 6.0)  # turret look angles
 
 
 def offset_pair(n_nodes: int) -> Scenario:
@@ -136,6 +152,58 @@ def plan_record(scen: Scenario) -> dict:
     }
 
 
+def _near_boundary(rng, boundary: np.ndarray) -> np.ndarray:
+    """``boundary`` moved off by 1e-9 to 1e-1 ranges, to either side; the threats have range 1."""
+    return boundary + rng.choice([-1.0, 1.0], len(boundary)) * 10.0 ** rng.uniform(-9.0, -1.0, len(boundary))
+
+
+def window_cases() -> dict:
+    """Per oracle kind, ``(threat, points, headings)`` of each threat of the fixed seeded window record.
+
+    Pursuit poses sit off the closed-form boundary ``rho`` at random
+    aspect angles and headings, as the verify sweep places them. Turret
+    poses run along x, off the closed-form chord threshold at random
+    offsets y.
+    """
+    rng = np.random.default_rng(WINDOW_SEED)
+    pursuit = []
+    for mu in WINDOW_MUS:
+        threat = PursuerThreat(Point2(0.0, 0.0), mu=mu, engagement_range=1.0, capture_radius=0.25)
+        xi, headings = rng.uniform(-math.pi, math.pi, (2, WINDOW_POSES))
+        dist = np.maximum(_near_boundary(rng, rho_batch(xi, threat)), 1e-6)
+        angle = headings - xi + math.pi
+        pursuit.append((threat, np.c_[dist * np.cos(angle), dist * np.sin(angle)], headings))
+    turret = []
+    for look in WINDOW_LOOKS:
+        threat = TurretThreat(Point2(0.0, 0.0), look_angle=look, mu=0.5, engagement_range=1.0)
+        y = rng.uniform(0.001, 0.999, WINDOW_POSES) * rng.choice([-1.0, 1.0], WINDOW_POSES)
+        headings = np.zeros(WINDOW_POSES)
+        x = _near_boundary(rng, boundary_threshold_batch(y, threat, headings))
+        turret.append((threat, np.c_[x, y], headings))
+    return {"pursuit": pursuit, "turret": turret}
+
+
+def _windows(threat, points: np.ndarray, headings: np.ndarray) -> list:
+    """The oracle's first engagement window of each pose, or None: the scan behind ``threat.engageable``."""
+    if isinstance(threat, PursuerThreat):
+        return oracle._pursuit_windows(oracle._poses(points, headings, threat.position, "pursuer"), threat)
+    poses = oracle._poses(points, headings, threat.position, "turret")
+    return oracle._cell_windows(oracle._turret_margin(threat), poses, *oracle._turret_grids(poses, threat))
+
+
+def window_record() -> dict:
+    """Per oracle kind: sha256s of the window record's poses and of their windows, and how many poses engage."""
+    record = {}
+    for kind, threats in window_cases().items():
+        windows = [w for threat, points, headings in threats for w in _windows(threat, points, headings)]
+        record[kind] = {
+            "poses_sha256": _sha(*(a for _, points, headings in threats for a in (points, headings))),
+            "windows_sha256": _sha([(math.nan, math.nan) if w is None else w for w in windows]),
+            "engaged": sum(w is not None for w in windows),
+        }
+    return record
+
+
 def verify_record(line: str) -> dict:
     """Exit code and standard output of ``threatnav verify`` with the arguments in ``line``."""
     out = io.StringIO()
@@ -155,6 +223,7 @@ def digest(only=None, verify_lines=VERIFY_LINES) -> dict:
     return {
         "plans": plans,
         "verify": {line: verify_record(line) for line in verify_lines},
+        "windows": window_record(),
     }
 
 
@@ -188,6 +257,10 @@ def diff(before: dict, after: dict) -> list[str]:
     for line in [*a_ver, *(v for v in b_ver if v not in a_ver)]:
         if a_ver.get(line) != b_ver.get(line):
             lines.append(f"verify {line}: {a_ver.get(line)!r} → {b_ver.get(line)!r}")
+    a_win, b_win = before.get("windows", {}), after.get("windows", {})
+    for kind in [*a_win, *(k for k in b_win if k not in a_win)]:
+        if a_win.get(kind) != b_win.get(kind):
+            lines.append(f"windows {kind}: {a_win.get(kind)!r} → {b_win.get(kind)!r}")
     return lines
 
 
