@@ -55,16 +55,16 @@ def test_diff_reports_a_moved_case_and_verify_line(digests):
 
 def test_diff_reports_a_moved_window(digests, monkeypatch):
     # one pursuit window starts one grid step later: the pursuit record moves, the turret's does not
-    windows = identity._windows
+    windows = identity.WINDOWS["pursuit"]
 
-    def moved(threat, points, headings):
-        got = windows(threat, points, headings)
-        if isinstance(threat, identity.PursuerThreat) and threat.mu == identity.WINDOW_MUS[0]:
+    def moved(points, headings, threat):
+        got = windows(points, headings, threat)
+        if threat.mu == identity.WINDOW_MUS[0]:
             k = next(k for k, w in enumerate(got) if w is not None)
             got[k] = (got[k][0] + 1e-3, got[k][1])
         return got
 
-    monkeypatch.setattr(identity, "_windows", moved)
+    monkeypatch.setitem(identity.WINDOWS, "pursuit", moved)
     after = dict(digests[0], windows=identity.window_record())
     lines = identity.diff(digests[0], after)
     assert len(lines) == 1 and lines[0].startswith("windows pursuit: ")

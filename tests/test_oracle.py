@@ -8,9 +8,8 @@ from threatnav import oracle, pursuit, turret, verification
 from threatnav.errors import DomainError
 from threatnav.geometry import Point2
 from threatnav.oracle import pursuit_capture_certificate, pursuit_capture_possible, turret_neutralization_possible
-from threatnav.pursuit import PursuerThreat, rho, xi_crossover
-from threatnav.turret import TurretThreat
-from threatnav.verification import pursuit_equivalence_sweep
+from threatnav.pursuit import PursuerThreat, rho, rho_batch, xi_crossover
+from threatnav.turret import TurretThreat, boundary_threshold_batch
 
 import reference_kernels as ref
 
@@ -303,13 +302,8 @@ FINE_STEP = 2.5e-5  # turret grids of up to 80,001 times
 def turret_grid(point, heading, threat):
     """A pose's whole turret grid."""
     poses = oracle._poses(np.array([point]), np.array([heading]), threat.position, "turret")
-    (_, t_lo, t_hi, n), _ = oracle._turret_grids(poses, threat)
-    return oracle._grid_times(t_lo, t_hi, n, np.arange(n[0] + 1)[None, :])[0]
-
-
-def turret_windows(points, headings, threat):
-    poses = oracle._poses(points, headings, threat.position, "turret")
-    return oracle._cell_windows(oracle._turret_margin(threat), poses, *oracle._turret_grids(poses, threat))
+    (_, t_lo, t_hi, n, _), _ = oracle._turret_grids(poses, threat)
+    return oracle._grid_times(t_lo[0], t_hi[0], n[0], np.arange(n[0] + 1))
 
 
 def recorded_times(monkeypatch, factory):
@@ -359,7 +353,7 @@ class TestChunkedTurretScan:
             return refine(margin, poses, k, lo, hi)
 
         monkeypatch.setattr(oracle, "_refine", recording_refine)
-        got = turret_windows(points, headings, threat)
+        got = oracle.turret_windows(points, headings, threat)
         late_hits = misses = 0
         for pose, ((x, y), h, window) in enumerate(zip(points.tolist(), headings.tolist(), got)):
             want = ref.turret_window(Point2(x, y), h, threat, FINE_STEP)
@@ -384,7 +378,7 @@ class TestChunkedTurretScan:
         point, heading = (0.01, 0.0), 0.0
         ts = turret_grid(point, heading, TURRET)
         threat = TurretThreat(Point2(0, 0), look_angle=0.5 * (ts[i - 1] + ts[i]), mu=0.5, engagement_range=1.0)
-        (window,) = turret_windows(np.array([point]), np.array([heading]), threat)
+        (window,) = oracle.turret_windows(np.array([point]), np.array([heading]), threat)
         assert window == (ts[i - 1], ts[i]) == ref.turret_window(Point2(*point), heading, threat, FINE_STEP)
         # The coarse pass reads every CELL-th time and the last. The fine pass
         # reads the cell holding the hit, with a time on either side, and the
@@ -421,9 +415,9 @@ class TestChunkedTurretScan:
         point, heading = (x0, -y0), math.pi / 2
         ts = turret_grid(point, heading, threat)
         poses = oracle._poses(np.array([point]), np.array([heading]), threat.position, "turret")
-        m = oracle._turret_margin(threat)(poses, ts)[0]
+        m = oracle._turret_margin(threat)(poses, ts[:, None])[:, 0]
         assert m.max() < 0.0 and np.flatnonzero((m[1:-1] >= m[:-2]) & (m[1:-1] >= m[2:])).tolist() == [i - 1]
-        (window,) = turret_windows(np.array([point]), np.array([heading]), threat)
+        (window,) = oracle.turret_windows(np.array([point]), np.array([heading]), threat)
         assert window[0] == ts[i - 1] and ts[i] < window[1] < ts[i + 1]
         assert ref.turret_window(Point2(*point), heading, threat, FINE_STEP)[0] == ts[i - 1]
 
@@ -460,7 +454,7 @@ def test_windows_match_the_frozen_scan_on_every_kind_of_chord(monkeypatch):
         offset[kinds["near"]] = R * rng.uniform(-1e-6, 1e-6, (10, 1))
         points = threat.position.as_tuple() - back * u + offset * normal
         refined.clear()
-        got = turret_windows(points, headings, threat)
+        got = oracle.turret_windows(points, headings, threat)
         assert threat.engageable(points, headings).tolist() == [w is not None for w in got]
         for pose, ((x, y), h, window) in enumerate(zip(points.tolist(), headings.tolist(), got)):
             want = ref.turret_window(Point2(x, y), h, threat)
@@ -482,7 +476,7 @@ def test_a_clear_pose_is_fine_scanned_on_few_of_its_times(evaluated):
     # pass reads under a quarter of the grid.
     threat = TurretThreat(Point2(0, 0), look_angle=0.0, mu=2.0, engagement_range=1.0)
     point, heading = (-1e-3, -0.999), math.pi / 2
-    assert turret_windows(np.array([point]), np.array([heading]), threat) == [None]
+    assert oracle.turret_windows(np.array([point]), np.array([heading]), threat) == [None]
     assert ref.turret_window(Point2(*point), heading, threat) is None
     coarse, *fine = evaluated
     grid_times = len(turret_grid(point, heading, threat))
@@ -498,7 +492,7 @@ def test_a_pose_with_two_windows_keeps_the_first(evaluated):
     # before the first coarse hit; the window is the first one.
     threat = TurretThreat(Point2(0, 0), look_angle=math.pi / 2, mu=1.0, engagement_range=3.0)
     point, heading = (-0.05, 0.1), 0.0
-    (window,) = turret_windows(np.array([point]), np.array([heading]), threat)
+    (window,) = oracle.turret_windows(np.array([point]), np.array([heading]), threat)
     assert window == ref.turret_window(Point2(*point), heading, threat) and 0.045 < window[0] < window[1] < 0.046
     coarse, *fine = evaluated
     assert [t.shape for t in fine] == [(2, CELL + 3)] and fine[0][0, 1] < window[0] and 1.4 < fine[0][1, 1] < 1.5
@@ -529,7 +523,7 @@ def test_pursuit_windows_match_the_frozen_scan(monkeypatch):
         points = np.array([pose_at(rho(x, threat) + o, x, h, threat).as_tuple()
                            for x, h, o in zip(xi.tolist(), headings.tolist(), offsets.tolist())])
         refined.clear()
-        got = oracle._pursuit_windows(oracle._poses(points, headings, threat.position, "pursuer"), threat)
+        got = oracle.pursuit_windows(points, headings, threat)
         ts = np.linspace(0.0, R, oracle._PURSUIT_STEPS + 1)
         for pose, ((x, y), h, window) in enumerate(zip(points.tolist(), headings.tolist(), got)):
             want = ref.pursuit_window(Point2(x, y), h, threat)
@@ -550,15 +544,15 @@ def test_a_pursuer_pose_outside_the_zone_is_fine_scanned_on_few_of_its_times(mon
     # near pose's last cell rises no faster than the cell before it, at
     # 0.95 against 1 + mu = 1.7, so with two steps' padding its bound is
     # -0.0095 (the rate 1 + mu alone would give +0.029): every cell is
-    # clear, and the scan reads only the 9 coarse times of each pose,
-    # against 1,001 grid times per pose.
+    # clear, and the scan reads only the 9 coarse times, one column that
+    # serves both poses, against 1,001 grid times per pose.
     calls = recorded_times(monkeypatch, "_pursuit_slack")
     points, headings = np.array([[-1.0, 1.5], [-0.5, 1.25]]), np.zeros(2)
     assert FAST.engageable(points, headings).tolist() == [False, False]
     assert [ref.pursuit_window(Point2(*p), 0.0, FAST) for p in points.tolist()] == [None, None]
     ts = np.linspace(0.0, FAST.engagement_range, oracle._PURSUIT_STEPS + 1)
     (coarse,) = calls
-    assert coarse.shape == (2, 9) and coarse[1].tolist() == ts[np.r_[0:1000:CELL, 1000]].tolist()
+    assert coarse.shape == (9, 1) and coarse[:, 0].tolist() == ts[np.r_[0:1000:CELL, 1000]].tolist()
 
 
 @pytest.mark.parametrize("mu", [0.7, 1.5])
@@ -607,7 +601,7 @@ def test_pursuit_windows_are_the_reference_scans_and_near_misses_stay_open(monke
             point = pose_at(rho(xi, threat) + offset, xi, heading, threat)
             poses = oracle._poses(np.array([point.as_tuple()]), np.array([heading]), threat.position, "pursuer")
             calls.clear()
-            (window,) = oracle._pursuit_windows(poses, threat)
+            (window,) = oracle.pursuit_windows(np.array([point.as_tuple()]), np.array([heading]), threat)
             want = ref.pursuit_window(point, heading, threat)
             if window is not None and window[1] not in ts:
                 assert want is not None and window[0] == want[0]
@@ -630,9 +624,9 @@ def test_a_grid_of_step_zero_through_a_tiny_turret_warns_nothing():
     # refine", without a warning.
     tiny = TurretThreat(Point2(0, 0), look_angle=math.pi, mu=1.0, engagement_range=1e-20)
     points, headings = np.array([[-1e-3, 0.0]]), np.zeros(1)
-    (_, t_lo, t_hi, _), rates = oracle._turret_grids(oracle._poses(points, headings, tiny.position, "turret"), tiny)
+    (_, t_lo, t_hi, _, _), rates = oracle._turret_grids(oracle._poses(points, headings, tiny.position, "turret"), tiny)
     assert t_lo.tolist() == t_hi.tolist() == [1e-3]
-    assert np.isinf(rates(slice(0, 1), np.full((1, 2), 1e-3), np.zeros((1, 2)), np.zeros((1, 1)))).all()
+    assert np.isinf(rates(slice(0, 1), np.full((2, 1), 1e-3), np.zeros((2, 1)), np.zeros(1))).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert tiny.engageable(points, headings).tolist() == [False]
@@ -653,12 +647,12 @@ def straight_away_rates(ts, f, h):
     """The turret's cell rates on the cells ``ts`` of a pose running straight away from the turret: no miss distance."""
     poses = oracle._poses(np.array([[0.01, 0.0]]), np.zeros(1), TURRET.position, "turret")
     _, rates = oracle._turret_grids(poses, TURRET)
-    return rates(slice(0, 1), ts, f, np.array([[h]]))
+    return rates(slice(0, 1), ts, f, np.array([h]))
 
 
 def pursuit_rates(ts, f, h):
     """A slow pursuer's cell rates: on a grid of one cell, 1 + mu for all three."""
-    return oracle._pursuit_rates(SLOW)(slice(0, 1), ts, f, np.array([[h]]))
+    return oracle._pursuit_rates(SLOW)(slice(0, 1), ts, f, np.array([h]))
 
 
 # the cell tests' rates and the rate L each gives: a turret's, and a lone pursuit cell's 1 + mu
@@ -667,10 +661,10 @@ RATES = [(straight_away_rates, 1.0), (pursuit_rates, 1.0 + SLOW.mu)]
 
 def one_cell(f_a, f_b, h, rates, L):
     """``_clear_cells`` on one cell of CELL steps h from t = 1, on which ``rates`` gives the rate L for all three."""
-    ts, f = np.array([[1.0, 1.0 + CELL * h]]), np.array([[f_a, f_b]])
+    ts, f = np.array([[1.0], [1.0 + CELL * h]]), np.array([[f_a], [f_b]])
     climb, rise, fall = rates(ts, f, h)
-    assert climb.tolist() == rise.tolist() == fall.tolist() == [[L]]
-    return bool(oracle._clear_cells(f, ts, np.array([[h]]), climb, rise, fall)[0, 0])
+    assert np.all(climb == L) and rise.tolist() == fall.tolist() == [[L]]
+    return bool(oracle._clear_cells(f, ts, np.array([h]), climb, rise, fall)[0, 0])
 
 
 def test_a_clear_cell_has_no_margin_near_zero_a_step_past_its_ends():
@@ -700,11 +694,11 @@ def test_a_cell_bound_within_the_slack_of_zero_is_not_clear():
 
 def tent_cell(f_a, f_b, rise, fall, h=2.0**-10, L=2.5):
     """``_clear_cells`` on one cell of CELL steps h from t = 1 with the given tent rates, padded at the rate L."""
-    ts, f = np.array([[1.0, 1.0 + CELL * h]]), np.array([[f_a, f_b]])
+    ts, f = np.array([[1.0], [1.0 + CELL * h]]), np.array([[f_a], [f_b]])
     full = lambda rate: np.full((1, 1), rate)  # noqa: E731
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return bool(oracle._clear_cells(f, ts, np.array([[h]]), full(L), full(rise), full(fall))[0, 0])
+        return bool(oracle._clear_cells(f, ts, np.array([h]), full(L), full(rise), full(fall))[0, 0])
 
 
 def test_a_tent_bound_within_the_slack_of_zero_is_not_clear():
@@ -739,17 +733,17 @@ def test_a_tent_with_a_rate_of_zero_is_bounded_by_that_end():
 
 
 def test_pursuit_tent_rates_are_the_neighbouring_secants_floored_at_zero():
-    # Per pose: a cell rises at most as its predecessor's secant and falls
-    # at most as its successor's falls, neither below 0; L = 1 + mu stands
-    # in past the grid's ends, and a secant of one pose never reaches into
-    # the next pose's cells.
-    ts = np.tile([0.0, 0.5, 1.0, 1.25], (2, 1))
-    f = np.array([[-3.0, -2.0, -1.75, -2.0], [-1.0, -1.25, -1.0, 0.0]])  # secants [2, 0.5, -1] and [-0.5, 0.5, 4]
-    climb, rise, fall = oracle._pursuit_rates(SLOW)(slice(0, 2), ts, f, np.full((2, 1), 0.25))
+    # Per pose, a column: a cell rises at most as its predecessor's secant
+    # and falls at most as its successor's falls, neither below 0; L = 1 + mu
+    # stands in past the grid's ends, and a secant of one pose never reaches
+    # into the next pose's cells. One column of times serves both poses.
+    ts = np.array([[0.0], [0.5], [1.0], [1.25]])
+    f = np.array([[-3.0, -2.0, -1.75, -2.0], [-1.0, -1.25, -1.0, 0.0]]).T  # secants [2, 0.5, -1] and [-0.5, 0.5, 4]
+    climb, rise, fall = oracle._pursuit_rates(SLOW)(slice(0, 2), ts, f, 0.25)
     L = 1.0 + SLOW.mu
-    assert climb.tolist() == [[L] * 3] * 2
-    assert rise.tolist() == [[L, 2.0, 0.5], [L, 0.0, 0.5]]
-    assert fall.tolist() == [[0.0, 1.0, L], [0.0, 0.0, L]]
+    assert climb == L
+    assert rise.T.tolist() == [[L, 2.0, 0.5], [L, 0.0, 0.5]]
+    assert fall.T.tolist() == [[0.0, 1.0, L], [0.0, 0.0, L]]
 
 
 def test_separation_is_the_remainder_bit_for_bit():
@@ -765,7 +759,7 @@ def test_separation_is_the_remainder_bit_for_bit():
 
 def grid_lengths(points, headings, threat):
     """Times in each turret pose's whole grid, by pose."""
-    (rows, _, _, n), _ = oracle._turret_grids(oracle._poses(points, headings, threat.position, "turret"), threat)
+    (rows, _, _, n, _), _ = oracle._turret_grids(oracle._poses(points, headings, threat.position, "turret"), threat)
     return dict(zip(rows.tolist(), (n + 1).tolist()))
 
 
@@ -822,7 +816,7 @@ def test_grid_slices_are_linspace_bit_for_bit():
         # bounds mixed across rows: each count sees both of linspace's paths in one call
         steps = np.full(len(bounds), n) - rng.integers(0, 3, len(bounds))
         k = np.minimum(np.arange(n + 1), steps[:, None])
-        got = oracle._grid_times(lo, hi, steps, k)
+        got = oracle._grid_times(lo[:, None], hi[:, None], steps[:, None], k)
         for row, (a, b, m) in enumerate(zip(lo.tolist(), hi.tolist(), steps.tolist())):
             whole = np.linspace(a, b, m + 1)
             assert np.array_equal(got[row, : m + 1].view(np.int64), whole.view(np.int64)), (a, b, m)
@@ -838,29 +832,76 @@ def test_refinement_levels_match_sixty_golden_section_steps():
 
 
 def test_no_pursuit_polish_starts_below_the_rise_bound(monkeypatch):
-    # Between grid points h apart the slack t + r - |A(t) - P| climbs at most
-    # (1 + mu) h, so a local maximum below -(1 + mu) h is never refined.
-    ts = np.linspace(0.0, 1.0, 1001)  # the sweep's grid: R = 1, default resolution
-    h = float(np.max(np.diff(ts)))
-    threats, starts = [], []
-    slack, refine = oracle._pursuit_slack, oracle._refine
-
-    def recording_slack(threat):
-        threats.append(threat)
-        return slack(threat)
+    # The slack t + r - |A(t) - P| is concave in t, so on the bracket of a
+    # grid maximum f it stays below 2 f - min(f_left, f_right): a maximum
+    # whose bound is below -_SLACK (1 + R) cannot reach 0 and is never
+    # refined. Poses 1e-9 to 1e-5 ranges outside a slow pursuer's zone, whose
+    # slack peaks between its grid's ends just below 0, still refine some;
+    # others have maxima the rate rule f >= -(1 + mu) h would refine.
+    refined, refine = [], oracle._refine
 
     def recording_refine(margin, poses, k, lo, hi):
-        peaks = ts[np.searchsorted(ts, lo) + 1]  # each bracket is the two grid steps around its maximum
-        values = margin(tuple(column[k] for column in poses), peaks[:, None])[:, 0]
-        starts.extend((value, threats[-1].mu) for value in values.tolist())
+        refined.append((margin, poses[:, k], lo))
         return refine(margin, poses, k, lo, hi)
 
-    monkeypatch.setattr(oracle, "_pursuit_slack", recording_slack)
     monkeypatch.setattr(oracle, "_refine", recording_refine)
-    results = pursuit_equivalence_sweep(200, seed=3)
-    assert [r.disagreements for r in results] == [0] * len(verification._MUS)
-    assert starts  # some maxima were refined
-    assert all(peak >= -(1.0 + mu) * h for peak, mu in starts)
+    rng = np.random.default_rng(93)
+    bounds, skipped = [], 0
+    for mu in (1.2, 1.5, 2.0):
+        threat = PursuerThreat(Point2(0, 0), mu=mu, engagement_range=1.0, capture_radius=0.25)
+        ts = np.linspace(0.0, threat.engagement_range, oracle._PURSUIT_STEPS + 1)
+        h, floor = ts[1], -oracle._SLACK * (1.0 + threat.engagement_range)
+        xi, headings = rng.uniform(-math.pi, math.pi, (2, 200))
+        offsets = 10.0 ** rng.uniform(-9.0, -5.0, 200)
+        points = np.array([pose_at(rho(x, threat) + o, x, hd, threat).as_tuple()
+                           for x, hd, o in zip(xi.tolist(), headings.tolist(), offsets.tolist())])
+        refined.clear()
+        windows = oracle.pursuit_windows(points, headings, threat)
+        for margin, poses, lo in refined:
+            c = np.searchsorted(ts, lo) + 1  # each bracket is the two grid steps around its maximum
+            f = margin(poses[:, :, None], ts[c[:, None] + np.arange(-1, 2)])
+            assert np.all((f[:, 1] >= f[:, 0]) & (f[:, 1] >= f[:, 2]))
+            bounds.extend((2.0 * f[:, 1] - np.minimum(f[:, 0], f[:, 2]) - floor).tolist())
+        poses = oracle._poses(points, headings, threat.position, "pursuer")
+        slack = oracle._pursuit_slack(threat)(poses[:, :, None], ts)
+        inner, left, right = slack[:, 1:-1], slack[:, :-2], slack[:, 2:]
+        rate_rule = (inner >= left) & (inner >= right) & (inner >= -(1.0 + mu) * h)
+        concave_rule = rate_rule & (2.0 * inner - np.minimum(left, right) >= floor)
+        skipped += sum(rate_rule[j].any() and not concave_rule[j].any() for j, w in enumerate(windows) if w is None)
+    assert bounds and min(bounds) >= 0.0  # some maxima were refined, each with the bound at least the floor
+    assert skipped >= 10, skipped
+
+
+def test_concave_bound_covers_the_bracket_of_a_grid_maximum():
+    # On a concave f the secant through (t, f(t)) and (t + h, f(t + h)),
+    # extended left, lies above f on [t - h, t], and the one through t - h
+    # and t lies above it on [t, t + h]: on [t - h, t + h] f stays below
+    # 2 f(t) - min(f(t - h), f(t + h)). By hand: f = 1 - (t - 3/8)^2 at
+    # t = 0, 1/2, 1 is (55/64, 63/64, 39/64), a bound of 87/64 over the
+    # peak 1 at 3/8; the right secant, extended to 0, reaches it.
+    top = oracle._concave_top(np.array([63 / 64]), np.array([55 / 64]), np.array([39 / 64]))
+    assert top.tolist() == [87 / 64]
+    rng = np.random.default_rng(95)
+    for _ in range(200):
+        a, t_peak, h = rng.uniform(0.1, 10.0), rng.uniform(-1.0, 1.0), rng.uniform(1e-3, 0.5)
+        f = lambda t: -a * (t - t_peak) ** 2  # noqa: E731
+        t = t_peak + rng.uniform(-0.5, 0.5) * h  # a grid maximum: the peak lies within half a step
+        top = oracle._concave_top(np.array([f(t)]), np.array([f(t - h)]), np.array([f(t + h)]))[0]
+        assert f(np.linspace(t - h, t + h, 1001)).max() <= top + 1e-12
+
+
+@pytest.mark.parametrize("R", [1e-3, 0.71, 1.0, 3.7, 1e3])
+def test_shared_pursuit_row_is_every_pose_grid_bit_for_bit(R):
+    # Every pursuit pose has the grid linspace(0, R, steps + 1): the one row
+    # the scan builds per call gives the times _grid_times gives each grid.
+    rows, t_lo, t_hi, n, times = oracle._pursuit_grids(3, R)
+    assert rows.tolist() == [0, 1, 2] and (t_lo, t_hi, n) == (0.0, R, oracle._PURSUIT_STEPS)
+    k = np.arange(n + 1)
+    want = oracle._grid_times(np.zeros((3, 1)), np.full((3, 1), R), np.full((3, 1), n), np.tile(k, (3, 1)))
+    got = times(rows[:, None], np.tile(k, (3, 1)))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    coarse = np.minimum(np.arange(9)[:, None] * CELL, n)  # the coarse pass's one column of indices
+    assert np.array_equal(times(slice(0, 3), coarse)[:, 0].view(np.int64), want[0, coarse[:, 0]].view(np.int64))
 
 
 def test_coarse_grid_verdicts_match_the_golden_section_scan(monkeypatch, grid):
@@ -907,14 +948,15 @@ def test_coarse_grid_verdicts_match_the_golden_section_scan(monkeypatch, grid):
 
 
 def test_refinement_memory_is_bounded(monkeypatch):
-    # Running straight away from a pursuer as fast as it is, just outside
-    # the capture radius, the slack is flat just below 0: hundreds of grid
-    # maxima per pose, all refined, none reaching 0.
+    # Running straight away from a pursuer as fast as it is, 1e-10 outside
+    # the capture radius, the slack is flat 1e-10 below 0, well within the
+    # concave bound's floor: hundreds of grid maxima per pose, all refined,
+    # none reaching 0.
     threat = PursuerThreat(Point2(0, 0), mu=1.0, engagement_range=1.0, capture_radius=0.25)
     headings = np.linspace(-3.0, 3.0, 8)
-    points = (0.25 + 1e-7) * np.c_[np.cos(headings), np.sin(headings)]
-    sizes = []
-    slack = oracle._pursuit_slack
+    points = (0.25 + 1e-10) * np.c_[np.cos(headings), np.sin(headings)]
+    sizes, refined = [], []
+    slack, refine = oracle._pursuit_slack, oracle._refine
 
     def recording_slack(threat):
         margin = slack(threat)
@@ -926,10 +968,67 @@ def test_refinement_memory_is_bounded(monkeypatch):
 
         return recorded
 
+    def recording_refine(margin, poses, k, lo, hi):
+        refined.append(len(k))
+        return refine(margin, poses, k, lo, hi)
+
     monkeypatch.setattr(oracle, "_pursuit_slack", recording_slack)
+    monkeypatch.setattr(oracle, "_refine", recording_refine)
     assert threat.engageable(points, headings).tolist() == [False] * 8
-    assert len(sizes) > 1 + 9 * 2  # the grid scan, then nine levels over more than two chunks of maxima
+    assert sum(refined) > 2 * oracle._BLOCK // len(oracle._SPREAD)  # more than two chunks of maxima
+    assert len(sizes) > 1 + 9 * 2  # the grid scan, then nine levels over more than two chunks
     assert max(sizes) <= oracle._BLOCK
+
+
+def near_boundary(rng, boundary, R):
+    """``boundary`` moved 1e-9 to 1e-1 ranges off it, to either side."""
+    return boundary + rng.choice([-1.0, 1.0], len(boundary)) * 10.0 ** rng.uniform(-9.0, -1.0, len(boundary)) * R
+
+
+def batched(windows, points, headings, threat, size):
+    """``windows`` of the poses in calls of ``size`` poses each."""
+    calls = (windows(points[i : i + size], headings[i : i + size], threat) for i in range(0, len(headings), size))
+    return [w for call in calls for w in call]
+
+
+def test_windows_do_not_hang_on_how_poses_are_batched(monkeypatch):
+    # Seeded near-boundary poses of both kinds give the same windows in one
+    # call, in calls of 10 poses (the verify sweep's) and one pose per call.
+    # The turret poses run along x through chords of many lengths: one call
+    # holds more of their grids than one coarse block does. The
+    # far pursuit poses have no open cell: one margin call reads their
+    # coarse times, and there is no fine pass.
+    rng = np.random.default_rng(97)
+    for mu in (0.7, 1.0, 1.5):
+        threat = PursuerThreat(Point2(0.1, -0.2), mu=mu, engagement_range=1.0, capture_radius=0.25)
+        xi, headings = rng.uniform(-math.pi, math.pi, (2, 120))
+        dist = np.maximum(near_boundary(rng, rho_batch(xi, threat), 1.0), 1e-6)
+        angle = headings - xi + math.pi
+        points = threat.position.as_tuple() + np.c_[dist * np.cos(angle), dist * np.sin(angle)]
+        whole = oracle.pursuit_windows(points, headings, threat)
+        assert 0 < sum(w is not None for w in whole) < 120
+        for size in (10, 1):
+            assert batched(oracle.pursuit_windows, points, headings, threat, size) == whole
+    threat = TurretThreat(Point2(0.0, 0.0), look_angle=2.0, mu=0.5, engagement_range=1.0)
+    y = rng.uniform(-0.999, 0.999, 700)
+    headings = np.zeros(700)
+    x = near_boundary(rng, boundary_threshold_batch(y, threat, headings), 1.0)
+    points = np.c_[x, y]
+    poses = oracle._poses(points, headings, threat.position, "turret")
+    (rows, _, _, n, _), _ = oracle._turret_grids(poses, threat)
+    assert len(rows) > oracle._BLOCK // ((int(n.max()) - 1) // CELL + 2) and n.min() < n.max()
+    whole = oracle.turret_windows(points, headings, threat)
+    assert 0 < sum(w is not None for w in whole) < 700
+    for size in (10, 1):
+        assert batched(oracle.turret_windows, points, headings, threat, size) == whole
+    calls = recorded_times(monkeypatch, "_pursuit_slack")
+    bearing, headings = rng.uniform(-math.pi, math.pi, (2, 40))
+    far = 0.25 + (1.0 + FAST.mu) * FAST.engagement_range + rng.uniform(0.1, 2.0, 40)  # beyond any reach
+    points = far[:, None] * np.c_[np.cos(bearing), np.sin(bearing)]
+    for size in (40, 10, 1):
+        calls.clear()
+        assert batched(oracle.pursuit_windows, points, headings, FAST, size) == [None] * 40
+        assert [t.shape for t in calls] == [(9, 1)] * (40 // size)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

@@ -74,6 +74,7 @@ VERIFY_LINES = (
     "--samples 20",
     "--samples 20 --corrupt-rho 0.01",
     "--samples 1000",
+    "--samples 10 --seed 1000",
     "--samples 1000 --corrupt-rho 0.01",
     "--kind turret --samples 1000",
     "--kind turret --samples 1000 --corrupt-rho 0.01",
@@ -183,19 +184,15 @@ def window_cases() -> dict:
     return {"pursuit": pursuit, "turret": turret}
 
 
-def _windows(threat, points: np.ndarray, headings: np.ndarray) -> list:
-    """The oracle's first engagement window of each pose, or None: the scan behind ``threat.engageable``."""
-    if isinstance(threat, PursuerThreat):
-        return oracle._pursuit_windows(oracle._poses(points, headings, threat.position, "pursuer"), threat)
-    poses = oracle._poses(points, headings, threat.position, "turret")
-    return oracle._cell_windows(oracle._turret_margin(threat), poses, *oracle._turret_grids(poses, threat))
+# per oracle kind: the first engagement window of each pose, or None, the scan behind ``threat.engageable``
+WINDOWS = {"pursuit": oracle.pursuit_windows, "turret": oracle.turret_windows}
 
 
 def window_record() -> dict:
     """Per oracle kind: sha256s of the window record's poses and of their windows, and how many poses engage."""
     record = {}
     for kind, threats in window_cases().items():
-        windows = [w for threat, points, headings in threats for w in _windows(threat, points, headings)]
+        windows = [w for threat, points, headings in threats for w in WINDOWS[kind](points, headings, threat)]
         record[kind] = {
             "poses_sha256": _sha(*(a for _, points, headings in threats for a in (points, headings))),
             "windows_sha256": _sha([(math.nan, math.nan) if w is None else w for w in windows]),
