@@ -24,9 +24,17 @@ window. The resolution is fixed by module constants, not options.
 Feasibility stops at the first witnessed engagement; only the pursuit
 certificate bisects the window it returns. The oracles read only threat
 parameters and never call the analytic boundary formulas.
-``pursuit_windows`` and ``turret_windows`` give each pose's window; the
-batched feasibility functions wrap them, and the one-pose functions are
-one-element views of those.
+``pursuit_windows`` and ``turret_windows`` give each pose's window, one
+list per block; the batched feasibility functions wrap them with one
+block, and the one-pose functions are one-element views of those.
+
+One windows call may scan the poses of several threats of one kind, one
+block of poses per threat: ``_poses`` lays every block's poses out as
+columns, and each threat's parameters go with its poses. So the margins,
+grids and rates read a pose's threat from its column, and a pose's window
+does not hang on the other blocks of its call. A call of one block keeps
+the parameters as scalars. The pursuers of one call share the engagement
+range that sets the pursuit grid's row.
 
 Normalization matches the zone modules: unit pursuer speed / unit slew
 rate, agent speed ``mu``. Feasibility is invariant to a common time
@@ -55,14 +63,17 @@ _CELL = 128  # grid steps per coarse cell, either kind: 64 measured the same on 
 _SLACK = 1e-9  # a clear cell's bound sits this far below 0 per unit of 1 + t: room for the margin's rounding, ~1e-15
 _LEVELS = 9  # refinement levels: the least L with (2/63)^L <= phi^-60, what 60 golden-section steps leave
 _BISECTIONS = 60  # halvings of the pursuit certificate's window
+_FINE = np.arange(-1, _CELL + 2)  # grid offsets a fine-pass cell reads: its own times and one on either side
 
 
 def _cell_windows(margin, poses: np.ndarray, grids: tuple, rates, concave: bool) -> list:
     """Bracket ``(lo, hi)`` of each pose's first engagement on its own grid, or None, in two passes.
 
-    ``poses`` holds one column per pose (``_poses``). ``margin(poses, t)``
-    maps pose columns and times that broadcast against them to the
-    engagement margin, feasible where >= 0. ``grids`` is
+    ``poses`` holds one column per pose (``_poses``), with its threat's
+    parameters when the call scans several threats, so a slice of pose
+    columns carries them along. ``margin(poses, t)`` maps pose columns
+    and times that broadcast against them to the engagement margin,
+    feasible where >= 0. ``grids`` is
     ``(rows, t_lo, t_hi, n, times)``: pose ``rows[g]`` has the grid
     ``np.linspace(t_lo[g], t_hi[g], n[g] + 1)`` and a pose not in ``rows``
     has none. ``t_lo``, ``t_hi`` and ``n`` hold one value per grid, or are
@@ -109,7 +120,7 @@ def _cell_windows(margin, poses: np.ndarray, grids: tuple, rates, concave: bool)
     width = (longest - 1) // _CELL + 2  # coarse times of the longest grid
     uniform = shared or int(n.min()) == longest  # then every cell of every grid lies within it
     cells = np.arange(width - 1)[:, None]
-    coarse = np.arange(width)[:, None] * _CELL  # each coarse time's index, before padding
+    coarse = np.arange(0, width * _CELL, _CELL)[:, None]  # each coarse time's index, before padding
     scan, climbs = [], []  # per coarse block: cell and grid of each cell to fine-scan, and its climb
     per_block = max(_BLOCK // width, 1)
     for start in range(0, len(rows), per_block):
@@ -136,14 +147,13 @@ def _cell_windows(margin, poses: np.ndarray, grids: tuple, rates, concave: bool)
         return windows
     if not concave:
         climb = np.concatenate(climbs)
-    offsets = np.arange(-1, _CELL + 2)
     peaks = []  # per fine block: each candidate maximum's pose and bracket
-    per_block = _BLOCK // len(offsets)
+    per_block = _BLOCK // len(_FINE)
     for start in range(0, len(c), per_block):
         part = slice(start, start + per_block)
         jj = j[part]
         pose = jj if every else rows[jj]
-        k, last = c[part, None] * _CELL + offsets, per_grid(n, jj[:, None])
+        k, last = c[part, None] * _CELL + _FINE, per_grid(n, jj[:, None])
         ts = times(jj[:, None], np.minimum(np.maximum(k, 0), last))  # its ends stand in past them
         m = margin(poses[:, pose, None], ts)
         hit = m[:, 1:-1] >= 0.0
@@ -240,70 +250,105 @@ def _bisect_first(f, lo: float, hi: float) -> float:
     return b
 
 
-def _poses(points, headings, position: Point2, kind: str) -> np.ndarray:
-    """Rows x, y and the heading's cosine and sine of n poses: one column (4 x n) per pose.
+def _poses(blocks, kind: str, params) -> tuple[np.ndarray, Optional[tuple]]:
+    """Pose columns of every block, in block order, and the threat parameters that go with them.
 
+    Each block is ``(points, headings, threat)``: rows of ``points``
+    (n x 2) with ``headings``, judged against ``threat``. A pose's column
+    holds its x, y and its heading's cosine and sine, and ``params(threat)``
+    gives its threat's parameters. A call of one block returns them as
+    scalars; in a call of several they go with the poses, as rows 4 on of
+    every column, and None comes back in their place. So the parameters of
+    any pose columns are ``poses[4:] if params is None else params``.
     The cosine and sine come from ``math.cos`` and ``math.sin``, one
     heading at a time, as the oracle's verdicts were first recorded, so
     they do not hang on numpy's vector math. Raises for a non-finite pose
-    and for a pose on the threat.
+    and for a pose on its own block's threat.
     """
-    points, headings = np.asarray(points, dtype=float), np.asarray(headings, dtype=float)
-    require_finite_poses(points, headings)
-    poses = np.empty((4, len(headings)))
-    poses[:2] = points.T
-    if ((poses[0] == position.x) & (poses[1] == position.y)).any():
-        raise DomainError(f"agent exactly at the {kind} position")
-    poses[2] = np.fromiter(map(math.cos, headings.tolist()), float, count=len(headings))
-    poses[3] = np.fromiter(map(math.sin, headings.tolist()), float, count=len(headings))
-    return poses
+    one = len(blocks) == 1
+    columns = []
+    for points, headings, threat in blocks:
+        points, headings = np.asarray(points, dtype=float), np.asarray(headings, dtype=float)
+        require_finite_poses(points, headings)
+        values = params(threat)
+        poses = np.empty((4 if one else 4 + len(values), len(headings)))
+        poses[:2] = points.T
+        if ((poses[0] == threat.position.x) & (poses[1] == threat.position.y)).any():
+            raise DomainError(f"agent exactly at the {kind} position")
+        angles = headings.tolist()
+        poses[2] = np.fromiter(map(math.cos, angles), float, count=len(angles))
+        poses[3] = np.fromiter(map(math.sin, angles), float, count=len(angles))
+        if not one:
+            poses[4:] = np.array(values)[:, None]
+        columns.append(poses)
+    return (columns[0], values) if one else (np.concatenate(columns, axis=1), None)
 
 
-def _track(threat, poses: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets from the threat of the straight-running agents ``poses`` at times t."""
+def _split(windows: list, blocks) -> list:
+    """``windows`` of the poses of every block, one list per block."""
+    if len(blocks) == 1:
+        return [windows]
+    out, start = [], 0
+    for _, headings, _ in blocks:
+        out.append(windows[start : start + len(headings)])
+        start += len(headings)
+    return out
+
+
+def _track(poses: np.ndarray, t: np.ndarray, x0, y0, mu) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets from a threat at (x0, y0) of the agents ``poses`` running straight at speed mu, at times t."""
     x, y, c, s = poses[0], poses[1], poses[2], poses[3]
-    vt = threat.mu * t
-    return x + vt * c - threat.position.x, y + vt * s - threat.position.y
+    vt = mu * t
+    return x + vt * c - x0, y + vt * s - y0
 
 
-def _pursuit_slack(threat: PursuerThreat):
+def _pursuit_params(threat: PursuerThreat) -> tuple:
+    """A pursuer's parameters for ``_poses``: its x, y, mu and capture radius r."""
+    return threat.position.x, threat.position.y, threat.mu, threat.capture_radius
+
+
+def _pursuit_slack(params: Optional[tuple]):
     """Capture slack t + r - |A(t) - P0| of poses at times t; capture feasible where >= 0.
 
-    Valid on t in [0, R]: the pursuer's reach balloon grows at unit speed
-    until the range budget R is spent, and stopping burns the budget at
-    the same rate, so the pursuer is out of the fight after t = R.
+    ``params`` are the pursuer's ``_pursuit_params``, or None when they go
+    with the poses (``_poses``). Valid on t in [0, R]: the pursuer's
+    reach balloon grows at unit speed until the range budget R is spent,
+    and stopping burns the budget at the same rate, so the pursuer is out
+    of the fight after t = R.
     """
-    r = threat.capture_radius
 
     def slack(poses: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return t + r - np.hypot(*_track(threat, poses, t))
+        x0, y0, mu, r = poses[4:] if params is None else params
+        return t + r - np.hypot(*_track(poses, t, x0, y0, mu))
 
     return slack
 
 
-def _pursuit_rates(threat: PursuerThreat):
+def _pursuit_rates(mu):
     """``_cell_windows``' cell rates ``(climb, rise, fall)`` of the capture slack on the pursuit grid.
 
-    The slack climbs at most L = 1 + mu per unit time: the agent closes
-    at mu, the balloon grows at 1. It is concave in t, the norm
-    |A + mu t u - P| of an affine map being convex, so its secants fall
-    from cell to cell: from a cell's left end it rises no faster than the
-    cell before it rose, and toward its right end it falls no faster than
-    the cell after it falls. Those secants, floored at 0, are the cell's
-    tent rates; no secant exceeds L, which stands in past the grid's ends
-    and is the climb of every cell.
+    ``mu`` is the pursuer's, or one value per pose. The slack climbs at
+    most L = 1 + mu per unit time: the agent closes at mu, the balloon
+    grows at 1. It is concave in t, the norm |A + mu t u - P| of an affine
+    map being convex, so its secants fall from cell to cell: from a cell's
+    left end it rises no faster than the cell before it rose, and toward
+    its right end it falls no faster than the cell after it falls. Those
+    secants, floored at 0, are the cell's tent rates; no secant exceeds L,
+    which stands in past the grid's ends and is the climb of every cell.
     """
-    climb = 1.0 + threat.mu
+    climb = 1.0 + mu
+    per_pose = isinstance(climb, np.ndarray)
 
     def rates(part: slice, ts: np.ndarray, f: np.ndarray, h: float):
+        top = climb[part] if per_pose else climb
         secant = np.subtract(f[1:], f[:-1])
         secant /= ts[1:] - ts[:-1]
         rise, fall = np.empty_like(secant), np.empty_like(secant)
-        rise[0] = fall[-1] = climb
+        rise[0] = fall[-1] = top
         np.maximum(secant[:-1], 0.0, out=rise[1:])
         np.negative(secant[1:], out=fall[:-1])
         np.maximum(fall[:-1], 0.0, out=fall[:-1])
-        return climb, rise, fall
+        return top, rise, fall
 
     return rates
 
@@ -315,21 +360,39 @@ def _pursuit_grids(count: int, R: float) -> tuple:
     pursuer's life, t in [0, R] at unit pursuer speed, and ``linspace``
     gives it bit for bit as ``_grid_times`` gives each grid's times. So it
     is built once, and the times of any grids at indices k are ``row[k]``.
+    The row is ``linspace``'s own arithmetic, each index times the step
+    R / ``_PURSUIT_STEPS`` and the last time R, without its argument
+    handling, which costs a short call a few µs. ``linspace`` takes another
+    path only for a step of 0, which needs R below about 5e-321; a
+    pursuer's (mu R)^2 is positive, so its R is above about 1e-316.
     """
-    row = np.linspace(0.0, R, _PURSUIT_STEPS + 1)
+    row = np.arange(_PURSUIT_STEPS + 1) * (R / _PURSUIT_STEPS)
+    row[-1] = R
     return np.arange(count), 0.0, R, _PURSUIT_STEPS, lambda g, k: row[k]
 
 
-def pursuit_windows(points: np.ndarray, headings: np.ndarray, threat: PursuerThreat) -> list:
-    """Each pose's first capture window ``(lo, hi)``, or None: rows of ``points`` (n x 2) with ``headings``.
+def pursuit_windows(blocks) -> list:
+    """Each pose's first capture window ``(lo, hi)``, or None, one list per block ``(points, headings, threat)``.
 
-    Every pose is scanned over the shared pursuit grid
-    (``_pursuit_grids``), bounded per cell by ``_pursuit_rates``, and the
-    slack's concavity bounds each grid maximum's bracket.
+    ``points`` (n x 2) and ``headings`` are poses of the pursuer
+    ``threat``; one call scans every block's poses together, and each
+    pose's window is the one a call of its block alone gives. Every pose
+    is scanned over the shared pursuit grid (``_pursuit_grids``), so the
+    pursuers must share one engagement range; a call whose pursuers
+    differ in it raises ValueError. Each cell is bounded by
+    ``_pursuit_rates``, and the slack's concavity bounds each grid
+    maximum's bracket.
     """
-    poses = _poses(points, headings, threat.position, "pursuer")
-    grids = _pursuit_grids(len(poses[0]), threat.engagement_range)
-    return _cell_windows(_pursuit_slack(threat), poses, grids, _pursuit_rates(threat), concave=True)
+    R = blocks[0][2].engagement_range
+    for _, _, threat in blocks[1:]:
+        if threat.engagement_range != R:
+            raise ValueError(
+                f"one pursuit windows call takes one engagement range, got {R} and {threat.engagement_range}"
+            )
+    poses, params = _poses(blocks, "pursuer", _pursuit_params)
+    grids = _pursuit_grids(len(poses[0]), R)
+    rates = _pursuit_rates(poses[6] if params is None else params[2])
+    return _split(_cell_windows(_pursuit_slack(params), poses, grids, rates, concave=True), blocks)
 
 
 def _one(a0: Point2, heading: float) -> tuple[np.ndarray, np.ndarray]:
@@ -339,7 +402,8 @@ def _one(a0: Point2, heading: float) -> tuple[np.ndarray, np.ndarray]:
 
 def pursuit_capture_possible_batch(points: np.ndarray, headings: np.ndarray, threat: PursuerThreat) -> np.ndarray:
     """``pursuit_capture_possible`` of every pose: rows of ``points`` (n x 2) with ``headings``."""
-    return np.array([w is not None for w in pursuit_windows(points, headings, threat)], dtype=bool)
+    (windows,) = pursuit_windows([(points, headings, threat)])
+    return np.array([w is not None for w in windows], dtype=bool)
 
 
 def pursuit_capture_possible(a0: Point2, heading: float, threat: PursuerThreat) -> bool:
@@ -359,19 +423,22 @@ def pursuit_capture_certificate(a0: Point2, heading: float, threat: PursuerThrea
     the straight-line intercept distance equals the capture time; on the
     zone boundary it equals the full range budget.
     """
-    point, headings = _one(a0, heading)
-    (window,) = pursuit_windows(point, headings, threat)
+    block = [(*_one(a0, heading), threat)]
+    ((window,),) = pursuit_windows(block)
     if window is None:
         return None
-    pose, slack = _poses(point, headings, threat.position, "pursuer"), _pursuit_slack(threat)
+    pose, params = _poses(block, "pursuer", _pursuit_params)
+    slack = _pursuit_slack(params)
     t_cap = _bisect_first(lambda t: float(slack(pose, t)[0]), *window)
     return t_cap, t_cap
 
 
-def _turret_grids(poses: np.ndarray, threat: TurretThreat):
+def _turret_grids(poses: np.ndarray, params: Optional[tuple]):
     """Grid of each pose ever in range at t >= 0, ``(rows, t_lo, t_hi, n, times)``, and the cell rates on them.
 
-    ``rows`` indexes those poses, and the other arrays hold one value per
+    ``params`` are the turret's ``_turret_params``, or None when they go
+    with the poses (``_poses``). ``rows`` indexes the poses ever in
+    range, and the other arrays hold one value per
     row: its grid is ``np.linspace(t_lo, t_hi, n + 1)``, whose times
     ``times`` reads with ``_grid_times``. The bounds come
     from one array evaluation, which raises for a pose so far out that its
@@ -387,8 +454,9 @@ def _turret_grids(poses: np.ndarray, threat: TurretThreat):
     ``d . u`` at its ends, and is infinite where that |d| is 0. The margin
     is not concave, so L is also both of the cell's tent rates.
     """
-    dx0, dy0 = poses[0] - threat.position.x, poses[1] - threat.position.y
-    ux, uy, v, R = poses[2], poses[3], threat.mu, threat.engagement_range
+    x0, y0, v, R, _ = poses[4:] if params is None else params
+    dx0, dy0 = poses[0] - x0, poses[1] - y0
+    ux, uy = poses[2], poses[3]
     # |d + v t u|^2 = R^2, with the leading coefficient v^2. Its discriminant
     # b^2 - 4 v^2 (|d|^2 - R^2) is 4 v^2 (R^2 - (d x u)^2), which does not cancel far out.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -403,6 +471,8 @@ def _turret_grids(poses: np.ndarray, threat: TurretThreat):
         raise DomainError(f"agent at ({poses[0][j]}, {poses[1][j]}) overflows the oracle's in-range quadratic")
     rows = ((disc >= 0.0) & (t_hi >= 0.0)).nonzero()[0]
     t_lo, t_hi, along = np.maximum(t_lo[rows], 0.0), t_hi[rows], along[rows]
+    if params is None:  # each pose's turret: one speed and range per grid
+        v, R = v[rows], R[rows]
     steps = np.ceil((t_hi - t_lo) / (_TURRET_STEP * R / v))
     n = np.maximum(np.minimum(steps, math.ceil(2.0 / _TURRET_STEP) + 1), 64).astype(int)
     with np.errstate(over="ignore"):
@@ -410,11 +480,12 @@ def _turret_grids(poses: np.ndarray, threat: TurretThreat):
 
     def rates(part: slice, ts: np.ndarray, f: np.ndarray, h: np.ndarray):
         # in place: on long turret grids these are the scan's largest arrays
+        speed = v if params is not None else v[part]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             near = ts[:-1] - h  # d . u at the widened cell's ends
             far = ts[1:] + h
             for end, closest in ((near, np.maximum), (far, np.minimum)):
-                end *= v
+                end *= speed
                 end += along[part]
                 closest(end, 0.0, out=end)
             d2 = np.subtract(near, far, out=near)  # the least |d . u| over the cell, then the least |d|^2
@@ -491,35 +562,45 @@ def _separation(x: np.ndarray) -> np.ndarray:
     return np.abs(y, out=y)
 
 
-def _turret_margin(threat: TurretThreat):
+def _turret_params(threat: TurretThreat) -> tuple:
+    """A turret's parameters for ``_poses``: its x, y, mu, range R and look angle wrapped into (-pi, pi]."""
+    return threat.position.x, threat.position.y, threat.mu, threat.engagement_range, wrap_angle(threat.look_angle)
+
+
+def _turret_margin(params: Optional[tuple]):
     """Neutralization margin t - |look - bearing| of poses at times t; feasible where >= 0.
 
-    The look angle is wrapped into (-pi, pi] and the bearing is in
-    [-pi, pi], so ``look - bearing + pi`` is in [-pi, 3 pi], inside
-    ``_separation``'s domain.
+    ``params`` are the turret's ``_turret_params``, or None when they go
+    with the poses (``_poses``). The look angle is wrapped into
+    (-pi, pi] and the bearing is in [-pi, pi], so ``look - bearing + pi``
+    is in [-pi, 3 pi], inside ``_separation``'s domain.
     """
-    look = wrap_angle(threat.look_angle)
 
     def margin(poses: np.ndarray, t: np.ndarray) -> np.ndarray:
-        px, py = _track(threat, poses, t)
+        x0, y0, mu, _, look = poses[4:] if params is None else params
+        px, py = _track(poses, t, x0, y0, mu)
         return t - _separation(look - np.arctan2(py, px) + math.pi)
 
     return margin
 
 
-def turret_windows(points: np.ndarray, headings: np.ndarray, threat: TurretThreat) -> list:
-    """Each pose's first neutralization window ``(lo, hi)``, or None: rows of ``points`` (n x 2) with ``headings``.
+def turret_windows(blocks) -> list:
+    """Each pose's first neutralization window ``(lo, hi)``, or None, one list per block ``(points, headings, threat)``.
 
-    Each pose is scanned over its own in-range grid (``_turret_grids``).
+    ``points`` (n x 2) and ``headings`` are poses of the turret
+    ``threat``; one call scans every block's poses together, and each
+    pose's window is the one a call of its block alone gives. Each pose is
+    scanned over its own in-range grid (``_turret_grids``).
     """
-    poses = _poses(points, headings, threat.position, "turret")
-    grids, rates = _turret_grids(poses, threat)
-    return _cell_windows(_turret_margin(threat), poses, grids, rates, concave=False)
+    poses, params = _poses(blocks, "turret", _turret_params)
+    grids, rates = _turret_grids(poses, params)
+    return _split(_cell_windows(_turret_margin(params), poses, grids, rates, concave=False), blocks)
 
 
 def turret_neutralization_possible_batch(points: np.ndarray, headings: np.ndarray, threat: TurretThreat) -> np.ndarray:
     """``turret_neutralization_possible`` of every pose: rows of ``points`` (n x 2) with ``headings``."""
-    return np.array([w is not None for w in turret_windows(points, headings, threat)], dtype=bool)
+    (windows,) = turret_windows([(points, headings, threat)])
+    return np.array([w is not None for w in windows], dtype=bool)
 
 
 def turret_neutralization_possible(a0: Point2, heading: float, threat: TurretThreat) -> bool:

@@ -4,10 +4,14 @@ Random poses are drawn with a guaranteed margin off the analytic zone
 boundary (poses closer than the margin are ambiguous at finite scan
 resolution), then classified by both the closed form and the brute-force
 oracle. The closed forms are the batched kernels the planner runs
-(``rho_batch``, ``boundary_threshold_batch``) and the oracle is the
-threat's ``engageable`` member, the referee the dense audit asks; each
-is one call per block of poses, so the sweep checks the code that plans
-and audits use. Any disagreement is a defect in one of the two routes. A
+(``rho_batch``, ``boundary_threshold_batch``), one call per threat. The
+oracle side is one windows call per zone kind over every swept threat's
+poses (``pursuit_windows``, ``turret_windows``), the scan each threat's
+``engageable`` member runs for the dense audit; a pose's window does not
+hang on the other poses of the call. So the sweep checks the code that
+plans and audits use. The poses are all drawn before any is judged, and
+the draws never depend on a verdict. Any disagreement is a defect in one
+of the two routes. A
 corruption hook scales the analytic boundary so the harness can prove
 the sweep actually detects broken formulas.
 """
@@ -21,12 +25,13 @@ import numpy as np
 
 from .geometry import Point2, wrap_angle
 from .oracle import pursuit_capture_possible, turret_neutralization_possible  # noqa: F401
+from .oracle import pursuit_windows, turret_windows
 from .pursuit import PursuerThreat, rho, rho_batch  # noqa: F401
 from .turret import TurretThreat, boundary_threshold, boundary_threshold_batch  # noqa: F401
 
 # rho, boundary_threshold and the two one-pose oracles are not called
 # here: the sweeps classify whole blocks with rho_batch,
-# boundary_threshold_batch and engageable. They stay bound because
+# boundary_threshold_batch and the oracle's windows functions. They stay bound because
 # benchmarks/tracing.py wraps them by name and its self-test expects every
 # binding it names to exist.
 
@@ -54,7 +59,7 @@ def pursuit_equivalence_sweep(
     oracle then reports disagreements.
     """
     rng = np.random.default_rng(seed)
-    results = []
+    blocks, expected = [], []
     R, r = _RANGE, _CAPTURE_RADIUS
     for mu in _MUS:
         threat = PursuerThreat(Point2(0.0, 0.0), mu=mu, engagement_range=R, capture_radius=r)
@@ -69,10 +74,12 @@ def pursuit_equivalence_sweep(
             ang = heading - xi + math.pi
             points.append((dist * math.cos(ang), dist * math.sin(ang)))
             analytic.append(dist <= rho_scale * boundary)
-        oracle = threat.engageable(np.array(points).reshape(-1, 2), draws[:, 3])
-        bad = int(np.count_nonzero(oracle != np.array(analytic, dtype=bool)))
-        results.append(SweepResult(label=f"pursuer mu={mu}", samples=samples_per_mu, disagreements=bad))
-    return results
+        blocks.append((np.array(points).reshape(-1, 2), draws[:, 3], threat))
+        expected.append(analytic)
+    return [
+        SweepResult(label=f"pursuer mu={mu}", samples=samples_per_mu, disagreements=_disagreements(windows, analytic))
+        for mu, windows, analytic in zip(_MUS, pursuit_windows(blocks), expected)
+    ]
 
 
 def turret_equivalence_sweep(
@@ -84,20 +91,18 @@ def turret_equivalence_sweep(
     engagement range) for harness self-tests.
     """
     rng = np.random.default_rng(seed)
-    results = []
+    blocks, expected = [], []
     R = _RANGE
     for look in _LOOKS:
         threat = TurretThreat(Point2(0.0, 0.0), look_angle=look, mu=_TURRET_MU, engagement_range=R)
-        bad = 0
-        done = 0
-        while done < samples_per_angle:
+        points, analytic = [], []  # every round of this look angle: one block
+        while len(points) < samples_per_angle:
             # one attempt per pose still needed: a chord offset and the
             # uniform that places the start on the chord; a through-turret
             # chord is degenerate and is dropped with its uniform
-            draws = rng.uniform([-0.999 * R, 0.0], [0.999 * R, 1.0], size=(samples_per_angle - done, 2))
+            draws = rng.uniform([-0.999 * R, 0.0], [0.999 * R, 1.0], size=(samples_per_angle - len(points), 2))
             draws = draws[~(np.abs(draws[:, 0]) < 1e-6 * R)]
             thresholds = boundary_threshold_batch(draws[:, 0], threat, np.zeros(len(draws)))
-            points, analytic = [], []
             for (y, u), threshold in zip(draws.tolist(), thresholds.tolist()):
                 lo = threshold - 3.0 * R
                 hi = min(threshold + 3.0 * R, math.sqrt(R * R - y * y))
@@ -106,14 +111,18 @@ def turret_equivalence_sweep(
                     continue
                 points.append((x, y))
                 analytic.append(x <= threshold + threshold_shift * R)
-            oracle = threat.engageable(np.array(points).reshape(-1, 2), np.zeros(len(points)))
-            bad += int(np.count_nonzero(oracle != np.array(analytic, dtype=bool)))
-            done += len(points)
-        results.append(
-            SweepResult(
-                label=f"turret look_angle={wrap_angle(look):.4f}",
-                samples=samples_per_angle,
-                disagreements=bad,
-            )
+        blocks.append((np.array(points).reshape(-1, 2), np.zeros(len(points)), threat))
+        expected.append(analytic)
+    return [
+        SweepResult(
+            label=f"turret look_angle={wrap_angle(look):.4f}",
+            samples=samples_per_angle,
+            disagreements=_disagreements(windows, analytic),
         )
-    return results
+        for look, windows, analytic in zip(_LOOKS, turret_windows(blocks), expected)
+    ]
+
+
+def _disagreements(windows: list, analytic: list) -> int:
+    """Poses whose oracle verdict, a window or None, differs from the closed form's ``analytic`` one."""
+    return sum((w is not None) != a for w, a in zip(windows, analytic))

@@ -27,7 +27,9 @@ def test_two_runs_give_identical_digests(digests):
     assert first["verify"]["--samples 20"]["stdout"].endswith("total disagreements: 0\n")
     assert first["verify"]["--samples 20 --corrupt-rho 0.01"]["exit"] == 1
     for kind in ("pursuit", "turret"):  # near the boundary, some poses engage and some do not
-        assert 0 < first["windows"][kind]["engaged"] < len(identity.WINDOW_MUS) * identity.WINDOW_POSES
+        record = first["windows"][kind]
+        assert 0 < record["engaged"] < len(identity.WINDOW_MUS) * identity.WINDOW_POSES
+        assert record["one_call_windows_sha256"] == record["windows_sha256"]  # one call per kind, or per threat
 
 
 def test_diff_of_a_digest_against_itself_is_empty(digests, tmp_path, capsys):
@@ -57,11 +59,12 @@ def test_diff_reports_a_moved_window(digests, monkeypatch):
     # one pursuit window starts one grid step later: the pursuit record moves, the turret's does not
     windows = identity.WINDOWS["pursuit"]
 
-    def moved(points, headings, threat):
-        got = windows(points, headings, threat)
-        if threat.mu == identity.WINDOW_MUS[0]:
-            k = next(k for k, w in enumerate(got) if w is not None)
-            got[k] = (got[k][0] + 1e-3, got[k][1])
+    def moved(blocks):
+        got = windows(blocks)
+        for (_, _, threat), block in zip(blocks, got):
+            if threat.mu == identity.WINDOW_MUS[0]:
+                k = next(k for k, w in enumerate(block) if w is not None)
+                block[k] = (block[k][0] + 1e-3, block[k][1])
         return got
 
     monkeypatch.setitem(identity.WINDOWS, "pursuit", moved)
@@ -69,6 +72,12 @@ def test_diff_reports_a_moved_window(digests, monkeypatch):
     lines = identity.diff(digests[0], after)
     assert len(lines) == 1 and lines[0].startswith("windows pursuit: ")
     assert after["windows"]["pursuit"]["poses_sha256"] == digests[0]["windows"]["pursuit"]["poses_sha256"]
+    # a window record without the one-call hash, as an older checkout writes it, compares on the fields it has
+    older = copy.deepcopy(digests[0])
+    for record in older["windows"].values():
+        del record["one_call_windows_sha256"]
+    assert identity.diff(older, digests[0]) == []
+    assert len(identity.diff(older, after)) == 1
 
 
 def test_case_list_covers_both_seeds_and_rejects_unknown_names(tmp_path):

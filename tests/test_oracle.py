@@ -299,10 +299,16 @@ EDGE = 64 * CELL  # a coarse time far into the grid
 FINE_STEP = 2.5e-5  # turret grids of up to 80,001 times
 
 
+def columns(points, headings, threat):
+    """One block's pose columns and its threat's parameters, as the oracle's scan takes them (``_poses``)."""
+    if isinstance(threat, PursuerThreat):
+        return oracle._poses([(points, headings, threat)], "pursuer", oracle._pursuit_params)
+    return oracle._poses([(points, headings, threat)], "turret", oracle._turret_params)
+
+
 def turret_grid(point, heading, threat):
     """A pose's whole turret grid."""
-    poses = oracle._poses(np.array([point]), np.array([heading]), threat.position, "turret")
-    (_, t_lo, t_hi, n, _), _ = oracle._turret_grids(poses, threat)
+    (_, t_lo, t_hi, n, _), _ = oracle._turret_grids(*columns(np.array([point]), np.array([heading]), threat))
     return oracle._grid_times(t_lo[0], t_hi[0], n[0], np.arange(n[0] + 1))
 
 
@@ -311,8 +317,8 @@ def recorded_times(monkeypatch, factory):
     calls = []
     make = getattr(oracle, factory)
 
-    def recording_factory(threat):
-        inner = make(threat)
+    def recording_factory(params):
+        inner = make(params)
 
         def recorded(poses, t):
             calls.append(np.array(t, copy=True))
@@ -353,7 +359,7 @@ class TestChunkedTurretScan:
             return refine(margin, poses, k, lo, hi)
 
         monkeypatch.setattr(oracle, "_refine", recording_refine)
-        got = oracle.turret_windows(points, headings, threat)
+        (got,) = oracle.turret_windows([(points, headings, threat)])
         late_hits = misses = 0
         for pose, ((x, y), h, window) in enumerate(zip(points.tolist(), headings.tolist(), got)):
             want = ref.turret_window(Point2(x, y), h, threat, FINE_STEP)
@@ -378,7 +384,7 @@ class TestChunkedTurretScan:
         point, heading = (0.01, 0.0), 0.0
         ts = turret_grid(point, heading, TURRET)
         threat = TurretThreat(Point2(0, 0), look_angle=0.5 * (ts[i - 1] + ts[i]), mu=0.5, engagement_range=1.0)
-        (window,) = oracle.turret_windows(np.array([point]), np.array([heading]), threat)
+        ((window,),) = oracle.turret_windows([(np.array([point]), np.array([heading]), threat)])
         assert window == (ts[i - 1], ts[i]) == ref.turret_window(Point2(*point), heading, threat, FINE_STEP)
         # The coarse pass reads every CELL-th time and the last. The fine pass
         # reads the cell holding the hit, with a time on either side, and the
@@ -414,10 +420,10 @@ class TestChunkedTurretScan:
         threat = TurretThreat(Point2(0, 0), look_angle=look, mu=v, engagement_range=R)
         point, heading = (x0, -y0), math.pi / 2
         ts = turret_grid(point, heading, threat)
-        poses = oracle._poses(np.array([point]), np.array([heading]), threat.position, "turret")
-        m = oracle._turret_margin(threat)(poses, ts[:, None])[:, 0]
+        poses, params = columns(np.array([point]), np.array([heading]), threat)
+        m = oracle._turret_margin(params)(poses, ts[:, None])[:, 0]
         assert m.max() < 0.0 and np.flatnonzero((m[1:-1] >= m[:-2]) & (m[1:-1] >= m[2:])).tolist() == [i - 1]
-        (window,) = oracle.turret_windows(np.array([point]), np.array([heading]), threat)
+        ((window,),) = oracle.turret_windows([(np.array([point]), np.array([heading]), threat)])
         assert window[0] == ts[i - 1] and ts[i] < window[1] < ts[i + 1]
         assert ref.turret_window(Point2(*point), heading, threat, FINE_STEP)[0] == ts[i - 1]
 
@@ -454,7 +460,7 @@ def test_windows_match_the_frozen_scan_on_every_kind_of_chord(monkeypatch):
         offset[kinds["near"]] = R * rng.uniform(-1e-6, 1e-6, (10, 1))
         points = threat.position.as_tuple() - back * u + offset * normal
         refined.clear()
-        got = oracle.turret_windows(points, headings, threat)
+        (got,) = oracle.turret_windows([(points, headings, threat)])
         assert threat.engageable(points, headings).tolist() == [w is not None for w in got]
         for pose, ((x, y), h, window) in enumerate(zip(points.tolist(), headings.tolist(), got)):
             want = ref.turret_window(Point2(x, y), h, threat)
@@ -476,7 +482,7 @@ def test_a_clear_pose_is_fine_scanned_on_few_of_its_times(evaluated):
     # pass reads under a quarter of the grid.
     threat = TurretThreat(Point2(0, 0), look_angle=0.0, mu=2.0, engagement_range=1.0)
     point, heading = (-1e-3, -0.999), math.pi / 2
-    assert oracle.turret_windows(np.array([point]), np.array([heading]), threat) == [None]
+    assert oracle.turret_windows([(np.array([point]), np.array([heading]), threat)]) == [[None]]
     assert ref.turret_window(Point2(*point), heading, threat) is None
     coarse, *fine = evaluated
     grid_times = len(turret_grid(point, heading, threat))
@@ -492,7 +498,7 @@ def test_a_pose_with_two_windows_keeps_the_first(evaluated):
     # before the first coarse hit; the window is the first one.
     threat = TurretThreat(Point2(0, 0), look_angle=math.pi / 2, mu=1.0, engagement_range=3.0)
     point, heading = (-0.05, 0.1), 0.0
-    (window,) = oracle.turret_windows(np.array([point]), np.array([heading]), threat)
+    ((window,),) = oracle.turret_windows([(np.array([point]), np.array([heading]), threat)])
     assert window == ref.turret_window(Point2(*point), heading, threat) and 0.045 < window[0] < window[1] < 0.046
     coarse, *fine = evaluated
     assert [t.shape for t in fine] == [(2, CELL + 3)] and fine[0][0, 1] < window[0] and 1.4 < fine[0][1, 1] < 1.5
@@ -523,7 +529,7 @@ def test_pursuit_windows_match_the_frozen_scan(monkeypatch):
         points = np.array([pose_at(rho(x, threat) + o, x, h, threat).as_tuple()
                            for x, h, o in zip(xi.tolist(), headings.tolist(), offsets.tolist())])
         refined.clear()
-        got = oracle.pursuit_windows(points, headings, threat)
+        (got,) = oracle.pursuit_windows([(points, headings, threat)])
         ts = np.linspace(0.0, R, oracle._PURSUIT_STEPS + 1)
         for pose, ((x, y), h, window) in enumerate(zip(points.tolist(), headings.tolist(), got)):
             want = ref.pursuit_window(Point2(x, y), h, threat)
@@ -599,16 +605,16 @@ def test_pursuit_windows_are_the_reference_scans_and_near_misses_stay_open(monke
             xi, heading = rng.uniform(-math.pi, math.pi, 2).tolist()
             offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -4.0) * R
             point = pose_at(rho(xi, threat) + offset, xi, heading, threat)
-            poses = oracle._poses(np.array([point.as_tuple()]), np.array([heading]), threat.position, "pursuer")
+            poses, params = columns(np.array([point.as_tuple()]), np.array([heading]), threat)
             calls.clear()
-            (window,) = oracle.pursuit_windows(np.array([point.as_tuple()]), np.array([heading]), threat)
+            ((window,),) = oracle.pursuit_windows([(np.array([point.as_tuple()]), np.array([heading]), threat)])
             want = ref.pursuit_window(point, heading, threat)
             if window is not None and window[1] not in ts:
                 assert want is not None and window[0] == want[0]
             else:
                 assert window == want
             if window is None:
-                slack = slack_of(threat)(poses, ts[None, :])[0]
+                slack = slack_of(params)(poses, ts[None, :])[0]
                 scanned = np.concatenate([t.ravel() for t in calls[1:] if t.shape[1] == CELL + 3] or [np.empty(0)])
                 assert np.isin(ts[slack >= reach], scanned).all()
                 peak = int(slack.argmax())
@@ -624,7 +630,7 @@ def test_a_grid_of_step_zero_through_a_tiny_turret_warns_nothing():
     # refine", without a warning.
     tiny = TurretThreat(Point2(0, 0), look_angle=math.pi, mu=1.0, engagement_range=1e-20)
     points, headings = np.array([[-1e-3, 0.0]]), np.zeros(1)
-    (_, t_lo, t_hi, _, _), rates = oracle._turret_grids(oracle._poses(points, headings, tiny.position, "turret"), tiny)
+    (_, t_lo, t_hi, _, _), rates = oracle._turret_grids(*columns(points, headings, tiny))
     assert t_lo.tolist() == t_hi.tolist() == [1e-3]
     assert np.isinf(rates(slice(0, 1), np.full((2, 1), 1e-3), np.zeros((2, 1)), np.zeros(1))).all()
     with warnings.catch_warnings():
@@ -645,14 +651,13 @@ def test_far_poses_wide_of_the_turret_are_not_engageable():
 
 def straight_away_rates(ts, f, h):
     """The turret's cell rates on the cells ``ts`` of a pose running straight away from the turret: no miss distance."""
-    poses = oracle._poses(np.array([[0.01, 0.0]]), np.zeros(1), TURRET.position, "turret")
-    _, rates = oracle._turret_grids(poses, TURRET)
+    _, rates = oracle._turret_grids(*columns(np.array([[0.01, 0.0]]), np.zeros(1), TURRET))
     return rates(slice(0, 1), ts, f, np.array([h]))
 
 
 def pursuit_rates(ts, f, h):
     """A slow pursuer's cell rates: on a grid of one cell, 1 + mu for all three."""
-    return oracle._pursuit_rates(SLOW)(slice(0, 1), ts, f, np.array([h]))
+    return oracle._pursuit_rates(SLOW.mu)(slice(0, 1), ts, f, np.array([h]))
 
 
 # the cell tests' rates and the rate L each gives: a turret's, and a lone pursuit cell's 1 + mu
@@ -739,7 +744,7 @@ def test_pursuit_tent_rates_are_the_neighbouring_secants_floored_at_zero():
     # into the next pose's cells. One column of times serves both poses.
     ts = np.array([[0.0], [0.5], [1.0], [1.25]])
     f = np.array([[-3.0, -2.0, -1.75, -2.0], [-1.0, -1.25, -1.0, 0.0]]).T  # secants [2, 0.5, -1] and [-0.5, 0.5, 4]
-    climb, rise, fall = oracle._pursuit_rates(SLOW)(slice(0, 2), ts, f, 0.25)
+    climb, rise, fall = oracle._pursuit_rates(SLOW.mu)(slice(0, 2), ts, f, 0.25)
     L = 1.0 + SLOW.mu
     assert climb == L
     assert rise.T.tolist() == [[L, 2.0, 0.5], [L, 0.0, 0.5]]
@@ -759,7 +764,7 @@ def test_separation_is_the_remainder_bit_for_bit():
 
 def grid_lengths(points, headings, threat):
     """Times in each turret pose's whole grid, by pose."""
-    (rows, _, _, n, _), _ = oracle._turret_grids(oracle._poses(points, headings, threat.position, "turret"), threat)
+    (rows, _, _, n, _), _ = oracle._turret_grids(*columns(points, headings, threat))
     return dict(zip(rows.tolist(), (n + 1).tolist()))
 
 
@@ -856,14 +861,14 @@ def test_no_pursuit_polish_starts_below_the_rise_bound(monkeypatch):
         points = np.array([pose_at(rho(x, threat) + o, x, hd, threat).as_tuple()
                            for x, hd, o in zip(xi.tolist(), headings.tolist(), offsets.tolist())])
         refined.clear()
-        windows = oracle.pursuit_windows(points, headings, threat)
+        (windows,) = oracle.pursuit_windows([(points, headings, threat)])
         for margin, poses, lo in refined:
             c = np.searchsorted(ts, lo) + 1  # each bracket is the two grid steps around its maximum
             f = margin(poses[:, :, None], ts[c[:, None] + np.arange(-1, 2)])
             assert np.all((f[:, 1] >= f[:, 0]) & (f[:, 1] >= f[:, 2]))
             bounds.extend((2.0 * f[:, 1] - np.minimum(f[:, 0], f[:, 2]) - floor).tolist())
-        poses = oracle._poses(points, headings, threat.position, "pursuer")
-        slack = oracle._pursuit_slack(threat)(poses[:, :, None], ts)
+        poses, params = columns(points, headings, threat)
+        slack = oracle._pursuit_slack(params)(poses[:, :, None], ts)
         inner, left, right = slack[:, 1:-1], slack[:, :-2], slack[:, 2:]
         rate_rule = (inner >= left) & (inner >= right) & (inner >= -(1.0 + mu) * h)
         concave_rule = rate_rule & (2.0 * inner - np.minimum(left, right) >= floor)
@@ -890,7 +895,7 @@ def test_concave_bound_covers_the_bracket_of_a_grid_maximum():
         assert f(np.linspace(t - h, t + h, 1001)).max() <= top + 1e-12
 
 
-@pytest.mark.parametrize("R", [1e-3, 0.71, 1.0, 3.7, 1e3])
+@pytest.mark.parametrize("R", [1e-300, 1e-3, 0.71, 1.0, 3.7, 1e3, 1e300])
 def test_shared_pursuit_row_is_every_pose_grid_bit_for_bit(R):
     # Every pursuit pose has the grid linspace(0, R, steps + 1): the one row
     # the scan builds per call gives the times _grid_times gives each grid.
@@ -958,8 +963,8 @@ def test_refinement_memory_is_bounded(monkeypatch):
     sizes, refined = [], []
     slack, refine = oracle._pursuit_slack, oracle._refine
 
-    def recording_slack(threat):
-        margin = slack(threat)
+    def recording_slack(params):
+        margin = slack(params)
 
         def recorded(poses, t):
             m = margin(poses, t)
@@ -987,8 +992,8 @@ def near_boundary(rng, boundary, R):
 
 def batched(windows, points, headings, threat, size):
     """``windows`` of the poses in calls of ``size`` poses each."""
-    calls = (windows(points[i : i + size], headings[i : i + size], threat) for i in range(0, len(headings), size))
-    return [w for call in calls for w in call]
+    calls = (windows([(points[i : i + size], headings[i : i + size], threat)]) for i in range(0, len(headings), size))
+    return [w for (call,) in calls for w in call]
 
 
 def test_windows_do_not_hang_on_how_poses_are_batched(monkeypatch):
@@ -1005,7 +1010,7 @@ def test_windows_do_not_hang_on_how_poses_are_batched(monkeypatch):
         dist = np.maximum(near_boundary(rng, rho_batch(xi, threat), 1.0), 1e-6)
         angle = headings - xi + math.pi
         points = threat.position.as_tuple() + np.c_[dist * np.cos(angle), dist * np.sin(angle)]
-        whole = oracle.pursuit_windows(points, headings, threat)
+        (whole,) = oracle.pursuit_windows([(points, headings, threat)])
         assert 0 < sum(w is not None for w in whole) < 120
         for size in (10, 1):
             assert batched(oracle.pursuit_windows, points, headings, threat, size) == whole
@@ -1014,10 +1019,9 @@ def test_windows_do_not_hang_on_how_poses_are_batched(monkeypatch):
     headings = np.zeros(700)
     x = near_boundary(rng, boundary_threshold_batch(y, threat, headings), 1.0)
     points = np.c_[x, y]
-    poses = oracle._poses(points, headings, threat.position, "turret")
-    (rows, _, _, n, _), _ = oracle._turret_grids(poses, threat)
+    (rows, _, _, n, _), _ = oracle._turret_grids(*columns(points, headings, threat))
     assert len(rows) > oracle._BLOCK // ((int(n.max()) - 1) // CELL + 2) and n.min() < n.max()
-    whole = oracle.turret_windows(points, headings, threat)
+    (whole,) = oracle.turret_windows([(points, headings, threat)])
     assert 0 < sum(w is not None for w in whole) < 700
     for size in (10, 1):
         assert batched(oracle.turret_windows, points, headings, threat, size) == whole
@@ -1029,6 +1033,83 @@ def test_windows_do_not_hang_on_how_poses_are_batched(monkeypatch):
         calls.clear()
         assert batched(oracle.pursuit_windows, points, headings, FAST, size) == [None] * 40
         assert [t.shape for t in calls] == [(9, 1)] * (40 // size)
+
+
+def mixed_blocks(rng):
+    """Seeded near-boundary poses of threats at the sweep's mu and look angles, each kind's apart: blocks per kind.
+
+    The pursuers' capture radii and the turrets' speeds and ranges differ
+    too. One turret block holds more grids than one coarse block does; the
+    last pursuit block lies beyond its pursuer's reach, with no open cell.
+    """
+    pursuit_blocks = []
+    for k, (mu, r) in enumerate(zip(verification._MUS, (0.25, 0.1, 0.4, 0.25, 0.3))):
+        threat = PursuerThreat(Point2(0.3 * k, -0.2 * k), mu=mu, engagement_range=1.0, capture_radius=r)
+        xi, headings = rng.uniform(-math.pi, math.pi, (2, 60))
+        dist = np.maximum(near_boundary(rng, rho_batch(xi, threat), 1.0), 1e-6)
+        angle = headings - xi + math.pi
+        points = threat.position.as_tuple() + np.c_[dist * np.cos(angle), dist * np.sin(angle)]
+        pursuit_blocks.append((points, headings, threat))
+    bearing, headings = rng.uniform(-math.pi, math.pi, (2, 40))
+    far = 0.25 + (1.0 + FAST.mu) * FAST.engagement_range + rng.uniform(0.1, 2.0, 40)
+    pursuit_blocks.append((far[:, None] * np.c_[np.cos(bearing), np.sin(bearing)], headings, FAST))
+    turret_blocks = []
+    for k, (look, mu, R) in enumerate(zip(verification._LOOKS, (0.5, 1.3, 3.0), (1.0, 0.6, 1.7))):
+        threat = TurretThreat(Point2(-0.4 * k, 0.1 * k), look_angle=look, mu=mu, engagement_range=R)
+        count = 700 if k == 1 else 30
+        y = rng.uniform(-0.999, 0.999, count) * R
+        headings = np.zeros(count)
+        x = near_boundary(rng, boundary_threshold_batch(y, threat, headings), R)
+        turret_blocks.append((threat.position.as_tuple() + np.c_[x, y], headings, threat))
+    return {oracle.pursuit_windows: pursuit_blocks, oracle.turret_windows: turret_blocks}
+
+
+def bits(windows):
+    """The windows' ends, NaN for None, as integers: equal only bit for bit."""
+    return np.array([(math.nan, math.nan) if w is None else w for w in windows]).view(np.int64)
+
+
+def test_one_call_over_several_threats_gives_each_pose_its_own_window(monkeypatch):
+    # One windows call per kind over every block gives each pose the window
+    # its block's own call gives, bit for bit: the threat's parameters go
+    # with its poses. The 700-pose turret block outgrows one coarse block,
+    # and the far pursuit block's coarse times open no cell.
+    blocks = mixed_blocks(np.random.default_rng(99))
+    (rows, _, _, n, _), _ = oracle._turret_grids(*columns(*blocks[oracle.turret_windows][1]))
+    assert len(rows) > oracle._BLOCK // ((int(n.max()) - 1) // CELL + 2)
+    calls = recorded_times(monkeypatch, "_pursuit_slack")
+    assert oracle.pursuit_windows(blocks[oracle.pursuit_windows][-1:]) == [[None] * 40]
+    assert [t.shape for t in calls] == [(9, 1)]
+    for windows, kind in blocks.items():
+        together = windows(kind)
+        assert [len(got) for got in together] == [len(headings) for _, headings, _ in kind]
+        for (points, headings, threat), got in zip(kind, together):
+            (alone,) = windows([(points, headings, threat)])
+            assert np.array_equal(bits(got), bits(alone))
+            assert threat is FAST or 0 < sum(w is not None for w in alone) < len(alone)
+
+
+def test_a_pose_on_its_own_blocks_threat_is_rejected_among_other_threats():
+    # Each block's poses are checked against their own threat: a pose on
+    # the second block's threat raises in a call whose other threats lie
+    # elsewhere, while the same point in the first block, off that block's
+    # threat, is scanned.
+    for windows, kind in mixed_blocks(np.random.default_rng(99)).items():
+        name = "pursuer" if windows is oracle.pursuit_windows else "turret"
+        (points, headings, threat), (others, other_headings, other) = kind[:2]
+        on = np.array([other.position.as_tuple()])
+        assert on.tolist() != [threat.position.as_tuple()]
+        assert len(windows([(np.r_[points, on], np.r_[headings, 0.0], threat), *kind[1:]])[0]) == len(headings) + 1
+        with pytest.raises(DomainError) as err:
+            windows([kind[0], (np.r_[others, on], np.r_[other_headings, 0.0], other), *kind[2:]])
+        assert str(err.value) == f"agent exactly at the {name} position"
+
+
+def test_pursuers_of_different_ranges_in_one_call_are_rejected():
+    near = PursuerThreat(Point2(1.0, 0.0), mu=0.7, engagement_range=2.0, capture_radius=0.25)
+    points, headings = np.array([[-1.0, 0.5]]), np.zeros(1)
+    with pytest.raises(ValueError, match=r"one engagement range, got 1\.0 and 2\.0"):
+        oracle.pursuit_windows([(points, headings, FAST), (points, headings, near)])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

@@ -14,7 +14,9 @@ verify`` line the CI workflow pins, and, per oracle kind, a sha256 of the
 first engagement window the oracle finds for each pose of a fixed seeded
 set of poses near the zone boundary, with a sha256 of the poses
 themselves: a change to the oracle's scan that keeps its windows keeps
-that record.
+that record. The windows are hashed twice: from one oracle call per
+threat, as each threat's ``engageable`` scans them, and from one call
+per kind over every threat's poses, as the verify sweep scans them.
 
 The digest fixes no expected value. Two digests of one checkout are
 identical, and ``--diff`` of a digest against itself prints nothing. A
@@ -22,8 +24,9 @@ deliberate change to the plans shows up in ``--diff`` as one table row
 per case that moved: the relative t_f change, the iteration change, the
 x10 audit's worst clearance before and after, and which of the recorded
 fields differ. A verify line or a window record that differs is one line
-each. ``--diff`` exits 0 when nothing moved and 1 when
-something did, as ``diff`` does.
+each; a field that only one of two window records holds, as when a later
+checkout records more, is not compared. ``--diff`` exits 0 when nothing
+moved and 1 when something did, as ``diff`` does.
 """
 
 from __future__ import annotations
@@ -184,19 +187,29 @@ def window_cases() -> dict:
     return {"pursuit": pursuit, "turret": turret}
 
 
-# per oracle kind: the first engagement window of each pose, or None, the scan behind ``threat.engageable``
+# per oracle kind: the first engagement window of each pose, or None, one list per block
+# (points, headings, threat); the scan behind ``threat.engageable`` and the verify sweep
 WINDOWS = {"pursuit": oracle.pursuit_windows, "turret": oracle.turret_windows}
 
 
+def _windows_sha(blocks: list) -> str:
+    return _sha([(math.nan, math.nan) if w is None else w for block in blocks for w in block])
+
+
 def window_record() -> dict:
-    """Per oracle kind: sha256s of the window record's poses and of their windows, and how many poses engage."""
+    """Per oracle kind: sha256s of the window record's poses and of their windows, and how many poses engage.
+
+    ``windows_sha256`` hashes one oracle call per threat and ``one_call_windows_sha256`` one call over every threat.
+    """
     record = {}
     for kind, threats in window_cases().items():
-        windows = [w for threat, points, headings in threats for w in WINDOWS[kind](points, headings, threat)]
+        blocks = [(points, headings, threat) for threat, points, headings in threats]
+        alone = [WINDOWS[kind]([block])[0] for block in blocks]
         record[kind] = {
-            "poses_sha256": _sha(*(a for _, points, headings in threats for a in (points, headings))),
-            "windows_sha256": _sha([(math.nan, math.nan) if w is None else w for w in windows]),
-            "engaged": sum(w is not None for w in windows),
+            "poses_sha256": _sha(*(a for points, headings, _ in blocks for a in (points, headings))),
+            "windows_sha256": _windows_sha(alone),
+            "one_call_windows_sha256": _windows_sha(WINDOWS[kind](blocks)),
+            "engaged": sum(w is not None for block in alone for w in block),
         }
     return record
 
@@ -256,8 +269,9 @@ def diff(before: dict, after: dict) -> list[str]:
             lines.append(f"verify {line}: {a_ver.get(line)!r} → {b_ver.get(line)!r}")
     a_win, b_win = before.get("windows", {}), after.get("windows", {})
     for kind in [*a_win, *(k for k in b_win if k not in a_win)]:
-        if a_win.get(kind) != b_win.get(kind):
-            lines.append(f"windows {kind}: {a_win.get(kind)!r} → {b_win.get(kind)!r}")
+        a, b = a_win.get(kind), b_win.get(kind)
+        if a is None or b is None or any(a[field] != b[field] for field in a.keys() & b.keys()):
+            lines.append(f"windows {kind}: {a!r} → {b!r}")
     return lines
 
 
