@@ -86,11 +86,6 @@ def wrap_angles(a: np.ndarray) -> np.ndarray:
     return np.where(w <= -math.pi, w + TWO_PI, w)
 
 
-def atan2_each(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``math.atan2`` of every pair: ``np.arctan2`` differs in the last bit on some inputs."""
-    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, count=len(y))
-
-
 def angular_separation(a: float, b: float) -> float:
     """Shortest angular distance between two directions, in [0, pi]."""
     return abs(wrap_angle(a - b))

@@ -3,12 +3,18 @@
 Transcription: a uniform time grid with the terminal time as a decision
 variable and one piecewise-constant heading per segment. Node positions
 are chained forward from the start, so the decision vector is exactly
-n_nodes long (n_nodes - 1 headings plus the terminal time). The zone
-constraint has one row per node pose and threat: pursuer zones via the
-aspect-angle clearance with the node's segment heading, turret zones via
-the chord-threshold ray test. Every pose the module evaluates, a
-constraint row's, the per-node report's or the dense audit's, is a
-(segment k, fraction f) pose of a path, which has at least one segment.
+n_nodes long: n_nodes - 1 headings, then w = (n_nodes - 1) t_f / T0, the
+terminal time in units of T0 / (n_nodes - 1), where T0 = chord length /
+speed is the chord time. A heading moves the goal by one step, about
+L / (n_nodes - 1) for a chord of length L, and so does a unit of w, so
+SLSQP sees every column at one scale whatever the scene's units; it
+minimises w itself. Only ``TranscribedProblem`` reads w: callers see
+t_f. The zone constraint has one row per node pose and threat: pursuer
+zones via the aspect-angle clearance with the node's segment heading,
+turret zones via the chord-threshold ray test. Every pose the module
+evaluates, a constraint row's, the per-node report's or the dense
+audit's, is a (segment k, fraction f) pose of a path, which has at least
+one segment.
 ``trajectory.place`` puts it at node k + f (node k+1 - node k) with
 segment k's heading, f = 1 reading node k+1 as stored, and
 ``trajectory.node_poses`` names each node as such a pose. One helper
@@ -192,7 +198,11 @@ class TranscribedProblem:
     """NLP view of a scenario: objective, constraints, and Jacobians.
 
     The decision vector z holds the n_nodes - 1 segment headings followed
-    by the terminal time. SLSQP asks for the constraints and their
+    by w = (n_nodes - 1) t_f / chord_time, so the chord's is n_nodes - 1.
+    ``t_f`` reads the terminal time back and ``pack`` and ``unpack``
+    convert trajectories, so no caller sees w. The node positions, and
+    with them the endpoint and every zone row, are linear in w, as in t_f.
+    SLSQP asks for the constraints and their
     Jacobians at one iterate in separate callbacks, so the problem keeps
     one entry: the last z it was asked about, compared by value (SLSQP
     rewrites its array in place), with its node positions, the steps
@@ -209,6 +219,7 @@ class TranscribedProblem:
         self.speed = scenario.agent.speed
         self.a0 = np.array(scenario.agent.start.as_tuple())
         self.af = np.array(scenario.agent.goal.as_tuple())
+        self.chord_time = distance(scenario.agent.start, scenario.agent.goal) / self.speed
         self.threats = scenario.threats
         # A node belongs to two segments and the continuous path visits it
         # with both headings (the corner is instantaneous), so interior
@@ -235,10 +246,18 @@ class TranscribedProblem:
     # -- kinematics -------------------------------------------------------
 
     def chord(self) -> np.ndarray:
-        """z of the straight chord: its heading on every segment and t_f = chord length / speed, the least t_f."""
+        """z of the straight chord: its heading on every segment and w = n_nodes - 1, the least (t_f = chord_time)."""
         start, goal = self.scenario.agent.start, self.scenario.agent.goal
         heading = math.atan2(goal.y - start.y, goal.x - start.x)
-        return np.append(np.full(self.n - 1, heading), distance(start, goal) / self.speed)
+        return np.append(np.full(self.n - 1, heading), float(self.n - 1))
+
+    def t_f(self, z: np.ndarray) -> float:
+        """The terminal time of z, w chord_time / (n_nodes - 1); the chord's w reads as chord_time itself.
+
+        (n_nodes - 1) chord_time / (n_nodes - 1) misses chord_time by one ulp for some chord times.
+        """
+        w = z[-1]
+        return self.chord_time if w == self.n - 1 else float(w * self.chord_time / (self.n - 1))
 
     def positions(self, z: np.ndarray) -> np.ndarray:
         """Node positions (n x 2) of z, read-only.
@@ -248,9 +267,12 @@ class TranscribedProblem:
         """
         key = z.tobytes()
         if key != self._z:
-            psi, t_f = z[:-1], z[-1]
-            dt = t_f / (self.n - 1)
-            self._steps = self.speed * dt * np.stack([np.cos(psi), np.sin(psi)], axis=1)
+            psi = z[:-1]
+            dt = self.t_f(z) / (self.n - 1)
+            self._steps = np.empty((self.n - 1, 2))
+            np.cos(psi, out=self._steps[:, 0])
+            np.sin(psi, out=self._steps[:, 1])
+            self._steps *= self.speed * dt
             self._points = np.empty((self.n, 2))
             self._points[0] = self.a0
             np.cumsum(self._steps, axis=0, out=self._points[1:])
@@ -265,7 +287,7 @@ class TranscribedProblem:
         return self.positions(z)[-1] - self.af
 
     def endpoint_jacobian(self, z: np.ndarray) -> np.ndarray:
-        """Every heading turns its step a quarter left, (-step_y, step_x); t_f scales the goal's offset from the start."""
+        """Every heading turns its step a quarter left, (-step_y, step_x); w scales the goal's offset from the start."""
         goal = self.positions(z)[-1] - self.a0
         jac = np.empty((2, self.n))
         np.negative(self._steps[:, 1], out=jac[0, :-1])
@@ -313,7 +335,7 @@ class TranscribedProblem:
         np.copyto(chain, 0.0, where=after)
         # direct dependence on the pose's own heading
         jac[np.arange(m), heads] += gpsi
-        # terminal-time column through the node positions
+        # terminal-time column through the node positions, which are linear in w
         rel = points[nodes] - self.a0
         jac[:, -1] = (gx * rel[:, 0] + gy * rel[:, 1]) / z[-1]
         return jac
@@ -321,15 +343,15 @@ class TranscribedProblem:
     # -- warm-start packing --------------------------------------------------
 
     def pack(self, trajectory: Trajectory) -> np.ndarray:
+        """z of the trajectory resampled at equal arc on this grid: its headings and its length over speed as w."""
         pts = _resample_equal_arc(trajectory.points, self.n)
         deltas = np.diff(pts, axis=0)
         psi = np.arctan2(deltas[:, 1], deltas[:, 0])
         length = float(np.sum(np.hypot(deltas[:, 0], deltas[:, 1])))
-        return np.concatenate([psi, [max(length / self.speed, 1e-12)]])
+        return np.concatenate([psi, [(self.n - 1) * max(length / self.speed / self.chord_time, 1e-12)]])
 
     def unpack(self, z: np.ndarray) -> Trajectory:
-        t_f = float(z[-1])
-        times = np.linspace(0.0, t_f, self.n)
+        times = np.linspace(0.0, self.t_f(z), self.n)
         return Trajectory(
             times=times, points=self.positions(z).copy(), headings=z[:-1].copy(), speed=self.speed
         )
@@ -389,7 +411,6 @@ def plan(scenario: Scenario) -> PlanResult:
     _screen_endpoints(scenario)
     problem = transcribe(scenario)
     chord = problem.chord()
-    chord_time = float(chord[-1])
 
     if opts.initialization == "circumnav_reach":
         _reach_threat(scenario.threats)  # raised here, though only a level that solves from the seed builds it
@@ -399,8 +420,8 @@ def plan(scenario: Scenario) -> PlanResult:
         clear = problem.clearances(chord)
         if np.all(clear >= 0.0):  # a NaN clearance counts as blocked
             min_clear = float(np.min(clear)) if clear.size else math.inf
-            _log.debug("chord clear: returned unsolved, t_f %.12g, min clearance %.6g", chord_time, min_clear)
-            return PlanResult(problem.unpack(chord), chord_time, True, min_clear, 0)
+            _log.debug("chord clear: returned unsolved, t_f %.12g, min clearance %.6g", problem.chord_time, min_clear)
+            return PlanResult(problem.unpack(chord), problem.chord_time, True, min_clear, 0)
 
     rows = np.ones(len(problem._row_node), dtype=bool)
     coarse = None
@@ -423,7 +444,7 @@ def plan(scenario: Scenario) -> PlanResult:
     n_vars = opts.n_nodes
     grad = np.zeros(n_vars)
     grad[-1] = 1.0
-    bounds = [(None, None)] * (n_vars - 1) + [(chord_time * (1.0 - 1e-12), None)]
+    bounds = [(None, None)] * (n_vars - 1) + [((n_vars - 1) * (1.0 - 1e-12), None)]  # t_f >= chord_time
 
     best = None  # (key, z, success, feasible, every clearance row of z)
     for name, z0 in seeds:
@@ -439,8 +460,9 @@ def plan(scenario: Scenario) -> PlanResult:
                     {"type": "eq", "fun": problem.endpoint, "jac": problem.endpoint_jacobian},
                     {
                         "type": "ineq",
-                        "fun": lambda z: problem.clearances(z, keep),
-                        "jac": lambda z: problem.clearance_jacobian(z, keep),
+                        "fun": problem.clearances,
+                        "jac": problem.clearance_jacobian,
+                        "args": (None if keep.all() else keep,),  # every row needs no gather
                     },
                 ],
                 options={"maxiter": opts.max_iterations, "ftol": opts.opt_tolerance},
@@ -452,7 +474,7 @@ def plan(scenario: Scenario) -> PlanResult:
             _log.debug(
                 "seed %s: n %d, rows %d/%d, nit %d, status %d (%s), t_f %.12g, violation %.3g",
                 name, opts.n_nodes, np.count_nonzero(keep), keep.size, res.nit, res.status, res.message,
-                z[-1], viol,
+                problem.t_f(z), viol,
             )
             missed = ~keep & (clear < -opts.constraint_tolerance)
             if not missed.any():
@@ -460,14 +482,14 @@ def plan(scenario: Scenario) -> PlanResult:
             keep |= missed
             z0 = z
         feasible = viol <= opts.constraint_tolerance
-        key = (0, float(z[-1])) if feasible else (1, viol)
+        key = (0, problem.t_f(z)) if feasible else (1, viol)
         if best is None or key < best[0]:
             best = (key, z, bool(res.success), feasible, clear)
 
     _, z, success, feasible, clear = best
     return PlanResult(
         trajectory=problem.unpack(z),
-        t_f=float(z[-1]),
+        t_f=problem.t_f(z),
         converged=bool(success and feasible),
         min_clearance=float(np.min(clear)),
         iterations=total_nit,

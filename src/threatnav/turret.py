@@ -32,7 +32,6 @@ from .errors import DomainError
 from .geometry import (
     TWO_PI,
     Point2,
-    atan2_each,
     require_finite_angles,
     require_finite_poses,
     require_number,
@@ -102,18 +101,19 @@ class TurretThreat:
         along = x0 - m
         pieces = along, ch + m_y * sh, sh - m_y * ch, y0 + m_y * x0 + m_th
         lateral = np.abs(y0) - R
-        chord = along > lateral
-        if chord.all():
-            return pieces
-        side = np.sign(y0)
-        return tuple(np.where(chord, a, b) for a, b in zip(pieces, (lateral, -side * sh, side * ch, -side * x0)))
+        beyond = ~(along > lateral)
+        if np.count_nonzero(beyond):  # each piece is a fresh array, so the lateral one is written into it
+            side = np.sign(y0)
+            for piece, other in zip(pieces, (lateral, -side * sh, side * ch, -side * x0)):
+                np.copyto(piece, other, where=beyond)
+        return pieces
 
     def _frame(self, points: np.ndarray, headings: np.ndarray):
         """Agent-heading frame of every pose: x0 along the heading, y0 to its left, cos and sin of the heading."""
         require_finite_poses(points, headings)
         dx = points[:, 0] - self.position.x
         dy = points[:, 1] - self.position.y
-        if ((dx == 0.0) & (dy == 0.0)).any():
+        if not np.hypot(dx, dy).all():  # a finite hypot is 0 only where both offsets are
             raise DomainError("agent exactly at the turret position")
         ch, sh = np.cos(headings), np.sin(headings)
         return dx * ch + dy * sh, -dx * sh + dy * ch, ch, sh
@@ -183,6 +183,12 @@ def boundary_threshold_batch(y: np.ndarray, threat: TurretThreat, agent_headings
     a non-finite heading or chord offset as given.
     """
     require_finite_angles(agent_headings)
+    R = threat.engagement_range
+    if not (np.abs(y) <= R).all():
+        bad = y[~np.isfinite(y)]
+        if bad.size:
+            raise DomainError(f"chord offset must be finite, got {float(bad[0])}")
+        raise DomainError(f"|y|={float(np.abs(y).max())} exceeds the engagement range {R}")
     return _threshold(y, threat, agent_headings)[0]
 
 
@@ -194,20 +200,14 @@ def _threshold(y: np.ndarray, threat: TurretThreat, agent_headings: np.ndarray):
     c = sqrt(R^2 - y^2), dM/dy is -(y + dM/dth) / c at the exit, (y + dM/dth) / c at the entry, cot th at
     the crossing (dM/dth = -y / sin^2 th), xs / y at the stationary point (envelope theorem), 0 on y == 0.
     The exit, entry and stationary-point candidates share one bearing pass; each later fold writes only
-    the chords it wins and is skipped when it wins none. A non-finite y is named as the chord offset.
+    the chords it wins and is skipped when it wins none. Every |y| is at most R: the callers clamp or check it.
     """
     R, mu = threat.engagement_range, threat.mu
-    y_abs = np.abs(y)
-    if not (y_abs <= R).all():
-        bad = y[~np.isfinite(y)]
-        if bad.size:
-            raise DomainError(f"chord offset must be finite, got {float(bad[0])}")
-        raise DomainError(f"|y|={float(y_abs.max())} exceeds the engagement range {R}")
     th = wrap_angles(threat.look_angle - agent_headings)
     mirror = y < 0.0  # mirror symmetry: reflect chord and beam together (and the partials)
-    flip = mirror.any()
+    flip = np.count_nonzero(mirror) > 0
     if flip:
-        y = y_abs  # -0.0 becomes 0.0 too, but every y == 0 row is settled below from th alone
+        y = np.abs(y)  # -0.0 becomes 0.0 too, but every y == 0 row is settled below from th alone
         np.negative(th, out=th, where=mirror & (th != math.pi))  # wrap(-pi) is pi
 
     def reach(x, th, bearing):
@@ -216,29 +216,31 @@ def _threshold(y: np.ndarray, threat: TurretThreat, agent_headings: np.ndarray):
 
     n = len(y)
     c = np.sqrt(R * R - y * y)  # |y| <= R, so y * y <= R * R after rounding too
-    inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0.0)
+    inv_c = np.zeros(n)
+    np.divide(1.0, c, out=inv_c, where=c > 0.0)
     # the interior stationary point of the chase, where it lies on the chord (y == 0 is settled below)
-    idx, xs = np.flatnonzero((y > 0.0) & (y < mu)), np.empty(0)
+    idx, xs = ((y > 0.0) & (y < mu)).nonzero()[0], np.empty(0)
     if idx.size:
         root = np.sqrt(y[idx] * (mu - y[idx]))
         on_chord = root <= c[idx]
         idx, xs = idx[on_chord], -root[on_chord]
     # exit, entry and stationary point in one pass
     x = np.concatenate([c, -c, xs])
-    value, slope, gap = reach(x, np.concatenate([th, th, th[idx]]), atan2_each(np.concatenate([y, y, y[idx]]), x))
+    value, slope, gap = reach(x, np.concatenate([th, th, th[idx]]), np.arctan2(np.concatenate([y, y, y[idx]]), x))
     best, m_th, entry, entry_th = value[:n], slope[:n], value[n : 2 * n], slope[n : 2 * n]
     m_y = -(y + m_th) * inv_c
     take = entry > best
     np.copyto(best, entry, where=take)
     np.copyto(m_y, (y + entry_th) * inv_c, where=take)
     np.copyto(m_th, entry_th, where=take)
-    # crossing the initial beam
+    # crossing the initial beam, where sin th > 0; elsewhere x_cross is -inf, before the entry -c
     sin_th, cos_th = np.sin(th), np.cos(th)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_cross = y * cos_th / sin_th
-        cross = (sin_th > 0.0) & (x[n : 2 * n] <= x_cross) & (x_cross <= c) & (x_cross > best)
-        if cross.any():
-            s = sin_th[cross]
+    x_cross = np.full(n, -math.inf)
+    np.divide(y * cos_th, sin_th, out=x_cross, where=sin_th > 0.0)
+    cross = (x[n : 2 * n] <= x_cross) & (x_cross <= c) & (x_cross > best)
+    if np.count_nonzero(cross):
+        s = sin_th[cross]
+        with np.errstate(divide="ignore", invalid="ignore"):  # s * s may underflow to 0
             best[cross], m_y[cross], m_th[cross] = x_cross[cross], cos_th[cross] / s, -y[cross] / (s * s)
     if idx.size:  # a stationary point counts where wrap(bearing - th) < 0, that is where 0 < gap < pi
         value, slope, gap = value[2 * n :], slope[2 * n :], gap[2 * n :]
@@ -247,7 +249,7 @@ def _threshold(y: np.ndarray, threat: TurretThreat, agent_headings: np.ndarray):
         best[idx], m_y[idx], m_th[idx] = value[win], xs[win] / y[idx], slope[win]
     # the chord through the turret: inbound bearing pi (-0.0 - mu|gap| is -mu|gap|) or outbound bearing 0
     on = y == 0.0
-    if on.any():
+    if np.count_nonzero(on):
         (inbound, in_th, _), (outbound, out_th, _) = reach(-0.0, th[on], math.pi), reach(R, th[on], 0.0)
         out = outbound > inbound
         best[on], m_y[on], m_th[on] = np.where(out, outbound, inbound), 0.0, np.where(out, out_th, in_th)

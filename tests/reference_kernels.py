@@ -1,7 +1,9 @@
 """Frozen scalar closed forms and oracle scans: the reference the batched code must equal bit for bit.
 
 These are the one-pose pursuer and turret kernels as they stood before
-the library kept only its batched forms, copied unchanged. Nothing in
+the library kept only its batched forms, copied unchanged but for the
+turret's bearings, which come from ``np.arctan2`` as the library's do
+(``math.atan2`` differs from it in the last bit on some inputs). Nothing in
 ``threatnav`` calls them; the tests compare ``rho_batch``,
 ``rho_derivative_batch``, ``boundary_threshold_batch`` and both
 ``clearance`` methods against them, because SLSQP reacts to last-bit
@@ -24,7 +26,6 @@ from threatnav.geometry import (
     Point2,
     angular_separation,
     aspect_angle,
-    atan2_each,
     distance,
     require_finite_poses,
     wrap_angle,
@@ -157,7 +158,7 @@ def boundary_threshold(y: float, threat: TurretThreat, agent_heading: float = 0.
     c = math.sqrt(max(R * R - y * y, 0.0))
 
     def reach(x: float) -> float:
-        return x - mu * angular_separation(th, math.atan2(y, x))
+        return x - mu * angular_separation(th, float(np.arctan2(y, x)))
 
     cands = [reach(c), reach(-c)]
     if math.sin(th) > 0.0:
@@ -166,7 +167,7 @@ def boundary_threshold(y: float, threat: TurretThreat, agent_heading: float = 0.
             cands.append(x_cross)
     if mu > y:
         xs = -math.sqrt(y * (mu - y))
-        if -c <= xs <= c and wrap_angle(math.atan2(y, xs) - th) < 0.0:
+        if -c <= xs <= c and wrap_angle(float(np.arctan2(y, xs)) - th) < 0.0:
             cands.append(reach(xs))
     return max(cands)
 
@@ -239,7 +240,7 @@ def threshold_and_partials(y: np.ndarray, threat: TurretThreat, agent_headings: 
 
     c = np.sqrt(R * R - y * y)  # |y| <= R, so y * y <= R * R after rounding too
     inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0.0)
-    (best, m_th), (entry, entry_th) = reach(c, th, atan2_each(y, c)), reach(-c, th, atan2_each(y, -c))
+    (best, m_th), (entry, entry_th) = reach(c, th, np.arctan2(y, c)), reach(-c, th, np.arctan2(y, -c))
     m_y = -(y + m_th) * inv_c
     best, m_y, m_th = fold(entry > best, entry, (y + entry_th) * inv_c, entry_th)
     # crossing the initial beam
@@ -252,7 +253,7 @@ def threshold_and_partials(y: np.ndarray, threat: TurretThreat, agent_headings: 
     inner = (mu > y) & (y > 0.0)
     xs = -np.sqrt(np.where(inner, y * (mu - y), 0.0))
     idx = np.flatnonzero(inner & (-c <= xs) & (xs <= c))
-    bearing = atan2_each(y[idx], xs[idx])
+    bearing = np.arctan2(y[idx], xs[idx])
     value, slope = reach(xs[idx], th[idx], bearing)
     win = (wrap_angles(bearing - th[idx]) < 0.0) & (value > best[idx])
     idx = idx[win]

@@ -1,7 +1,8 @@
 import logging
 import math
 import statistics
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,10 @@ from threatnav.trajectory import node_poses, place
 from threatnav.turret import TurretThreat
 
 from test_batched_kernels import bit_equal
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import identity  # noqa: E402
 
 GOLDEN_FILE = Path(__file__).resolve().parent.parent / "scenarios" / "golden.json"
 MU, CAPTURE = 0.9, 0.2
@@ -96,6 +101,19 @@ class TestSeedRule:
         assert res.converged
         assert res.t_f == distance(scen.agent.start, scen.agent.goal) / scen.agent.speed
         assert res.min_clearance > 0.0
+
+    def test_a_clear_chord_takes_exactly_distance_over_speed(self):
+        # the decision vector holds t_f as w = (n - 1) t_f / chord time, whose inverse can miss by an ulp
+        rng = np.random.default_rng(31)
+        for draw in range(300):
+            start, goal = (Point2(*rng.uniform(-50.0, 50.0, 2)) for _ in range(2))
+            speed, n = float(10.0 ** rng.uniform(-2.0, 2.0)), int(rng.integers(3, 401))
+            scen = Scenario(AgentConfig(start, goal, speed), (), PlannerOptions(n_nodes=n))
+            chord_time = distance(start, goal) / speed
+            res = plan(scen)
+            assert res.iterations == 0
+            assert res.t_f == res.trajectory.times[-1] == chord_time, draw
+            assert initialize(scen, "straight_line").times[-1] == chord_time, draw
 
     def test_circumnav_reach_warm_start_is_solved(self, solves):
         scen = golden_scenario(n_nodes=48, initialization="circumnav_reach")
@@ -219,9 +237,12 @@ class TestCoarseToFine:
         with caplog.at_level(logging.DEBUG, logger="threatnav.planner"):
             res = plan(scen)
         fine = [r.getMessage() for r in caplog.records if r.getMessage().startswith("seed coarse")]
-        kept = [int(line.split(", rows ")[1].split("/")[0]) for line in fine]
-        assert len(solves) == 2 + len(fine) and len(fine) >= 2
-        assert kept == sorted(set(kept))  # each round keeps more rows
+        kept = {}  # rows kept per solve, by grid size
+        for line in fine:
+            n, rows = line.split("seed coarse: n ")[1].split(", rows ")
+            kept.setdefault(int(n), []).append(int(rows.split("/")[0]))
+        assert len(solves) == 2 + len(fine) and len(fine) > len(kept)  # some grid re-checked
+        assert all(rows == sorted(set(rows)) for rows in kept.values())  # each round on a grid keeps more rows
         assert res.converged
         assert res.min_clearance >= -scen.options.constraint_tolerance
 
@@ -484,6 +505,20 @@ class TestThreatFree:
         assert rep.points_checked == 61
 
 
+class TestUnits:
+    """The same scene in other units, every length times k, is the same problem."""
+
+    @pytest.mark.parametrize("kind", ["golden", "mixed", "turret"])
+    def test_answers_do_not_depend_on_the_scenes_units(self, kind):
+        base = load_scenario(GOLDEN_FILE.with_name(f"{kind}.json")).scenario
+        ref = plan(base)
+        for k in (1e-3, 1e3):
+            res = plan(identity.scaled(base, k))
+            assert res.converged, k
+            assert res.t_f / k == pytest.approx(ref.t_f, rel=1e-8), k
+            assert abs(res.iterations - ref.iterations) <= 0.3 * ref.iterations, (k, res.iterations, ref.iterations)
+
+
 class TestOnePoseRule:
     """The report and the dense audit place their poses as the planner's rows do."""
 
@@ -492,7 +527,9 @@ class TestOnePoseRule:
         scen = load_scenario(GOLDEN_FILE.with_name(f"{request.param}.json")).scenario
         res = plan(scen)
         problem = transcribe(scen)
-        z = np.append(res.trajectory.headings, res.t_f)
+        z = problem.pack(res.trajectory)
+        # the plan as the decision vector z holds it: packing resamples the path and converts t_f
+        res = replace(res, trajectory=problem.unpack(z), t_f=problem.t_f(z))
         blocks = problem.clearances(z).reshape(len(scen.threats), 2 * problem.n - 2)
         return scen, res, problem, z, blocks
 
@@ -713,13 +750,16 @@ class TestTranscription:
 
     @staticmethod
     def reference_endpoint_jacobian(prob, z):
-        """The endpoint Jacobian written out by hand: each heading moves the goal node by speed * dt."""
-        psi, t_f = z[:-1], z[-1]
-        dt = t_f / (prob.n - 1)
+        """The endpoint Jacobian written out by hand: each heading moves the goal node by speed * dt.
+
+        The goal's offset from the start is linear in w, the last entry of z, so the last column is it over w.
+        """
+        psi, w = z[:-1], z[-1]
+        dt = prob.t_f(z) / (prob.n - 1)
         jac = np.zeros((2, prob.n))
         jac[0, : prob.n - 1] = -prob.speed * dt * np.sin(psi)
         jac[1, : prob.n - 1] = prob.speed * dt * np.cos(psi)
-        jac[:, -1] = (prob.positions(z)[-1] - prob.a0) / t_f
+        jac[:, -1] = (prob.positions(z)[-1] - prob.a0) / w
         return jac
 
     @pytest.mark.parametrize("n", [3, 20, 100, 400])
@@ -733,15 +773,19 @@ class TestTranscription:
                 k = max(1, n // 3)
                 z[rng.integers(0, n - 1, size=k)] = rng.choice([0.0, -0.0, math.pi, -math.pi], size=k)
             assert bit_equal(prob.endpoint_jacobian(z), self.reference_endpoint_jacobian(prob, z)), draw
-        chord = np.append(np.zeros(n - 1), 6.0 / MU)  # the golden chord: every heading 0
+        chord = np.append(np.zeros(n - 1), n - 1.0)  # the golden chord: every heading 0, t_f the chord time
         assert bit_equal(prob.endpoint_jacobian(chord), self.reference_endpoint_jacobian(prob, chord))
 
     @staticmethod
     def reference_clearance_jacobian(prob, z):
-        """The clearance Jacobian written out by hand, row by row, from each threat's pose partials."""
-        psi, t_f = z[:-1], z[-1]
+        """The clearance Jacobian written out by hand, row by row, from each threat's pose partials.
+
+        Node positions are linear in w, the last entry of z, so a row's last entry is its gradient times the node's
+        offset from the start, over w.
+        """
+        psi, w = z[:-1], z[-1]
         n = prob.n
-        dt = t_f / (n - 1)
+        dt = prob.t_f(z) / (n - 1)
         # node k moves with each earlier heading along that step turned a quarter left
         turn_x, turn_y = -prob.speed * dt * np.sin(psi), prob.speed * dt * np.cos(psi)
         points = prob.positions(z)
@@ -754,7 +798,7 @@ class TestTranscription:
                 row = np.zeros(n)
                 row[:k] = a * turn_x[:k] + b * turn_y[:k]
                 row[j] += p
-                row[-1] = (a * (points[k, 0] - prob.a0[0]) + b * (points[k, 1] - prob.a0[1])) / t_f
+                row[-1] = (a * (points[k, 0] - prob.a0[0]) + b * (points[k, 1] - prob.a0[1])) / w
                 rows.append(row)
         return np.array(rows)
 

@@ -9,6 +9,10 @@ BLAS thread. For every case the digest records the ``repr`` of t_f,
 ``min_clearance`` and the iteration count, ``converged``, a sha256 of the
 trajectory's times, points and headings, a sha256 of the per-node
 ``clearances_along`` table, and the x10 ``resample_and_verify`` report.
+Golden is also planned with every length times 1e-3 and 1e3 (``scaled``):
+the same scene in other units, which should plan to the same t_f / k in
+about the same iterations, so a change that makes plans depend on the
+scene's units moves those two cases.
 It also records the exit code and standard output of every ``threatnav
 verify`` line the CI workflow pins, and, per oracle kind, a sha256 of the
 first engagement window the oracle finds for each pose of a fixed seeded
@@ -72,6 +76,7 @@ from threatnav.turret import boundary_threshold_batch  # noqa: E402
 
 AUDIT_FACTOR = 10
 SEEDS = (1, 2)
+UNIT_SCALES = (1e-3, 1e3)  # golden.json with every length times k, as plan cases
 # every `threatnav verify` line of the CI workflow's console-script step
 VERIFY_LINES = (
     "--samples 20",
@@ -107,6 +112,26 @@ def offset_pair(n_nodes: int) -> Scenario:
     return Scenario(agent, threats, PlannerOptions(n_nodes=n_nodes, constraint_tolerance=1e-4))
 
 
+def scaled(scen: Scenario, k: float) -> Scenario:
+    """``scen`` with every length times k, so t_f is k times as long: the same scene in other units.
+
+    The lengths are the positions, each pursuer's range and capture radius, each turret's range and mu
+    (a length per radian) and ``constraint_tolerance``. The speed, the angles and ``opt_tolerance`` stay.
+    """
+
+    def at(p: Point2) -> Point2:
+        return Point2(k * p.x, k * p.y)
+
+    lengths = {PursuerThreat: ("engagement_range", "capture_radius"), TurretThreat: ("mu", "engagement_range")}
+    threats = [
+        replace(t, position=at(t.position), **{name: k * getattr(t, name) for name in lengths[type(t)]})
+        for t in scen.threats
+    ]
+    agent = replace(scen.agent, start=at(scen.agent.start), goal=at(scen.agent.goal))
+    options = replace(scen.options, constraint_tolerance=k * scen.options.constraint_tolerance)
+    return Scenario(agent, threats, options)
+
+
 def cases(work_dir: Path) -> dict:
     """Every case by name, in digest order: a zero-argument function that builds its scenario.
 
@@ -125,6 +150,8 @@ def cases(work_dir: Path) -> dict:
     named["mixed_n200"] = lambda: gen.mixed_scenario(200)
     for n in (100, 400):
         named[f"offset_pair_n{n}"] = lambda n=n: offset_pair(n)
+    for k in UNIT_SCALES:
+        named[f"golden_k{k:g}"] = lambda k=k: scaled(golden, k)
     return named
 
 
